@@ -48,12 +48,6 @@ class DomainClassifier:
         }
 
 
-def one_hot(index, n_domains):
-    v = np.zeros(n_domains)
-    v[index] = 1.0
-    return v
-
-
 def adversarial_loss(classifier, groups, reversal_factor=None):
     """Sum over domains of that domain's mean cross-entropy.
 

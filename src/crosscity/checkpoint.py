@@ -8,7 +8,12 @@ statistics ride along as ``stats.<domain>.mean`` / ``.std`` scalar records.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
+
+from .data import NormalizationStats
 
 FORMAT_VERSION = 1
 
@@ -23,7 +28,7 @@ class Checkpoint:
         self.config_hash = config_hash
         self.seed = seed
         self.tensors = dict(tensors)  # name -> ndarray (float64)
-        self.stats = dict(stats or {})  # domain -> (mean, std)
+        self.stats = dict(stats or {})  # domain -> NormalizationStats
 
     def __eq__(self, other):
         return (
@@ -51,8 +56,22 @@ def _parse_shape(token):
     return tuple(int(d) for d in token.split(","))
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Write to a temp file beside path that replaces it only once the block
+    succeeds; on failure path is untouched and the temp file removed."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(ckpt, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"version={FORMAT_VERSION}\n")
         fh.write(f"stage={ckpt.stage}\n")
         fh.write(f"config_hash={ckpt.config_hash}\n")
@@ -106,18 +125,17 @@ def load_checkpoint(path, expect_config_hash=None):
         else:
             tensors[name] = arr
     stats = {}
-    for name, val in stats_raw.items():
-        parts = name.split(".")
-        domain, kind = ".".join(parts[1:-1]), parts[-1]
-        stats.setdefault(domain, [None, None])
-        stats[domain][0 if kind == "mean" else 1] = val
-    for domain, pair in stats.items():
-        if pair[0] is None or pair[1] is None:
+    for name in stats_raw:
+        domain = name[len("stats."):].rpartition(".")[0]
+        mean = stats_raw.get(f"stats.{domain}.mean")
+        std = stats_raw.get(f"stats.{domain}.std")
+        if mean is None or std is None:
             raise CheckpointError(f"incomplete stats for domain {domain!r}")
+        stats[domain] = NormalizationStats(mean, std)
     return Checkpoint(
         header["stage"],
         header["config_hash"],
         int(header["seed"]),
         tensors,
-        {d: (m, s) for d, (m, s) in stats.items()},
+        stats,
     )

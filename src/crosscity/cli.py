@@ -24,7 +24,7 @@ from . import checkpoint as ck
 from . import data as dio
 from . import metrics as mx
 from . import node2vec as n2v
-from .config import VARIANTS, ExperimentConfig
+from .config import VARIANTS, ExperimentConfig, variant_uses
 from .graph import load_graph, save_graph
 from .train import DomainData, ReplayLog, finetune, pretrain
 
@@ -123,6 +123,14 @@ def cmd_embed(args):
     return 0
 
 
+def _load_run_checkpoint(args, cfg, stage):
+    """The run directory's `stage` checkpoint, written under this config."""
+    path = os.path.join(args.out, f"{stage}.ckpt")
+    if not os.path.exists(path):
+        raise CliError(f"missing {stage} checkpoint {path}", EXIT_BAD_ARGS)
+    return ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
+
+
 def _gather_domains(args, cfg, target_needs_series):
     sources = [_load_domain(args.data, n) for n in cfg.source_domains]
     target = _load_domain(args.data, cfg.target_domain,
@@ -147,12 +155,8 @@ def cmd_finetune(args):
     cfg = _load_config(args)
     _echo_config(cfg, args.out)
     _, target = _gather_domains(args, cfg, target_needs_series=True)
-    pre = None
-    if args.variant in ("full", "wo_da", "wo_pri"):
-        path = os.path.join(args.out, "pretrained.ckpt")
-        if not os.path.exists(path):
-            raise CliError(f"missing pretrained checkpoint {path}", EXIT_BAD_ARGS)
-        pre = ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
+    pre = (_load_run_checkpoint(args, cfg, "pretrained")
+           if variant_uses(args.variant).pretrain else None)
     log = ReplayLog() if args.replay_log else None
     fin = finetune(pre, target, cfg, variant=args.variant, replay_log=log)
     ck.save_checkpoint(fin, os.path.join(args.out, "finetuned.ckpt"))
@@ -164,10 +168,7 @@ def cmd_finetune(args):
 
 def cmd_evaluate(args):
     cfg = _load_config(args)
-    path = os.path.join(args.out, "finetuned.ckpt")
-    if not os.path.exists(path):
-        raise CliError(f"missing finetuned checkpoint {path}", EXIT_BAD_ARGS)
-    fin = ck.load_checkpoint(path)
+    fin = _load_run_checkpoint(args, cfg, "finetuned")
     _, target = _gather_domains(args, cfg, target_needs_series=True)
     horizons = tuple(h for h in (3, 6, 12) if h <= cfg.horizon)
     reports = mx.evaluate(fin, cfg, target, horizons, variant=args.variant)
@@ -196,10 +197,7 @@ def cmd_compare(args):
 
 def cmd_export_embeddings(args):
     cfg = _load_config(args)
-    path = os.path.join(args.out, "pretrained.ckpt")
-    if not os.path.exists(path):
-        raise CliError(f"missing pretrained checkpoint {path}", EXIT_BAD_ARGS)
-    pre = ck.load_checkpoint(path)
+    pre = _load_run_checkpoint(args, cfg, "pretrained")
     sources, target = _gather_domains(args, cfg, target_needs_series=False)
     out_csv = os.path.join(args.out, "embeddings.csv")
     mx.export_embeddings(pre, cfg, sources + [target], out_csv)
@@ -211,7 +209,7 @@ def cmd_pipeline(args):
     cfg = _load_config(args)
     _echo_config(cfg, args.out)
     stages = ["embed", "finetune", "evaluate"]
-    if args.variant in ("full", "wo_da", "wo_pri"):
+    if variant_uses(args.variant).pretrain:
         stages.insert(1, "pretrain")
     marker = os.path.join(args.out, "stage.txt")
     for stage in stages:
@@ -244,8 +242,6 @@ def build_parser():
         p.add_argument("--seed", type=int, help="root random seed override")
         p.add_argument("--variant", default="full", choices=VARIANTS,
                        help="model variant")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel independent runs (currently sequential)")
         p.add_argument("--replay-log", action="store_true",
                        help="write one line per optimizer step")
         if data:

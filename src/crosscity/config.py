@@ -6,9 +6,33 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 
-VARIANTS = ("full", "wo_da", "wo_pri", "target_only", "temporal_forecaster")
+class VariantUses(NamedTuple):
+    """The parts of the protocol a model variant uses."""
+    pretrain: bool          # stage-1 pre-training on the source cities
+    adversary: bool         # the domain classifier during pre-training
+    shared_encoder: bool    # the (pre-trained) shared spatial encoder
+    private_encoder: bool   # the fine-tuning private encoder and combiner
+
+
+_VARIANT_USES = {
+    "full": VariantUses(True, True, True, True),
+    "wo_da": VariantUses(True, False, True, True),
+    "wo_pri": VariantUses(True, True, True, False),
+    "target_only": VariantUses(False, False, True, True),
+    "temporal_forecaster": VariantUses(False, False, False, False),
+}
+VARIANTS = tuple(_VARIANT_USES)
+
+
+def variant_uses(variant):
+    """What `variant` uses; ValueError for an unknown name."""
+    try:
+        return _VARIANT_USES[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
 
 
 @dataclass
@@ -86,19 +110,18 @@ class ExperimentConfig:
         for key, raw in overrides.items():
             if key not in d:
                 raise ValueError(f"unknown config key {key!r}")
-            cur = d[key]
+            cur = getattr(self, key)
+            items = [s for s in raw.split(";") if s]
             if isinstance(cur, bool):
                 d[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(cur, int) and cur is not None:
+            elif isinstance(cur, int):
                 d[key] = int(raw)
             elif isinstance(cur, float):
                 d[key] = float(raw)
+            elif isinstance(cur, tuple):
+                d[key] = [float(s) for s in items]
             elif isinstance(cur, list):
-                items = [s for s in raw.split(";") if s]
-                try:
-                    d[key] = [float(s) for s in items]
-                except ValueError:
-                    d[key] = items
+                d[key] = items
             elif cur is None:
                 d[key] = None if raw in ("", "none", "None") else int(raw)
             else:

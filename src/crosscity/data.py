@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,21 +56,19 @@ class TrafficSeries:
         return out
 
 
-@dataclass
-class NormalizationStats:
+class NormalizationStats(NamedTuple):
     mean: float
     std: float
-    computed_on: str = "train"
 
     @classmethod
-    def fit(cls, series, tag="train"):
+    def fit(cls, series):
         """Population mean/std; a constant series is guarded to std=1."""
         x = series.signal()
         mean = float(x.mean())
         std = float(x.std())
         if std <= 0:
             std = 1.0
-        return cls(mean, std, tag)
+        return cls(mean, std)
 
 
 def normalize(series, stats):
@@ -86,13 +85,12 @@ class WindowedDataset:
     node_ids: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
-    split: str = ""
 
     def __len__(self):
         return len(self.node_ids)
 
 
-def make_windows(series, history, horizon, split=""):
+def make_windows(series, history, horizon):
     """Stride-1 sliding windows per node; T - H' - H + 1 samples each."""
     x = series.signal()
     t_len, n_nodes = x.shape
@@ -110,7 +108,6 @@ def make_windows(series, history, horizon, split=""):
         np.array(node_ids, dtype=np.intp),
         np.array(inputs)[:, :, None],
         np.array(targets)[:, :, None],
-        split,
     )
 
 
@@ -145,7 +142,7 @@ def chrono_split(series, ratios=(0.7, 0.1, 0.2), history=12, horizon=12,
 # -- CSV ingestion ----------------------------------------------------------
 
 def load_series(path, graph, interval_minutes=5, domain=""):
-    """Parse 'timestamp,node0,...' CSV; rejects gaps, disorder and NaNs."""
+    """Parse 'timestamp,node0,...' CSV; rejects gaps, disorder, NaN and inf."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if len(header) != graph.n_nodes + 1:
@@ -160,8 +157,9 @@ def load_series(path, graph, interval_minutes=5, domain=""):
             vals = []
             for col, tok in enumerate(parts[1:]):
                 v = float(tok)
-                if math.isnan(v):
-                    raise DataError(f"row {ln}, column {header[col + 1]}: NaN value")
+                if not math.isfinite(v):
+                    raise DataError(
+                        f"row {ln}, column {header[col + 1]}: non-finite value {tok!r}")
                 vals.append(v)
             rows.append(vals)
     if not rows:

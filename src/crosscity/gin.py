@@ -74,11 +74,3 @@ class SpatialEncoder:
         for i, layer in enumerate(self.layers):
             out.update(layer.params(f"{prefix}.layer{i}"))
         return out
-
-
-def gin_forward(encoder, features, graph):
-    return encoder.forward(features, graph)
-
-
-def encoder_params(encoder, prefix="encoder"):
-    return encoder.params(prefix)

@@ -8,14 +8,14 @@ included count is carried in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ast
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import forecaster as fc
-from . import autodiff as ad
-from .data import NormalizationStats, chrono_split, denormalize_values, \
-    make_windows, normalize
+from .checkpoint import atomic_open
+from .data import chrono_split, denormalize_values, make_windows, normalize
+from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
 
 
 class MetricError(ValueError):
@@ -50,14 +50,6 @@ def mape(y, y_hat, threshold=1.0, return_count=False):
     return value
 
 
-def ha_forecast(history, horizon=1):
-    """Historical average: mean of the input window at every horizon step."""
-    history = np.asarray(history, float).reshape(-1)
-    if history.size == 0:
-        raise MetricError("ha_forecast: empty history")
-    return np.full(horizon, history.mean())
-
-
 @dataclass
 class MetricReport:
     variant: str
@@ -81,60 +73,32 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
     def write(self, path):
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             fh.write(self.to_kv())
 
     @classmethod
     def read(cls, path):
+        """Parse to_kv's lines; values are Python literals, never code."""
+        known = {f.name for f in fields(cls)}
         kv = {}
         with open(path) as fh:
-            for line in fh:
+            for ln, line in enumerate(fh, start=1):
                 key, _, val = line.strip().partition("=")
-                kv[key] = eval(val, {}, {})  # values written via repr above
-        return cls(**kv)
+                try:
+                    if key not in known:
+                        raise ValueError("not a report field")
+                    kv[key] = ast.literal_eval(val)
+                except (ValueError, SyntaxError) as exc:
+                    raise MetricError(f"{path}, line {ln}: {line.strip()!r}: "
+                                      f"{exc}") from exc
+        try:
+            return cls(**kv)
+        except TypeError as exc:
+            raise MetricError(f"{path}: {exc}") from exc
 
 
-def _model_predictions(model, dataset, target):
-    emb = model.embeddings(target.raw_features, target.graph, target.graph.n_nodes)
-    preds = []
-    for lo in range(0, len(dataset), 512):
-        idx = np.arange(lo, min(lo + 512, len(dataset)))
-        f_v = ad.gather_rows(emb, dataset.node_ids[idx])
-        preds.append(fc.forecast(model.forecaster, dataset.inputs[idx], f_v).data)
-    return np.concatenate(preds, axis=0)
-
-
-def evaluate(checkpoint, config, target, horizons=(3, 6, 12), variant="model",
-             mape_threshold=1.0):
-    """Metric reports on the target test split, one per horizon.
-
-    Predictions come from the finetuned model in the checkpoint, are cut to
-    each requested horizon's first steps, and denormalized with the stored
-    target stats before scoring.
-    """
-    from .train import FinetuneModel, _load_params  # circular at module level
-
-    if checkpoint.stage != "finetuned":
-        raise ValueError(f"evaluate expects a finetuned checkpoint, got "
-                         f"{checkpoint.stage!r}")
-    for h in horizons:
-        if h > config.horizon:
-            raise ValueError(f"horizon {h} exceeds trained horizon {config.horizon}")
-    use_encoder = any(k.startswith("encoder.target") for k in checkpoint.tensors)
-    use_private = any(k.startswith("encoder.private") for k in checkpoint.tensors)
-    rng = np.random.default_rng(0)
-    model = FinetuneModel(config, rng, use_encoder, use_private)
-    _load_params(model.params(), checkpoint.tensors)
-
-    mean, std = checkpoint.stats[target.name]
-    st = NormalizationStats(mean, std)
-    _, _, test = chrono_split(target.series, config.split_ratios,
-                              config.history, config.horizon,
-                              config.target_train_days)
-    test_set = make_windows(normalize(test, st), config.history, config.horizon)
-    preds = denormalize_values(_model_predictions(model, test_set, target), st)
-    truth = denormalize_values(test_set.targets, st)
-
+def _reports(variant, truth, preds, horizons, config, target, mape_threshold):
+    """One MetricReport per horizon over each window's first h steps."""
     reports = []
     for h in horizons:
         y, y_hat = truth[:, :h, :], preds[:, :h, :]
@@ -147,6 +111,38 @@ def evaluate(checkpoint, config, target, horizons=(3, 6, 12), variant="model",
     return reports
 
 
+def evaluate(checkpoint, config, target, horizons=(3, 6, 12), variant="model",
+             mape_threshold=1.0):
+    """Metric reports on the target test split, one per horizon.
+
+    Predictions come from the finetuned model in the checkpoint, are cut to
+    each requested horizon's first steps, and denormalized with the stored
+    target stats before scoring.
+    """
+    if checkpoint.stage != "finetuned":
+        raise ValueError(f"evaluate expects a finetuned checkpoint, got "
+                         f"{checkpoint.stage!r}")
+    for h in horizons:
+        if h > config.horizon:
+            raise ValueError(f"horizon {h} exceeds trained horizon {config.horizon}")
+    use_encoder = any(k.startswith("encoder.target") for k in checkpoint.tensors)
+    use_private = any(k.startswith("encoder.private") for k in checkpoint.tensors)
+    rng = np.random.default_rng(0)
+    model = FinetuneModel(config, rng, use_encoder, use_private)
+    _load_params(model.params(), checkpoint.tensors)
+
+    st = checkpoint.stats[target.name]
+    _, _, test = chrono_split(target.series, config.split_ratios,
+                              config.history, config.horizon,
+                              config.target_train_days)
+    test_set = make_windows(normalize(test, st), config.history, config.horizon)
+    emb = model.embeddings(target.raw_features, target.graph)
+    preds = denormalize_values(predict_windows(model.forecaster, emb, test_set), st)
+    truth = denormalize_values(test_set.targets, st)
+    return _reports(variant, truth, preds, horizons, config, target,
+                    mape_threshold)
+
+
 def evaluate_ha(config, target, horizons=(3, 6, 12), mape_threshold=1.0):
     """Historical-average baseline on the identical test windows."""
     _, _, test = chrono_split(target.series, config.split_ratios,
@@ -155,16 +151,8 @@ def evaluate_ha(config, target, horizons=(3, 6, 12), mape_threshold=1.0):
     test_set = make_windows(test, config.history, config.horizon)
     means = test_set.inputs.mean(axis=1, keepdims=True)  # (B, 1, N_f)
     preds = np.repeat(means, config.horizon, axis=1)
-    reports = []
-    for h in horizons:
-        y, y_hat = test_set.targets[:, :h, :], preds[:, :h, :]
-        mp, included = mape(y, y_hat, mape_threshold, return_count=True)
-        reports.append(MetricReport(
-            variant="ha", horizon=h, mae=mae(y, y_hat), rmse=rmse(y, y_hat),
-            mape=mp, n_samples=y.size, mape_included=included,
-            seed=config.seed, config_hash=config.config_hash(),
-            domain=target.name, mape_threshold=mape_threshold))
-    return reports
+    return _reports("ha", test_set.targets, preds, horizons, config, target,
+                    mape_threshold)
 
 
 def compare_variants(reports, reference):
@@ -204,33 +192,20 @@ def export_embeddings(checkpoint, config, domains, path):
     """CSV rows (domain, node, kind in {raw, shared}) for external
     projection tools. 'raw' rows are the node2vec features verbatim;
     'shared' rows come from each domain's stage-1 encoder."""
-    from .train import PretrainModel, _load_params
-
-    names = [d.name for d in domains[:-1]]
-    rng = np.random.default_rng(0)
-    model = PretrainModel(config, names, rng)
-    _load_params(model.params(), checkpoint.tensors)
+    embeddings = stage1_embeddings(checkpoint, config, domains)
     with open(path, "w") as fh:
         dim = config.embed_dim
         fh.write("domain,node,kind," + ",".join(f"f{i}" for i in range(dim)) + "\n")
-        for i, dom in enumerate(domains):
-            if i < len(names):
-                enc = model.encoders[dom.name]
-            else:
-                enc = model.target_encoder
-            shared = enc.forward(dom.raw_features, dom.graph).data
-            for v in range(dom.graph.n_nodes):
-                fh.write(f"{dom.name},{v},raw,"
-                         + ",".join(repr(float(x)) for x in dom.raw_features[v]) + "\n")
-            for v in range(dom.graph.n_nodes):
-                fh.write(f"{dom.name},{v},shared,"
-                         + ",".join(repr(float(x)) for x in shared[v]) + "\n")
+        for dom, shared in zip(domains, embeddings):
+            for kind, rows in (("raw", dom.raw_features), ("shared", shared)):
+                for v in range(dom.graph.n_nodes):
+                    fh.write(f"{dom.name},{v},{kind},"
+                             + ",".join(repr(float(x)) for x in rows[v]) + "\n")
 
 
 def stage1_embeddings(checkpoint, config, domains):
-    """Shared embeddings per domain from a pretrained checkpoint."""
-    from .train import PretrainModel, _load_params
-
+    """Shared embeddings per domain from a pretrained checkpoint; the last
+    domain is the target."""
     names = [d.name for d in domains[:-1]]
     model = PretrainModel(config, names, np.random.default_rng(0))
     _load_params(model.params(), checkpoint.tensors)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import DataError
+
 
 def biased_walk(graph, start, length, p, q, rng):
     """One second-order random walk; stops early at a dead end."""
@@ -135,6 +137,8 @@ def save_features(features, path):
 
 
 def load_features(path):
+    """Read a save_features CSV; node ids must be exactly 0..N-1 and every
+    row equally wide."""
     rows = []
     with open(path) as fh:
         next(fh)  # header
@@ -142,4 +146,8 @@ def load_features(path):
             parts = line.strip().split(",")
             rows.append((int(parts[0]), [float(x) for x in parts[1:]]))
     rows.sort()
+    if [v for v, _ in rows] != list(range(len(rows))):
+        raise DataError(f"{path}: node ids are not exactly 0..{len(rows) - 1}")
+    if len({len(vals) for _, vals in rows}) > 1:
+        raise DataError(f"{path}: feature rows differ in width")
     return np.array([vals for _, vals in rows])

@@ -12,6 +12,7 @@ it); only the target graph topology and raw node features participate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import forecaster as fc
 from .adversary import DomainClassifier, adaptation_factor, adversarial_loss
 from .autodiff import Tensor
 from .checkpoint import Checkpoint
-from .config import VARIANTS, ExperimentConfig
+from .config import variant_uses
 from .data import NormalizationStats, chrono_split, make_windows, normalize
 from .gin import SpatialEncoder, glorot
 from .forecaster import ForecasterParams
@@ -65,25 +66,12 @@ class Sgdm:
 
     def step(self, params, grads):
         for name, p in params.items():
+            v = self.momentum * self.velocity.get(name, 0.0)
             g = grads.get(name)
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(p.data)
             if g is not None:
-                v = self.momentum * v + g
-            else:
-                v = self.momentum * v
+                v = v + g
             self.velocity[name] = v
             p.data = p.data - self.lr * v
-
-
-def sgdm_step(params, grads, lr, momentum, state):
-    """Functional single step used by tests; state maps name -> velocity."""
-    for name, p in params.items():
-        v = momentum * state.get(name, np.zeros_like(p.data)) + grads[name]
-        state[name] = v
-        p.data = p.data - lr * v
-    return params
 
 
 def collect_grads(params):
@@ -92,7 +80,13 @@ def collect_grads(params):
 
 
 def clip_global_norm(grads, max_norm):
+    """Rescale to global norm max_norm if above it; grads itself when not.
+    FloatingPointError names the first non-finite gradient."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if not math.isfinite(total):
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient in {name}")
     if total > max_norm > 0:
         scale = max_norm / total
         return {k: g * scale for k, g in grads.items()}
@@ -167,9 +161,9 @@ class FinetuneModel:
         self.forecaster = ForecasterParams(
             config.n_features, config.hidden_dim, d, config.horizon, rng)
 
-    def embeddings(self, raw, graph, n_nodes):
+    def embeddings(self, raw, graph):
         if not self.use_encoder:
-            return Tensor(np.zeros((n_nodes, self.forecaster.embed_dim)))
+            return Tensor(np.zeros((graph.n_nodes, self.forecaster.embed_dim)))
         shared = self.encoder.forward(raw, graph)
         if not self.use_private:
             return shared
@@ -188,10 +182,26 @@ class FinetuneModel:
         return out
 
 
-def _load_params(params, tensors, prefix=None):
+def _update(params, loss, opt, config, where, frozen=()):
+    """One optimizer step on loss. Gradients of parameters whose names start
+    with a prefix in frozen are zeroed; where (stage, step, domain) prefixes
+    the error for a non-finite gradient."""
+    for par in params.values():
+        par.grad = None
+    loss.backward()
+    grads = collect_grads(params)
+    if frozen:
+        grads = {name: (np.zeros_like(g) if name.startswith(frozen) else g)
+                 for name, g in grads.items()}
+    try:
+        grads = clip_global_norm(grads, config.grad_clip_norm)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{where}: {exc}") from None
+    opt.step(params, grads)
+
+
+def _load_params(params, tensors):
     for name, p in params.items():
-        if prefix is not None and not name.startswith(prefix):
-            continue
         if name not in tensors:
             raise KeyError(f"checkpoint missing parameter {name}")
         if tensors[name].shape != p.data.shape:
@@ -209,6 +219,16 @@ def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx):
     return fc.source_loss(preds, dataset.targets[idx])
 
 
+def predict_windows(forecaster, embeddings, dataset, batch=512):
+    """Forecasts for every window of dataset, in order, as one array."""
+    preds = []
+    for lo in range(0, len(dataset), batch):
+        idx = np.arange(lo, min(lo + batch, len(dataset)))
+        f_v = ad.gather_rows(embeddings, dataset.node_ids[idx])
+        preds.append(fc.forecast(forecaster, dataset.inputs[idx], f_v).data)
+    return np.concatenate(preds, axis=0)
+
+
 def pretrain(config, sources, target, variant="full", replay_log=None):
     """Stage-1 adversarial pre-training. Returns a 'pretrained' checkpoint.
 
@@ -218,9 +238,12 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
     """
     if not sources:
         raise ValueError("pretrain needs at least one source domain")
-    if variant not in ("full", "wo_da", "wo_pri"):
+    uses = variant_uses(variant)
+    if not uses.pretrain:
         raise ValueError(f"pretrain does not apply to variant {variant!r}")
-    use_da = variant != "wo_da"
+    use_da = uses.adversary
+    # without the adversary, classifier and target encoder stay put
+    frozen = () if use_da else ("classifier.", "encoder.target")
 
     if target.series is not None:
         guard_reads = target.series.read_count
@@ -237,10 +260,9 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
         train, _, _ = chrono_split(src.series, config.split_ratios,
                                    config.history, config.horizon,
                                    config.source_train_days)
-        st = NormalizationStats.fit(train, "train")
-        stats[src.name] = (st.mean, st.std)
+        stats[src.name] = st = NormalizationStats.fit(train)
         train_sets[src.name] = make_windows(normalize(train, st),
-                                            config.history, config.horizon, "train")
+                                            config.history, config.horizon)
 
     total_steps = max(1, config.pretrain_epochs
                       * config.pretrain_batches_per_epoch * len(sources))
@@ -274,17 +296,8 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
                 else:
                     loss_adv = None
                     loss = loss_src
-                for par in params.values():
-                    par.grad = None
-                loss.backward()
-                grads = collect_grads(params)
-                if not use_da:
-                    # classifier (and target encoder) receive no updates
-                    for name in grads:
-                        if name.startswith(("classifier.", "encoder.target")):
-                            grads[name] = np.zeros_like(grads[name])
-                grads = clip_global_norm(grads, config.grad_clip_norm)
-                opt.step(params, grads)
+                _update(params, loss, opt, config,
+                        f"pretrain step {step}, domain {src.name}", frozen)
                 if replay_log is not None:
                     replay_log.record(
                         step=step, epoch=epoch, domain=src.name,
@@ -305,35 +318,26 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
 
 # -- stage 2 ----------------------------------------------------------------
 
-def _epoch_val_mae(model, dataset, embeddings_fn, stats, batch=512):
-    errs = []
-    emb = embeddings_fn()
-    for lo in range(0, len(dataset), batch):
-        idx = np.arange(lo, min(lo + batch, len(dataset)))
-        f_v = ad.gather_rows(emb, dataset.node_ids[idx])
-        preds = fc.forecast(model.forecaster, dataset.inputs[idx], f_v)
-        errs.append(np.abs(preds.data - dataset.targets[idx]) * stats[1])
-    return float(np.concatenate([e.reshape(-1) for e in errs]).mean())
+def _epoch_val_mae(model, dataset, embeddings, stats):
+    preds = predict_windows(model.forecaster, embeddings, dataset)
+    return float((np.abs(preds - dataset.targets) * stats.std).mean())
 
 
 def finetune(checkpoint, target, config, variant="full", replay_log=None):
     """Stage-2 fine-tuning on the target city. Returns a 'finetuned'
     checkpoint holding the best-validation weights and target stats."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    needs_ckpt = variant in ("full", "wo_da", "wo_pri")
-    if needs_ckpt:
+    uses = variant_uses(variant)
+    if uses.pretrain:
         if checkpoint is None:
             raise ValueError(f"variant {variant!r} requires a pretrained checkpoint")
         if checkpoint.stage != "pretrained":
             raise ValueError(
                 f"expected a 'pretrained' checkpoint, got {checkpoint.stage!r}")
 
-    use_encoder = variant != "temporal_forecaster"
-    use_private = variant not in ("wo_pri", "temporal_forecaster")
     init_rng = np.random.default_rng([config.seed, 0xF17E])
-    model = FinetuneModel(config, init_rng, use_encoder, use_private)
-    if needs_ckpt:
+    model = FinetuneModel(config, init_rng, uses.shared_encoder,
+                          uses.private_encoder)
+    if uses.pretrain:
         _load_params(model.encoder.params("encoder.target"), checkpoint.tensors)
         _load_params(model.forecaster.params("forecaster"), checkpoint.tensors)
     params = model.params()
@@ -343,14 +347,9 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
     train, val, _ = chrono_split(target.series, config.split_ratios,
                                  config.history, config.horizon,
                                  config.target_train_days)
-    st = NormalizationStats.fit(train, "train")
-    stats_pair = (st.mean, st.std)
+    st = NormalizationStats.fit(train)
     train_set = make_windows(normalize(train, st), config.history, config.horizon)
     val_set = make_windows(normalize(val, st), config.history, config.horizon)
-    n_nodes = target.graph.n_nodes
-
-    def embeddings():
-        return model.embeddings(target.raw_features, target.graph, n_nodes)
 
     best_val = np.inf
     best_tensors = {name: p.data.copy() for name, p in params.items()}
@@ -363,19 +362,18 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
             if idx.size == 0:
                 break
-            emb = embeddings()
+            emb = model.embeddings(target.raw_features, target.graph)
             loss = _batched_forecast_loss(model.forecaster, emb, train_set, idx)
-            for par in params.values():
-                par.grad = None
-            loss.backward()
-            grads = clip_global_norm(collect_grads(params), config.grad_clip_norm)
-            opt.step(params, grads)
+            step = epoch * n_batches + b
+            _update(params, loss, opt, config,
+                    f"finetune step {step}, domain {target.name}")
             if replay_log is not None:
-                replay_log.record(step=epoch * n_batches + b, epoch=epoch,
+                replay_log.record(step=step, epoch=epoch,
                                   domain=target.name, factor=0.0,
                                   loss_src=float(loss.data), loss_adv=0.0,
                                   classifier_updated=0)
-        val_mae = _epoch_val_mae(model, val_set, embeddings, stats_pair)
+        emb = model.embeddings(target.raw_features, target.graph)
+        val_mae = _epoch_val_mae(model, val_set, emb, st)
         if val_mae < best_val - 1e-12:
             best_val = val_mae
             best_tensors = {name: p.data.copy() for name, p in params.items()}
@@ -385,8 +383,8 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
             if patience_left <= 0:
                 break
 
-    stats = dict(checkpoint.stats) if needs_ckpt else {}
-    stats[target.name] = stats_pair
+    stats = dict(checkpoint.stats) if uses.pretrain else {}
+    stats[target.name] = st
     return Checkpoint("finetuned", config.config_hash(), config.seed,
                       best_tensors, stats)
 
@@ -394,11 +392,7 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
 def run_variant(variant, config, sources, target, replay_log=None):
     """Run the stage(s) a variant calls for; returns (pretrain_ckpt or None,
     finetuned checkpoint)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    pre = None
-    if variant in ("full", "wo_da", "wo_pri"):
-        pre = pretrain(config, sources, target, variant=variant,
-                       replay_log=replay_log)
+    pre = (pretrain(config, sources, target, variant=variant, replay_log=replay_log)
+           if variant_uses(variant).pretrain else None)
     fin = finetune(pre, target, config, variant=variant, replay_log=replay_log)
     return pre, fin

@@ -3,7 +3,7 @@ import pytest
 
 from crosscity import autodiff as ad
 from crosscity.adversary import (DomainClassifier, adaptation_factor,
-                                 adversarial_loss, one_hot)
+                                 adversarial_loss)
 from crosscity.autodiff import Tensor
 
 from conftest import assert_grads_close
@@ -126,8 +126,3 @@ class TestAdaptationFactor:
     def test_out_of_range_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
             assert adaptation_factor(1.5, 10.0) == adaptation_factor(1.0, 10.0)
-
-
-def test_one_hot():
-    v = one_hot(1, 3)
-    assert v.tolist() == [0.0, 1.0, 0.0]

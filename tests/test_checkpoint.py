@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscity.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                                   save_checkpoint)
+from crosscity.data import NormalizationStats
 
 
 def sample_ckpt(rng):
@@ -95,3 +97,48 @@ class TestErrors:
             "stats.metro.mean shape - values 1.0\n")
         with pytest.raises(CheckpointError, match="incomplete stats"):
             load_checkpoint(path)
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_old_file(self, rng, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(sample_ckpt(rng), path)
+        before = path.read_text()
+        bad = sample_ckpt(rng)
+        bad.tensors["zz.last"] = np.array(["not a number"])  # sorts last
+        with pytest.raises(ValueError):
+            save_checkpoint(bad, path)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+# -- fuzzed round trip ------------------------------------------------------
+
+NAME = st.text("abcxyz019_.", min_size=1, max_size=12).filter(
+    lambda n: not n.startswith("stats."))
+FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e-300]))
+
+
+@st.composite
+def tensors(draw):
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    size = int(np.prod(shape)) if shape else 1
+    vals = draw(st.lists(FLOAT, min_size=size, max_size=size))
+    return np.array(vals, dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(NAME, tensors(), max_size=5),
+       st.dictionaries(NAME, st.tuples(FLOAT, FLOAT), max_size=3))
+def test_fuzzed_round_trip_is_bit_exact(tmp_path_factory, tensor_map, stats):
+    path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+    ckpt = Checkpoint("pretrained", "0123456789abcdef", 3, tensor_map,
+                      {d: NormalizationStats(*ms) for d, ms in stats.items()})
+    save_checkpoint(ckpt, path)
+    text = path.read_text()
+    back = load_checkpoint(path)
+    assert back == ckpt
+    save_checkpoint(back, path)
+    assert path.read_text() == text

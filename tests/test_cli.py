@@ -156,6 +156,16 @@ class TestErrors:
                      "--out", str(tmp_path / "o"), "--variant", "full"])
         assert code == EXIT_BAD_ARGS
 
+    def test_checkpoints_of_another_config_rejected(self, synthed, capsys):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out]
+        assert main(["pipeline", *common, "--variant", "wo_pri"]) == 0
+        capsys.readouterr()
+        for cmd in ("finetune", "evaluate", "export-embeddings"):
+            assert main([cmd, *common, "--variant", "wo_pri", "--seed", "5"]) == 1
+            assert "hash mismatch" in capsys.readouterr().err
+
     def test_compare_needs_two_reports(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)
         assert main(["compare", str(tmp_path / "empty")]) == EXIT_BAD_ARGS

@@ -1,6 +1,6 @@
 import pytest
 
-from crosscity.config import VARIANTS, ExperimentConfig
+from crosscity.config import VARIANTS, ExperimentConfig, variant_uses
 
 
 class TestSerialization:
@@ -38,6 +38,13 @@ class TestOverrides:
         with pytest.raises(ValueError, match="unknown config key"):
             ExperimentConfig().with_overrides({"nope": "1"})
 
+    def test_list_keys_keep_their_item_type(self):
+        cfg = ExperimentConfig().with_overrides(
+            {"source_domains": "1;2", "split_ratios": "0.5;0.25;0.25"})
+        assert cfg.source_domains == ["1", "2"]
+        assert cfg.split_ratios == (0.5, 0.25, 0.25)
+        assert all(type(r) is float for r in cfg.split_ratios)
+
     def test_optional_int(self):
         cfg = ExperimentConfig(target_train_days=3).with_overrides(
             {"target_train_days": "1"})
@@ -47,3 +54,15 @@ class TestOverrides:
 def test_variant_names():
     assert VARIANTS == ("full", "wo_da", "wo_pri", "target_only",
                         "temporal_forecaster")
+
+
+def test_variant_uses():
+    assert [v for v in VARIANTS if variant_uses(v).pretrain] == [
+        "full", "wo_da", "wo_pri"]
+    assert [v for v in VARIANTS if variant_uses(v).adversary] == [
+        "full", "wo_pri"]
+    assert not variant_uses("temporal_forecaster").shared_encoder
+    assert [v for v in VARIANTS if not variant_uses(v).private_encoder] == [
+        "wo_pri", "temporal_forecaster"]
+    with pytest.raises(ValueError, match="unknown variant 'nope'"):
+        variant_uses("nope")

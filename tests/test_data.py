@@ -134,6 +134,14 @@ class TestCsv:
         with pytest.raises(DataError, match="node1"):
             load_series(path, RoadGraph(2, [(0, 1)]))
 
+    def test_rejects_inf(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        for row in ("1.0,inf", "-inf,1.0"):
+            path.write_text("timestamp,node0,node1\n"
+                            f"2024-01-01T00:00:00,{row}\n")
+            with pytest.raises(DataError, match="non-finite"):
+                load_series(path, RoadGraph(2, [(0, 1)]))
+
     def test_rejects_wrong_columns(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("timestamp,node0\n2024-01-01T00:00:00,1.0\n")

@@ -102,7 +102,7 @@ def test_shape_mismatch_rejected(rng):
 
 
 def test_end_to_end_gradient_through_encoder(rng):
-    # loss -> forecast -> gin_forward chain on a 4-node instance
+    # loss -> forecast -> SpatialEncoder.forward chain on a 4-node instance
     from crosscity.gin import SpatialEncoder
     from crosscity.graph import RoadGraph
 

@@ -3,7 +3,7 @@ import pytest
 
 from crosscity import autodiff as ad
 from crosscity.autodiff import Tensor
-from crosscity.gin import SpatialEncoder, encoder_params, gin_forward
+from crosscity.gin import SpatialEncoder
 from crosscity.graph import RoadGraph
 
 from conftest import assert_grads_close
@@ -24,7 +24,7 @@ def identity_encoder(dim, n_layers=1):
 def test_isolated_node_identity_mlp_passes_through():
     g = RoadGraph(1, [])
     enc = identity_encoder(2)
-    out = gin_forward(enc, np.array([[3.0, 4.0]]), g)
+    out = enc.forward(np.array([[3.0, 4.0]]), g)
     assert np.allclose(out.data, [[3.0, 4.0]], atol=1e-15)
 
 
@@ -32,14 +32,14 @@ def test_two_node_path_hand_value():
     # e_0=[1], e_1=[3]: each node becomes own + mean of the other -> 4
     g = RoadGraph(2, [(0, 1)])
     enc = identity_encoder(1)
-    out = gin_forward(enc, np.array([[1.0], [3.0]]), g)
+    out = enc.forward(np.array([[1.0], [3.0]]), g)
     assert np.allclose(out.data, [[4.0], [4.0]], atol=1e-15)
 
 
 def test_output_dim_matches_embedding_dim(rng):
     g = RoadGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     enc = SpatialEncoder(64, 64, 1, rng)
-    out = gin_forward(enc, rng.standard_normal((5, 64)), g)
+    out = enc.forward(rng.standard_normal((5, 64)), g)
     assert out.shape == (5, 64)
 
 
@@ -47,16 +47,16 @@ def test_row_count_mismatch_rejected(rng):
     g = RoadGraph(3, [(0, 1)])
     enc = SpatialEncoder(4, 4, 1, rng)
     with pytest.raises(ad.ShapeError):
-        gin_forward(enc, rng.standard_normal((2, 4)), g)
+        enc.forward(rng.standard_normal((2, 4)), g)
 
 
 def test_param_names_and_determinism():
     enc = SpatialEncoder(8, 8, 1)
-    names = list(encoder_params(enc, "encoder").keys())
+    names = list(enc.params("encoder").keys())
     assert names == ["encoder.layer0.eps", "encoder.layer0.mlp.w1",
                      "encoder.layer0.mlp.b1", "encoder.layer0.mlp.w2",
                      "encoder.layer0.mlp.b2"]
-    assert names == list(encoder_params(enc, "encoder").keys())
+    assert names == list(enc.params("encoder").keys())
 
 
 def test_param_count_formula():
@@ -76,10 +76,10 @@ def test_permutation_equivariance(rng):
         feats = rng.standard_normal((n, 6))
         enc = SpatialEncoder(6, 6, 2, np.random.default_rng(trial))
         perm = rng.permutation(n)
-        base = gin_forward(enc, feats, g).data
+        base = enc.forward(feats, g).data
         permuted_feats = np.empty_like(feats)
         permuted_feats[perm] = feats
-        permuted = gin_forward(enc, permuted_feats, g.permuted(perm)).data
+        permuted = enc.forward(permuted_feats, g.permuted(perm)).data
         assert np.allclose(permuted[perm], base, atol=1e-9)
 
 
@@ -89,7 +89,7 @@ def test_regular_graph_constant_feature_doubles():
     g = RoadGraph(n, [(i, (i + 1) % n) for i in range(n)])
     enc = identity_encoder(3)
     c = np.array([0.5, 1.5, 2.5])
-    out = gin_forward(enc, np.tile(c, (n, 1)), g)
+    out = enc.forward(np.tile(c, (n, 1)), g)
     assert np.allclose(out.data, 2 * np.tile(c, (n, 1)), atol=1e-12)
 
 
@@ -99,5 +99,5 @@ def test_epsilon_gradient_vs_finite_diff(rng):
     enc = SpatialEncoder(5, 5, 1, rng)
     enc.layers[0].eps.data = np.asarray(0.3)
     params = enc.params()
-    assert_grads_close(lambda: ad.tmean(ad.tanh(gin_forward(enc, feats, g))),
+    assert_grads_close(lambda: ad.tmean(ad.tanh(enc.forward(feats, g))),
                        params)

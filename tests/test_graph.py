@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscity.graph import GraphError, RoadGraph, load_graph, save_graph
 
@@ -67,3 +68,26 @@ def test_load_graph_comments_and_errors(tmp_path):
     path.write_text("0,1\nfoo,2\n")
     with pytest.raises(GraphError, match="line 2"):
         load_graph(path)
+
+
+# edge lines with ids up to 64 (the graph is a dense N x N array), mixed
+# with separators, comments and junk that holds no digits
+EDGE_LINE = st.one_of(
+    st.builds("{},{}".format, st.integers(-2, 64), st.integers(-2, 64)),
+    st.builds("{} {} {}".format, st.integers(0, 64), st.integers(0, 64),
+              st.sampled_from(["", "# c", "7", ",", "x"])),
+    st.text(" ,#\t.-ab\n", max_size=8),
+    st.builds("{}.5,{}".format, st.integers(0, 64), st.integers(0, 64)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(EDGE_LINE, max_size=12),
+       st.one_of(st.none(), st.integers(-1, 70)))
+def test_fuzzed_edge_lists_parse_or_raise_graph_error(lines, n_nodes):
+    try:
+        g = load_graph(lines, n_nodes)
+    except GraphError:
+        return
+    assert isinstance(g, RoadGraph)
+    assert g.adjacency.shape == (g.n_nodes, g.n_nodes)

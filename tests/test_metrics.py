@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from crosscity.config import ExperimentConfig
+from crosscity.data import TrafficSeries
+from crosscity.graph import RoadGraph
 from crosscity.metrics import (MetricError, MetricReport, compare_variants,
-                               domain_confusion_probe, ha_forecast, mae, mape,
+                               domain_confusion_probe, evaluate_ha, mae, mape,
                                rmse, write_comparison_csv)
+from crosscity.train import DomainData
 
 
 class TestPointMetrics:
@@ -50,15 +54,23 @@ class TestPointMetrics:
             assert abs(mape(y, y_hat) - expect) < 1e-12
 
 
-class TestHaForecast:
+class TestEvaluateHa:
     def test_mean_of_window(self):
-        pred = ha_forecast([1.0, 2.0, 3.0], horizon=4)
-        assert np.allclose(pred, 2.0)
-        assert pred.shape == (4,)
-
-    def test_empty(self):
-        with pytest.raises(MetricError):
-            ha_forecast([], 3)
+        # period-3 series 1,2,3,...: every 3-step window averages 2.0, so a
+        # forecast of the window mean at every horizon step errs by |y - 2|
+        config = ExperimentConfig(history=3, horizon=4, target_domain="t")
+        values = np.tile([1.0, 2.0, 3.0], 34)[:100, None]
+        target = DomainData("t", RoadGraph(1, []), None,
+                            TrafficSeries(values, domain="t"))
+        reports = evaluate_ha(config, target, horizons=(1, 2, 3, 4))
+        test = values[80:, 0]
+        for rep in reports:
+            y = np.array([test[s + 3:s + 3 + rep.horizon]
+                          for s in range(len(test) - 3 - 4 + 1)])
+            pred = np.full(y.shape, 2.0)
+            assert rep.mae == pytest.approx(mae(y, pred), abs=1e-12)
+            assert rep.rmse == pytest.approx(rmse(y, pred), abs=1e-12)
+            assert rep.n_samples == y.size
 
 
 def report(variant, horizon, m, r=None, p=None, domain="metro"):
@@ -106,6 +118,28 @@ class TestReportIo:
         path = tmp_path / "rep.txt"
         rep.write(path)
         assert MetricReport.read(path) == rep
+
+    def test_values_are_never_executed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "rep.txt"
+        report("full", 3, 1.0).write(path)
+        path.write_text(path.read_text().replace(
+            "mae=1.0", "mae=open('pwned', 'w')"))
+        with pytest.raises(MetricError, match="mae"):
+            MetricReport.read(path)
+        assert not (tmp_path / "pwned").exists()
+
+    def test_unknown_key_and_malformed_line(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        report("full", 3, 1.0).write(path)
+        good = path.read_text()
+        for extra in ("wheels=4\n", "no separator here\n"):
+            path.write_text(good + extra)
+            with pytest.raises(MetricError, match="line 12"):
+                MetricReport.read(path)
+        path.write_text(good.replace("seed=0\n", ""))
+        with pytest.raises(MetricError, match="seed"):
+            MetricReport.read(path)
 
 
 class TestProbe:

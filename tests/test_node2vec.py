@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crosscity.data import DataError
 from crosscity.graph import RoadGraph
 from crosscity import node2vec as n2v
 
@@ -126,3 +127,18 @@ def test_feature_csv_round_trip(tmp_path, rng):
     n2v.save_features(feats, path)
     back = n2v.load_features(path)
     assert np.array_equal(back, feats)
+
+
+def test_feature_csv_rejects_node_ids_other_than_0_to_n(tmp_path):
+    path = tmp_path / "f.csv"
+    for ids in ((0, 2), (1, 2), (0, 0)):
+        path.write_text("node,f0\n" + "".join(f"{v},1.0\n" for v in ids))
+        with pytest.raises(DataError, match="node ids"):
+            n2v.load_features(path)
+
+
+def test_feature_csv_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("node,f0,f1\n0,1.0,2.0\n1,3.0\n")
+    with pytest.raises(DataError, match="width"):
+        n2v.load_features(path)

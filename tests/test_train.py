@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from crosscity import train
 from crosscity.autodiff import Tensor
 from crosscity.config import ExperimentConfig
 from crosscity.data import TrafficSeries
 from crosscity.graph import RoadGraph
 from crosscity.train import (DomainData, FinetuneModel, PretrainModel,
                              ProtocolError, ReplayLog, Sgdm, clip_global_norm,
-                             collect_grads, finetune, pretrain, run_variant,
-                             sgdm_step)
+                             collect_grads, finetune, pretrain, run_variant)
 
 
 # -- optimizer --------------------------------------------------------------
@@ -19,17 +19,17 @@ class TestSgdm:
         #   v1=2.0    -> x1 = 1.0 - 0.2  = 0.8
         #   v2=0.9*2.0+1.6=3.4 -> x2 = 0.8 - 0.34 = 0.46
         p = {"x": Tensor(np.array(1.0), requires_grad=True)}
-        state = {}
-        sgdm_step(p, {"x": np.array(2.0)}, 0.1, 0.9, state)
+        opt = Sgdm(0.1, 0.9)
+        opt.step(p, {"x": np.array(2.0)})
         assert abs(float(p["x"].data) - 0.8) < 1e-15
-        sgdm_step(p, {"x": np.array(2 * 0.8)}, 0.1, 0.9, state)
+        opt.step(p, {"x": np.array(2 * 0.8)})
         assert abs(float(p["x"].data) - 0.46) < 1e-15
 
     def test_zero_momentum_is_plain_sgd(self, rng):
         p = {"w": Tensor(rng.standard_normal(4), requires_grad=True)}
         w0 = p["w"].data.copy()
         g = rng.standard_normal(4)
-        sgdm_step(p, {"w": g}, 0.05, 0.0, {})
+        Sgdm(0.05, 0.0).step(p, {"w": g})
         assert np.allclose(p["w"].data, w0 - 0.05 * g, atol=1e-15)
 
     def test_velocity_carries_after_zero_grad(self):
@@ -49,6 +49,12 @@ class TestSgdm:
         assert np.allclose(clipped["a"], [0.6, 0.0])
         small = clip_global_norm(grads, 100.0)
         assert small is grads
+
+    def test_clip_rejects_non_finite(self):
+        grads = {"a": np.array([1.0]), "b": np.array([np.nan, 1.0]),
+                 "c": np.array([np.inf])}
+        with pytest.raises(FloatingPointError, match="non-finite gradient in b"):
+            clip_global_norm(grads, 5.0)
 
     def test_collect_grads_fills_missing(self):
         p = {"a": Tensor(np.ones(3), requires_grad=True)}
@@ -251,6 +257,43 @@ class TestFinetune:
                                                 early_stop_patience=1),
                        replay_log=log)
         assert fin.stage == "finetuned"
+
+
+def poison_gradient(monkeypatch, name, at_call):
+    """Make collect_grads return NaN for parameter `name` on its at_call-th
+    call (0-based)."""
+    calls = []
+
+    def poisoned(params):
+        grads = collect_grads(params)
+        if len(calls) == at_call:
+            grads[name] = np.full_like(grads[name], np.nan)
+        calls.append(1)
+        return grads
+
+    monkeypatch.setattr(train, "collect_grads", poisoned)
+
+
+class TestNonFiniteGradients:
+    def test_pretrain_names_stage_step_domain_and_parameter(self, setup,
+                                                           monkeypatch):
+        config, sources, target = setup
+        poison_gradient(monkeypatch, "forecaster.head.b", at_call=3)
+        with pytest.raises(FloatingPointError) as exc:
+            pretrain(config, sources, target)
+        msg = str(exc.value)
+        for part in ("pretrain", "step 3", "domain b", "forecaster.head.b"):
+            assert part in msg, msg
+
+    def test_finetune_names_stage_step_domain_and_parameter(self, setup,
+                                                           monkeypatch):
+        config, sources, target = setup
+        poison_gradient(monkeypatch, "combiner.cmb.w", at_call=1)
+        with pytest.raises(FloatingPointError) as exc:
+            finetune(None, target, config, variant="target_only")
+        msg = str(exc.value)
+        for part in ("finetune", "step 1", "domain t", "combiner.cmb.w"):
+            assert part in msg, msg
 
 
 class TestRunVariant:
