@@ -4,7 +4,11 @@ Every op records a backward closure on the implicit tape (the graph of
 ``Tensor`` objects); ``backward()`` runs reverse accumulation in topological
 order. Gradients sum when a node feeds multiple consumers. No broadcasting
 except scalar-with-tensor; explicit ops cover the few structured cases
-(row-bias add, row gather) so every backward rule stays auditable.
+(row-bias add, row gather) so every backward rule stays auditable. A model
+unit may instead be one fused node with a hand-written backward built on
+``Tensor._result``, as the GRU window in ``forecaster.forecast`` is.
+``matmul`` skips the gradient product for a constant operand such as the
+GIN aggregation matrix (see ``needs_grad``).
 """
 
 from __future__ import annotations
@@ -19,30 +23,28 @@ class ShapeError(ValueError):
 class Tensor:
     """Dense float64 tensor participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
         self._parents = ()
-        self.name = name
 
     @property
     def shape(self):
         return self.data.shape
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
     # -- graph construction -------------------------------------------------
 
     @staticmethod
     def _result(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad or p._parents for p in parents):
+        if any(needs_grad(p) for p in parents):
             out._parents = tuple(parents)
             out._backward = backward
             out.requires_grad = True
@@ -81,26 +83,11 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    # -- operator sugar -----------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def needs_grad(t):
+    """True for a parameter or a node on a path from one; gradients flowing
+    into any other tensor reach nothing."""
+    return t.requires_grad or bool(t._parents)
 
 
 def _is_scalar(t):
@@ -150,24 +137,6 @@ def scale(a, factor):
 
 # -- unary elementwise ------------------------------------------------------
 
-def sigmoid(a):
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    out[~pos] = e / (1.0 + e)
-    def bwd(g):
-        a._accum(g * out * (1.0 - out))
-    return Tensor._result(out, (a,), bwd)
-
-
-def tanh(a):
-    out = np.tanh(a.data)
-    def bwd(g):
-        a._accum(g * (1.0 - out * out))
-    return Tensor._result(out, (a,), bwd)
-
-
 def relu(a):
     mask = a.data > 0
     def bwd(g):
@@ -204,33 +173,11 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     def bwd(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        if needs_grad(a):
+            a._accum(g @ b.data.T)
+        if needs_grad(b):
+            b._accum(a.data.T @ g)
     return Tensor._result(a.data @ b.data, (a, b), bwd)
-
-
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d, got {a.shape}")
-    def bwd(g):
-        a._accum(g.T)
-    return Tensor._result(a.data.T.copy(), (a,), bwd)
-
-
-def concat(a, b, axis=0):
-    if a.data.ndim != b.data.ndim:
-        raise ShapeError(f"concat: ranks differ ({a.shape} vs {b.shape})")
-    if axis >= a.data.ndim or axis < -a.data.ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for rank {a.data.ndim}")
-    for d in range(a.data.ndim):
-        if d != axis % a.data.ndim and a.shape[d] != b.shape[d]:
-            raise ShapeError(f"concat: shapes {a.shape} and {b.shape} differ off-axis")
-    na = a.shape[axis]
-    def bwd(g):
-        ga, gb = np.split(g, [na], axis=axis)
-        a._accum(ga)
-        b._accum(gb)
-    return Tensor._result(np.concatenate([a.data, b.data], axis=axis), (a, b), bwd)
 
 
 def add_rowvec(a, bias):

@@ -53,10 +53,11 @@ def _load_config(args):
 
 
 def _echo_config(cfg, out_dir):
+    """Record the effective config; call it only once every input check passed."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
+    with ck.atomic_open(os.path.join(out_dir, "config.json")) as fh:
         fh.write(cfg.to_json() + "\n")
-    with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
+    with ck.atomic_open(os.path.join(out_dir, "run_info.txt")) as fh:
         fh.write(f"version={__version__}\nseed={cfg.seed}\n"
                  f"config_hash={cfg.config_hash()}\n")
 
@@ -140,8 +141,8 @@ def _gather_domains(args, cfg, target_needs_series):
 
 def cmd_pretrain(args):
     cfg = _load_config(args)
-    _echo_config(cfg, args.out)
     sources, target = _gather_domains(args, cfg, target_needs_series=False)
+    _echo_config(cfg, args.out)
     log = ReplayLog() if args.replay_log else None
     ckpt = pretrain(cfg, sources, target, variant=args.variant, replay_log=log)
     ck.save_checkpoint(ckpt, os.path.join(args.out, "pretrained.ckpt"))
@@ -153,10 +154,10 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     cfg = _load_config(args)
-    _echo_config(cfg, args.out)
     _, target = _gather_domains(args, cfg, target_needs_series=True)
     pre = (_load_run_checkpoint(args, cfg, "pretrained")
            if variant_uses(args.variant).pretrain else None)
+    _echo_config(cfg, args.out)
     log = ReplayLog() if args.replay_log else None
     fin = finetune(pre, target, cfg, variant=args.variant, replay_log=log)
     ck.save_checkpoint(fin, os.path.join(args.out, "finetuned.ckpt"))
@@ -206,8 +207,7 @@ def cmd_export_embeddings(args):
 
 
 def cmd_pipeline(args):
-    cfg = _load_config(args)
-    _echo_config(cfg, args.out)
+    os.makedirs(args.out, exist_ok=True)
     stages = ["embed", "finetune", "evaluate"]
     if variant_uses(args.variant).pretrain:
         stages.insert(1, "pretrain")

@@ -29,18 +29,25 @@ class RoadGraph:
             adj[u, v] = 1.0
             adj[v, u] = 1.0
         self.edges = sorted(dedup)
-        self.adjacency = adj
         self.neighbors = [sorted(np.flatnonzero(adj[i]).tolist()) for i in range(n_nodes)]
+        deg = adj.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._mean_agg = np.where(deg > 0, adj / deg, 0.0)
+        self._mean_agg.flags.writeable = False
+
+    @property
+    def adjacency(self):
+        """Binary adjacency, rebuilt from the mean-aggregation matrix: that is
+        the one dense N x N array a graph keeps."""
+        return (self._mean_agg > 0).astype(np.float64)
 
     def degree(self, v):
         return len(self.neighbors[v])
 
     def mean_aggregation_matrix(self):
-        """Row-normalized adjacency; rows of isolated nodes stay all-zero."""
-        deg = self.adjacency.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.where(deg > 0, self.adjacency / deg, 0.0)
-        return m
+        """Row-normalized adjacency, rows of isolated nodes all-zero; built
+        with the graph, so every call returns the same read-only array."""
+        return self._mean_agg
 
     def permuted(self, perm):
         """Relabel node i as perm[i]; used by equivariance checks."""

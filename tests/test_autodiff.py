@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from crosscity import autodiff as ad
 from crosscity.autodiff import ShapeError, Tensor
 
+import composed
 from conftest import assert_grads_close
 
 
@@ -24,26 +25,26 @@ class TestForward:
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(Tensor(0.0)).data == 0.5
+        assert composed.sigmoid(Tensor(0.0)).data == 0.5
 
     def test_tanh_at_zero(self):
-        assert ad.tanh(Tensor(0.0)).data == 0.0
+        assert composed.tanh(Tensor(0.0)).data == 0.0
 
     def test_log_domain_error(self):
         with pytest.raises(ValueError, match="non-positive"):
             ad.log(Tensor([1.0, 0.0]))
 
     def test_concat_vectors(self):
-        out = ad.concat(Tensor([1.0]), Tensor([2.0, 3.0]), axis=0)
+        out = composed.concat(Tensor([1.0]), Tensor([2.0, 3.0]), axis=0)
         assert out.data.tolist() == [1.0, 2.0, 3.0]
 
     def test_concat_shape_arithmetic(self):
-        out = ad.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), axis=1)
+        out = composed.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), axis=1)
         assert out.shape == (2, 8)
 
     def test_concat_axis_out_of_range(self):
         with pytest.raises(ShapeError, match="axis"):
-            ad.concat(Tensor([1.0]), Tensor([2.0]), axis=3)
+            composed.concat(Tensor([1.0]), Tensor([2.0]), axis=3)
 
     def test_binary_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -51,7 +52,8 @@ class TestForward:
 
     def test_finite_outputs_on_finite_inputs(self, rng):
         x = Tensor(rng.standard_normal((4, 4)) * 50)
-        for op in (ad.sigmoid, ad.tanh, ad.relu, ad.softmax_rows, ad.absolute):
+        for op in (composed.sigmoid, composed.tanh, ad.relu, ad.softmax_rows,
+                   ad.absolute):
             assert np.isfinite(op(x).data).all()
 
 
@@ -107,7 +109,7 @@ class TestGradReverse:
             h = ad.matmul(x, w)
             if with_reversal:
                 h = ad.grad_reverse(h, factor)
-            ad.tsum(ad.sigmoid(h)).backward()
+            ad.tsum(composed.sigmoid(h)).backward()
             return w.grad.copy()
 
         assert np.allclose(grads(True), -factor * grads(False), atol=1e-12)
@@ -134,6 +136,13 @@ class TestBackward:
         ad.mul(x, x).backward()
         assert y.grad is None  # callers treat missing grads as zero
 
+    def test_matmul_constant_operand_gets_no_grad(self, rng):
+        agg = Tensor(rng.standard_normal((3, 3)))
+        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        ad.tsum(ad.matmul(agg, x)).backward()
+        assert agg.grad is None
+        assert np.array_equal(x.grad, agg.data.T @ np.ones((3, 2)))
+
     def test_accumulation_on_fanout(self):
         x = Tensor(2.0, requires_grad=True)
         ad.add(ad.mul(x, x), ad.mul(x, x)).backward()  # d/dx 2x^2 = 4x
@@ -142,7 +151,7 @@ class TestBackward:
     def test_concat_backward_splits_ones(self):
         a = Tensor(np.zeros((2, 2)), requires_grad=True)
         b = Tensor(np.zeros((2, 3)), requires_grad=True)
-        ad.tsum(ad.concat(a, b, axis=1)).backward()
+        ad.tsum(composed.concat(a, b, axis=1)).backward()
         assert np.array_equal(a.grad, np.ones((2, 2)))
         assert np.array_equal(b.grad, np.ones((2, 3)))
 
@@ -154,12 +163,12 @@ class TestBackward:
 
     def test_sigmoid_derivative_at_zero(self):
         x = Tensor(0.0, requires_grad=True)
-        ad.sigmoid(x).backward()
+        composed.sigmoid(x).backward()
         assert abs(x.grad - 0.25) < 1e-12
-        assert_grads_close(lambda: ad.sigmoid(x), {"x": x})
+        assert_grads_close(lambda: composed.sigmoid(x), {"x": x})
 
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.relu, ad.absolute,
-                                    ad.softmax_rows])
+    @pytest.mark.parametrize("op", [composed.sigmoid, composed.tanh, ad.relu,
+                                    ad.absolute, ad.softmax_rows])
     def test_elementwise_grads_vs_finite_diff(self, op, rng):
         # 10 random points per op, rel err < 1e-4 against central differences
         for _ in range(10):
@@ -176,7 +185,7 @@ class TestBackward:
         b = Tensor(rng.standard_normal(3), requires_grad=True)
 
         def loss():
-            h = ad.add_rowvec(ad.transpose(ad.transpose(w)), b)
+            h = ad.add_rowvec(composed.transpose(composed.transpose(w)), b)
             return ad.tmean(ad.gather_rows(h, [0, 2, 2, 1]))
 
         assert_grads_close(loss, {"w": w, "b": b})
@@ -190,7 +199,7 @@ class TestDeterminism:
         def run():
             w = Tensor(w_init.copy(), requires_grad=True)
             x = Tensor(x_init.copy())
-            loss = ad.tmean(ad.tanh(ad.matmul(x, w)))
+            loss = ad.tmean(composed.tanh(ad.matmul(x, w)))
             loss.backward()
             return float(loss.data), w.grad.copy()
 
@@ -220,7 +229,7 @@ def test_grad_reverse_scaling_property(seed, factor):
         w.grad = None
         h = ad.matmul(x, w)
         h = ad.grad_reverse(h, factor) if rev else h
-        ad.tsum(ad.tanh(h)).backward()
+        ad.tsum(composed.tanh(h)).backward()
         return w.grad.copy()
 
     assert np.allclose(grad(True), -factor * grad(False), atol=1e-12)

@@ -162,9 +162,14 @@ class TestErrors:
         common = ["--config", cfg_path, "--data", data, "--out", out]
         assert main(["pipeline", *common, "--variant", "wo_pri"]) == 0
         capsys.readouterr()
+        echoed = {f: open(os.path.join(out, f), "rb").read()
+                  for f in ("config.json", "run_info.txt")}
         for cmd in ("finetune", "evaluate", "export-embeddings"):
             assert main([cmd, *common, "--variant", "wo_pri", "--seed", "5"]) == 1
             assert "hash mismatch" in capsys.readouterr().err
+            # a refused run leaves the run directory's record of its config
+            for f, text in echoed.items():
+                assert open(os.path.join(out, f), "rb").read() == text, (cmd, f)
 
     def test_compare_needs_two_reports(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscity import autodiff as ad
 from crosscity import forecaster as fc
 from crosscity.autodiff import Tensor
 
+import composed
 from conftest import assert_grads_close
 
 
@@ -17,8 +20,8 @@ def zero_params(hidden=4, embed=4, horizon=2, n_features=1):
 
 def test_all_zero_step_gives_zero_state():
     p = zero_params()
-    h = fc.gru_step(p, Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 4))),
-                    Tensor(np.zeros((1, 4))))
+    h = composed.gru_step(p, Tensor(np.zeros((1, 1))), Tensor(np.zeros((1, 4))),
+                          Tensor(np.zeros((1, 4))))
     assert np.array_equal(h.data, np.zeros((1, 4)))
 
 
@@ -31,7 +34,7 @@ def test_reduces_to_standard_gru_with_projection_mix(rng):
     x = rng.standard_normal((1, 1))
     h_prev = rng.standard_normal((1, hidden))
 
-    h = fc.gru_step(p, Tensor(x), Tensor(h_prev), Tensor(rng.standard_normal((1, embed))))
+    h = composed.gru_step(p, Tensor(x), Tensor(h_prev), Tensor(rng.standard_normal((1, embed))))
 
     xh = np.concatenate([x, h_prev], axis=1)
     u = 1 / (1 + np.exp(-(xh @ p.theta_u.data.T + p.b_u.data)))
@@ -48,7 +51,7 @@ def test_gru_step_gradient_vs_finite_diff(rng):
     params = p.params()
 
     def loss():
-        h = fc.gru_step(p, x, h0, f_v)
+        h = composed.gru_step(p, x, h0, f_v)
         return ad.tsum(ad.mul(h, h))
 
     assert_grads_close(loss, params)
@@ -99,6 +102,13 @@ def test_source_loss_nonnegative_and_zero_iff_equal(rng):
 def test_shape_mismatch_rejected(rng):
     with pytest.raises(ad.ShapeError):
         fc.source_loss(Tensor(np.zeros((2, 2, 1))), np.zeros((2, 3, 1)))
+    p = fc.ForecasterParams(1, 4, 3, 2, rng)
+    for inputs, f_v in [(np.zeros((2, 5)), np.zeros((2, 3))),
+                        (np.zeros((2, 5, 2)), np.zeros((2, 3))),
+                        (np.zeros((2, 5, 1)), np.zeros((3, 3))),
+                        (np.zeros((2, 5, 1)), np.zeros((2, 4)))]:
+        with pytest.raises(ad.ShapeError):
+            fc.forecast(p, inputs, f_v)
 
 
 def test_end_to_end_gradient_through_encoder(rng):
@@ -120,3 +130,90 @@ def test_end_to_end_gradient_through_encoder(rng):
         return fc.source_loss(preds, targets)
 
     assert_grads_close(loss, params)
+
+
+# -- the fused window op against finite differences and the composed oracle --
+
+def test_fused_forecast_gradient_vs_finite_diff(rng):
+    p = fc.ForecasterParams(2, 4, 3, 2, rng)
+    inputs = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+    f_v = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    targets = rng.standard_normal((3, 2, 2))
+    params = {**p.params(), "f_v": f_v, "inputs": inputs}
+
+    def loss():
+        preds = fc.forecast(p, inputs, f_v)
+        return ad.tsum(ad.mul(preds, Tensor(targets)))
+
+    assert_grads_close(loss, params)
+
+
+def _forecast_and_grads(forecast, p, inputs, emb, node_ids, targets):
+    """Loss through gather_rows -> forecast -> source_loss; returns the
+    prediction, every parameter grad, the embedding and the input grads."""
+    for t in p.params().values():
+        t.grad = None
+    emb_t = Tensor(emb.copy(), requires_grad=True)
+    x = Tensor(inputs.copy(), requires_grad=True)
+    preds = forecast(p, x, ad.gather_rows(emb_t, node_ids))
+    fc.source_loss(preds, targets).backward()
+    grads = {name: t.grad.copy() for name, t in p.params().items()}
+    return preds.data.copy(), grads, emb_t.grad.copy(), x.grad.copy()
+
+
+def assert_matches_composed(p, batch, hist, r):
+    n_nodes = 7
+    emb = r.standard_normal((n_nodes, p.embed_dim))
+    node_ids = r.integers(0, n_nodes, batch)
+    inputs = r.standard_normal((batch, hist, p.n_features))
+    targets = r.standard_normal((batch, p.horizon, p.n_features))
+    fused = _forecast_and_grads(fc.forecast, p, inputs, emb, node_ids, targets)
+    ref = _forecast_and_grads(composed.forecast, p, inputs, emb, node_ids, targets)
+    assert np.array_equal(fused[0], ref[0])
+    for name in ref[1]:
+        assert np.array_equal(fused[1][name], ref[1][name]), name
+    assert np.array_equal(fused[2], ref[2])
+    assert np.array_equal(fused[3], ref[3])
+
+
+@pytest.mark.parametrize("batch,hist,hidden,embed,horizon,n_features", [
+    (64, 12, 16, 8, 3, 1),    # the acceptance transfer config
+    (64, 12, 64, 64, 12, 1),  # the 64-wide defaults
+    (1, 1, 16, 8, 3, 1),
+    (9, 5, 6, 4, 3, 2),
+])
+def test_fused_forecast_equals_composed_exactly(batch, hist, hidden, embed,
+                                                horizon, n_features, rng):
+    p = fc.ForecasterParams(n_features, hidden, embed, horizon, rng)
+    assert_matches_composed(p, batch, hist, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_fused_forecast_equals_composed_property(batch, hist, hidden, embed,
+                                                 horizon, n_features, seed):
+    r = np.random.default_rng(seed)
+    p = fc.ForecasterParams(n_features, hidden, embed, horizon, r)
+    for t in p.params().values():  # nonzero biases and larger gate inputs
+        t.data = t.data + r.standard_normal(t.data.shape)
+    assert_matches_composed(p, batch, hist, r)
+
+
+def test_constant_embeddings_get_no_gradient(rng):
+    # temporal_forecaster: the embeddings are a constant zero block
+    p = fc.ForecasterParams(1, 4, 3, 2, rng)
+    zeros = Tensor(np.zeros((5, 3)))
+    f_v = ad.gather_rows(zeros, [0, 1, 4])
+    inputs = Tensor(rng.standard_normal((3, 6, 1)))
+    fc.source_loss(fc.forecast(p, inputs, f_v), np.zeros((3, 2, 1))).backward()
+    assert zeros.grad is None and f_v.grad is None and inputs.grad is None
+    assert all(t.grad is not None for t in p.params().values())
+
+
+def test_sigmoid_saturates_finitely_and_equals_masked_formula():
+    z = np.array([-800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, 800.0])
+    fused = fc._sigmoid(z)
+    assert np.isfinite(fused).all()
+    assert fused[0] == 0.0 and fused[-1] == 1.0
+    assert np.array_equal(fused, composed.sigmoid(Tensor(z)).data)

@@ -6,6 +6,7 @@ from crosscity.autodiff import Tensor
 from crosscity.gin import SpatialEncoder
 from crosscity.graph import RoadGraph
 
+import composed
 from conftest import assert_grads_close
 
 
@@ -99,5 +100,5 @@ def test_epsilon_gradient_vs_finite_diff(rng):
     enc = SpatialEncoder(5, 5, 1, rng)
     enc.layers[0].eps.data = np.asarray(0.3)
     params = enc.params()
-    assert_grads_close(lambda: ad.tmean(ad.tanh(enc.forward(feats, g))),
+    assert_grads_close(lambda: ad.tmean(composed.tanh(enc.forward(feats, g))),
                        params)

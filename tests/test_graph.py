@@ -51,6 +51,16 @@ def test_mean_aggregation_rows_sum_to_degree_indicator():
     assert m[1, 0] == 0.5 and m[1, 2] == 0.5
 
 
+def test_mean_aggregation_built_once_and_read_only():
+    g = RoadGraph(3, [(0, 1), (1, 2)])
+    m = g.mean_aggregation_matrix()
+    before = m.copy()
+    assert g.mean_aggregation_matrix() is m
+    with pytest.raises(ValueError):
+        m[0, 1] = 7.0
+    assert np.array_equal(g.mean_aggregation_matrix(), before)
+
+
 def test_edge_list_round_trip(tmp_path):
     g = RoadGraph(5, [(0, 1), (2, 3), (1, 4)])
     path = tmp_path / "g.edges"
