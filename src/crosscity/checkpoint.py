@@ -98,6 +98,14 @@ def load_checkpoint(path, expect_config_hash=None):
     if header.get("version") != str(FORMAT_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('version')!r}")
+    missing = [k for k in ("stage", "config_hash", "seed") if k not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
+    try:
+        seed = int(header["seed"])
+    except ValueError:
+        raise CheckpointError(
+            f"checkpoint seed {header['seed']!r} is not an integer") from None
     if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
         raise CheckpointError(
             f"config hash mismatch: checkpoint {header['config_hash']} "
@@ -114,13 +122,18 @@ def load_checkpoint(path, expect_config_hash=None):
             shape = _parse_shape(parts[2])
         except ValueError as exc:
             raise CheckpointError(f"line {ln}: bad shape {parts[2]!r}") from exc
-        vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+        try:
+            vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+        except ValueError as exc:
+            raise CheckpointError(f"line {ln}: {name}: {exc}") from None
         expected = int(np.prod(shape)) if shape else 1
         if vals.size != expected:
             raise CheckpointError(
                 f"line {ln}: {name} expects {expected} values, found {vals.size}")
         arr = vals.reshape(shape)
         if name.startswith("stats."):
+            if shape:
+                raise CheckpointError(f"line {ln}: {name} is not a scalar")
             stats_raw[name] = float(arr)
         else:
             tensors[name] = arr
@@ -132,10 +145,5 @@ def load_checkpoint(path, expect_config_hash=None):
         if mean is None or std is None:
             raise CheckpointError(f"incomplete stats for domain {domain!r}")
         stats[domain] = NormalizationStats(mean, std)
-    return Checkpoint(
-        header["stage"],
-        header["config_hash"],
-        int(header["seed"]),
-        tensors,
-        stats,
-    )
+    return Checkpoint(header["stage"], header["config_hash"], seed, tensors,
+                      stats)

@@ -112,9 +112,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
             cur = getattr(self, key)
             items = [s for s in raw.split(";") if s]
-            if isinstance(cur, bool):
-                d[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(cur, int):
+            if isinstance(cur, int):
                 d[key] = int(raw)
             elif isinstance(cur, float):
                 d[key] = float(raw)

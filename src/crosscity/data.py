@@ -81,7 +81,8 @@ def denormalize_values(values, stats):
 
 @dataclass
 class WindowedDataset:
-    """Samples of (node id, (H', N_f) input, (H, N_f) target)."""
+    """Samples of (node id, (H', N_f) input, (H, N_f) target); inputs and
+    targets are read-only views of the series they were cut from."""
     node_ids: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
@@ -91,23 +92,22 @@ class WindowedDataset:
 
 
 def make_windows(series, history, horizon):
-    """Stride-1 sliding windows per node; T - H' - H + 1 samples each."""
-    x = series.signal()
+    """Stride-1 sliding windows per node, start-major and node-minor;
+    T - H' - H + 1 samples each."""
+    x = np.ascontiguousarray(series.signal())
     t_len, n_nodes = x.shape
     count = t_len - history - horizon + 1
     if count < 1:
         raise DataError(
             f"series of length {t_len} too short for history {history} + horizon {horizon}")
-    node_ids, inputs, targets = [], [], []
-    for start in range(count):
-        for v in range(n_nodes):
-            node_ids.append(v)
-            inputs.append(x[start:start + history, v])
-            targets.append(x[start + history:start + history + horizon, v])
+    # (count, N, H' + H) -> (count * N, H' + H) merges two axes whose
+    # strides nest in a C-contiguous series, so the reshape is still a view
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x, history + horizon, axis=0).reshape(count * n_nodes, history + horizon)
     return WindowedDataset(
-        np.array(node_ids, dtype=np.intp),
-        np.array(inputs)[:, :, None],
-        np.array(targets)[:, :, None],
+        np.tile(np.arange(n_nodes, dtype=np.intp), count),
+        windows[:, :history, None],
+        windows[:, history:, None],
     )
 
 
@@ -222,8 +222,6 @@ class SyntheticCitySpec:
             current = getattr(spec, key)
             if isinstance(current, tuple):
                 val = tuple(float(v) for v in raw.split(";") if v)
-            elif isinstance(current, bool):
-                val = raw.lower() in ("1", "true", "yes")
             elif isinstance(current, int):
                 val = int(raw)
             elif isinstance(current, float):

@@ -19,15 +19,12 @@ def glorot(rng, fan_in, fan_out):
 
 
 class GinLayer:
-    def __init__(self, in_dim, out_dim, hidden_dim=None, rng=None):
+    def __init__(self, in_dim, out_dim, rng=None):
         rng = rng or np.random.default_rng(0)
-        hidden_dim = hidden_dim or out_dim
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.eps = Tensor(np.zeros(()), requires_grad=True)
-        self.w1 = Tensor(glorot(rng, in_dim, hidden_dim), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden_dim), requires_grad=True)
-        self.w2 = Tensor(glorot(rng, hidden_dim, out_dim), requires_grad=True)
+        self.w1 = Tensor(glorot(rng, in_dim, out_dim), requires_grad=True)
+        self.b1 = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.w2 = Tensor(glorot(rng, out_dim, out_dim), requires_grad=True)
         self.b2 = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def forward(self, x, agg_matrix):

@@ -149,7 +149,10 @@ def evaluate_ha(config, target, horizons=(3, 6, 12), mape_threshold=1.0):
                               config.history, config.horizon,
                               config.target_train_days)
     test_set = make_windows(test, config.history, config.horizon)
-    means = test_set.inputs.mean(axis=1, keepdims=True)  # (B, 1, N_f)
+    # a mean over a strided view can sum in another order than over a
+    # contiguous array and differ in the last bit; keep the contiguous sums
+    inputs = np.ascontiguousarray(test_set.inputs)
+    means = inputs.mean(axis=1, keepdims=True)  # (B, 1, N_f)
     preds = np.repeat(means, config.horizon, axis=1)
     return _reports("ha", test_set.targets, preds, horizons, config, target,
                     mape_threshold)

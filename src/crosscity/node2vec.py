@@ -141,10 +141,12 @@ def load_features(path):
     row equally wide."""
     rows = []
     with open(path) as fh:
-        next(fh)  # header
+        fh.readline()  # header
         for line in fh:
             parts = line.strip().split(",")
             rows.append((int(parts[0]), [float(x) for x in parts[1:]]))
+    if not rows:
+        raise DataError(f"{path}: no feature rows")
     rows.sort()
     if [v for v, _ in rows] != list(range(len(rows))):
         raise DataError(f"{path}: node ids are not exactly 0..{len(rows) - 1}")

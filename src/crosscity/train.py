@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import forecaster as fc
 from .adversary import DomainClassifier, adaptation_factor, adversarial_loss
 from .autodiff import Tensor
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, CheckpointError
 from .config import variant_uses
 from .data import NormalizationStats, chrono_split, make_windows, normalize
 from .gin import SpatialEncoder, glorot
@@ -182,17 +182,14 @@ class FinetuneModel:
         return out
 
 
-def _update(params, loss, opt, config, where, frozen=()):
-    """One optimizer step on loss. Gradients of parameters whose names start
-    with a prefix in frozen are zeroed; where (stage, step, domain) prefixes
-    the error for a non-finite gradient."""
+def _update(params, loss, opt, config, where):
+    """One optimizer step on loss; where (stage, step, domain) prefixes the
+    error for a non-finite gradient. A parameter off the loss's tape gets a
+    zero gradient."""
     for par in params.values():
         par.grad = None
     loss.backward()
     grads = collect_grads(params)
-    if frozen:
-        grads = {name: (np.zeros_like(g) if name.startswith(frozen) else g)
-                 for name, g in grads.items()}
     try:
         grads = clip_global_norm(grads, config.grad_clip_norm)
     except FloatingPointError as exc:
@@ -203,9 +200,9 @@ def _update(params, loss, opt, config, where, frozen=()):
 def _load_params(params, tensors):
     for name, p in params.items():
         if name not in tensors:
-            raise KeyError(f"checkpoint missing parameter {name}")
+            raise CheckpointError(f"checkpoint missing parameter {name}")
         if tensors[name].shape != p.data.shape:
-            raise ValueError(
+            raise CheckpointError(
                 f"shape mismatch for {name}: {tensors[name].shape} vs {p.data.shape}")
         p.data = tensors[name].copy()
 
@@ -242,8 +239,6 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
     if not uses.pretrain:
         raise ValueError(f"pretrain does not apply to variant {variant!r}")
     use_da = uses.adversary
-    # without the adversary, classifier and target encoder stay put
-    frozen = () if use_da else ("classifier.", "encoder.target")
 
     if target.series is not None:
         guard_reads = target.series.read_count
@@ -297,7 +292,7 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
                     loss_adv = None
                     loss = loss_src
                 _update(params, loss, opt, config,
-                        f"pretrain step {step}, domain {src.name}", frozen)
+                        f"pretrain step {step}, domain {src.name}")
                 if replay_log is not None:
                     replay_log.record(
                         step=step, epoch=epoch, domain=src.name,
@@ -360,8 +355,6 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
                         int(np.ceil(len(train_set) / config.batch_size)))
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            if idx.size == 0:
-                break
             emb = model.embeddings(target.raw_features, target.graph)
             loss = _batched_forecast_loss(model.forecaster, emb, train_set, idx)
             step = epoch * n_batches + b
@@ -387,12 +380,3 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
     stats[target.name] = st
     return Checkpoint("finetuned", config.config_hash(), config.seed,
                       best_tensors, stats)
-
-
-def run_variant(variant, config, sources, target, replay_log=None):
-    """Run the stage(s) a variant calls for; returns (pretrain_ckpt or None,
-    finetuned checkpoint)."""
-    pre = (pretrain(config, sources, target, variant=variant, replay_log=replay_log)
-           if variant_uses(variant).pretrain else None)
-    fin = finetune(pre, target, config, variant=variant, replay_log=replay_log)
-    return pre, fin

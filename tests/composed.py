@@ -1,9 +1,11 @@
-"""The GRU forecaster composed from per-step autodiff ops.
+"""The GRU forecaster composed from per-step autodiff ops, and windowing
+as a loop of copies.
 
 This is the reference ``forecaster.forecast`` must equal bit for bit: about
 25 tape nodes per recurrent step, each with its own textbook backward rule.
 The ops here are the ones nothing in the library needs any more; the tests
-in test_autodiff.py check them like any other op.
+in test_autodiff.py check them like any other op. ``make_windows`` is the
+per-window loop that ``data.make_windows``' strided views must equal.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 
 from crosscity import autodiff as ad
 from crosscity.autodiff import ShapeError, Tensor
+from crosscity.data import DataError, WindowedDataset
 
 
 def sigmoid(a):
@@ -95,3 +98,24 @@ def _reshape_pred(out, batch, horizon, n_features):
     def bwd(g):
         out._accum(g.reshape(batch, horizon * n_features))
     return Tensor._result(out.data.reshape(batch, horizon, n_features), (out,), bwd)
+
+
+def make_windows(series, history, horizon):
+    """Same contract as ``data.make_windows``, one copied window at a time."""
+    x = series.signal()
+    t_len, n_nodes = x.shape
+    count = t_len - history - horizon + 1
+    if count < 1:
+        raise DataError(
+            f"series of length {t_len} too short for history {history} + horizon {horizon}")
+    node_ids, inputs, targets = [], [], []
+    for start in range(count):
+        for v in range(n_nodes):
+            node_ids.append(v)
+            inputs.append(x[start:start + history, v])
+            targets.append(x[start + history:start + history + horizon, v])
+    return WindowedDataset(
+        np.array(node_ids, dtype=np.intp),
+        np.array(inputs)[:, :, None],
+        np.array(targets)[:, :, None],
+    )

@@ -98,6 +98,39 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="incomplete stats"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("drop", ["stage=", "config_hash=", "seed="])
+    def test_header_field_missing(self, rng, tmp_path, drop):
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(sample_ckpt(rng), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(ln for ln in lines if not ln.startswith(drop)))
+        with pytest.raises(CheckpointError, match="header lacks " + drop[:-1]):
+            load_checkpoint(path)
+
+    def test_seed_not_an_integer(self, rng, tmp_path):
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(sample_ckpt(rng), path)
+        path.write_text(path.read_text().replace("seed=7", "seed=seven", 1))
+        with pytest.raises(CheckpointError, match="seed 'seven'"):
+            load_checkpoint(path)
+
+    def test_value_not_a_float(self, tmp_path):
+        path = tmp_path / "f.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            "w shape 2 values 1.0 two\n")
+        with pytest.raises(CheckpointError, match="line 5: w"):
+            load_checkpoint(path)
+
+    def test_stats_record_not_a_scalar(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            "stats.metro.mean shape 2 values 1.0 2.0\n"
+            "stats.metro.std shape - values 1.0\n")
+        with pytest.raises(CheckpointError, match="not a scalar"):
+            load_checkpoint(path)
+
 
 class TestAtomicSave:
     def test_failed_save_keeps_old_file(self, rng, tmp_path):

@@ -171,6 +171,24 @@ class TestErrors:
             for f, text in echoed.items():
                 assert open(os.path.join(out, f), "rb").read() == text, (cmd, f)
 
+    def test_evaluate_rejects_checkpoint_missing_a_tensor(self, synthed,
+                                                          capsys):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out,
+                  "--variant", "target_only"]
+        assert main(["pipeline", *common]) == 0
+        path = os.path.join(out, "finetuned.ckpt")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines(ln for ln in lines
+                          if not ln.startswith("forecaster.head.b "))
+        capsys.readouterr()
+        assert main(["evaluate", *common]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "missing parameter forecaster.head.b" in err
+
     def test_compare_needs_two_reports(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)
         assert main(["compare", str(tmp_path / "empty")]) == EXIT_BAD_ARGS

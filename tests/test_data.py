@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
 from crosscity.data import (DataError, INTERVALS_PER_DAY, NormalizationStats,
@@ -8,6 +9,8 @@ from crosscity.data import (DataError, INTERVALS_PER_DAY, NormalizationStats,
                             make_windows, normalize, save_series,
                             synth_generate)
 from crosscity.graph import RoadGraph
+
+import composed
 
 
 def series_of(values, **kw):
@@ -68,6 +71,31 @@ class TestWindows:
         assert ds.inputs.shape == (23 * 3, 12, 1)
         assert ds.targets.shape == (23 * 3, 6, 1)
         assert ds.node_ids.shape == (23 * 3,)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 8),
+           st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_equals_loop_of_copies(self, t_len, n_nodes, history, horizon,
+                                   seed):
+        x = np.random.default_rng(seed).standard_normal((t_len, n_nodes))
+        if t_len < history + horizon:
+            for make in (make_windows, composed.make_windows):
+                with pytest.raises(DataError, match="too short"):
+                    make(series_of(x), history, horizon)
+            return
+        got = make_windows(series_of(x), history, horizon)
+        want = composed.make_windows(series_of(x), history, horizon)
+        assert got.node_ids.dtype == want.node_ids.dtype == np.intp
+        for key in ("node_ids", "inputs", "targets"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
+    def test_read_only_views_of_the_series(self, rng):
+        s = series_of(rng.random((30, 4)))
+        ds = make_windows(s, 5, 3)
+        for arr in (ds.inputs, ds.targets):
+            assert np.shares_memory(arr, s.signal())
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0, 0] = 1.0
 
 
 class TestSplit:

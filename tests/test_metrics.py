@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crosscity import metrics
 from crosscity.config import ExperimentConfig
 from crosscity.data import TrafficSeries
 from crosscity.graph import RoadGraph
@@ -8,6 +9,8 @@ from crosscity.metrics import (MetricError, MetricReport, compare_variants,
                                domain_confusion_probe, evaluate_ha, mae, mape,
                                rmse, write_comparison_csv)
 from crosscity.train import DomainData
+
+import composed
 
 
 class TestPointMetrics:
@@ -71,6 +74,16 @@ class TestEvaluateHa:
             assert rep.mae == pytest.approx(mae(y, pred), abs=1e-12)
             assert rep.rmse == pytest.approx(rmse(y, pred), abs=1e-12)
             assert rep.n_samples == y.size
+
+    def test_reports_equal_those_of_the_loop_of_copies(self, rng,
+                                                       monkeypatch):
+        config = ExperimentConfig(history=12, horizon=12, target_domain="t")
+        values = 200.0 + 150.0 * rng.random((600, 9))
+        target = DomainData("t", RoadGraph(9, []), None,
+                            TrafficSeries(values, domain="t"))
+        got = evaluate_ha(config, target)
+        monkeypatch.setattr(metrics, "make_windows", composed.make_windows)
+        assert got == evaluate_ha(config, target)
 
 
 def report(variant, horizon, m, r=None, p=None, domain="metro"):

@@ -142,3 +142,11 @@ def test_feature_csv_rejects_ragged_rows(tmp_path):
     path.write_text("node,f0,f1\n0,1.0,2.0\n1,3.0\n")
     with pytest.raises(DataError, match="width"):
         n2v.load_features(path)
+
+
+def test_feature_csv_rejects_a_file_without_rows(tmp_path):
+    path = tmp_path / "f.csv"
+    for text in ("", "node,f0\n"):
+        path.write_text(text)
+        with pytest.raises(DataError, match="no feature rows"):
+            n2v.load_features(path)

@@ -3,12 +3,12 @@ import pytest
 
 from crosscity import train
 from crosscity.autodiff import Tensor
-from crosscity.config import ExperimentConfig
+from crosscity.config import ExperimentConfig, variant_uses
 from crosscity.data import TrafficSeries
 from crosscity.graph import RoadGraph
 from crosscity.train import (DomainData, FinetuneModel, PretrainModel,
                              ProtocolError, ReplayLog, Sgdm, clip_global_norm,
-                             collect_grads, finetune, pretrain, run_variant)
+                             collect_grads, finetune, pretrain)
 
 
 # -- optimizer --------------------------------------------------------------
@@ -294,6 +294,13 @@ class TestNonFiniteGradients:
         msg = str(exc.value)
         for part in ("finetune", "step 1", "domain t", "combiner.cmb.w"):
             assert part in msg, msg
+
+
+def run_variant(variant, config, sources, target):
+    """The stage(s) a variant calls for: (pretrained or None, finetuned)."""
+    pre = (pretrain(config, sources, target, variant=variant)
+           if variant_uses(variant).pretrain else None)
+    return pre, finetune(pre, target, config, variant=variant)
 
 
 class TestRunVariant:
