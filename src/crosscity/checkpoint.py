@@ -126,6 +126,8 @@ def load_checkpoint(path, expect_config_hash=None):
             vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
         except ValueError as exc:
             raise CheckpointError(f"line {ln}: {name}: {exc}") from None
+        if not np.isfinite(vals).all():
+            raise CheckpointError(f"line {ln}: {name} holds a non-finite value")
         expected = int(np.prod(shape)) if shape else 1
         if vals.size != expected:
             raise CheckpointError(

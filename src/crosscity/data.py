@@ -261,22 +261,36 @@ def _make_topology(spec, rng):
             if i + side < n:
                 edges.append((i, i + side))
     elif spec.topology == "random-geometric":
-        pts = rng.random((n, 2))
-        radius = 1.7 / math.sqrt(n)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if np.linalg.norm(pts[i] - pts[j]) < radius]
-        # wire stragglers to their nearest neighbor so the graph is connected-ish
-        deg = np.zeros(n)
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        for i in np.flatnonzero(deg == 0):
-            d = np.linalg.norm(pts - pts[i], axis=1)
-            d[i] = np.inf
-            edges.append((i, int(d.argmin())))
+        edges = _random_geometric_edges(n, rng)
     else:
         raise DataError(f"unknown topology {spec.topology!r}")
     return RoadGraph(n, edges)
+
+
+def _random_geometric_edges(n, rng):
+    """Pairs (i < j, row by row) of n uniform points in the unit square
+    closer than 1.7 / sqrt(n), then each isolated node wired to its nearest
+    neighbor."""
+    pts = rng.random((n, 2))
+    radius = 1.7 / math.sqrt(n)
+    edges = []
+    for i in range(n - 1):
+        # The row's distances may round differently from the norm of one
+        # pair; the margin keeps every pair the norm test below could pass,
+        # and that test alone decides.
+        near = np.hypot(*(pts[i + 1:] - pts[i]).T) < radius * (1 + 1e-9)
+        edges += [(i, j) for j in (i + 1 + np.flatnonzero(near)).tolist()
+                  if np.linalg.norm(pts[i] - pts[j]) < radius]
+    # wire stragglers to their nearest neighbor so the graph is connected-ish
+    deg = np.zeros(n)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for i in np.flatnonzero(deg == 0):
+        d = np.linalg.norm(pts - pts[i], axis=1)
+        d[i] = np.inf
+        edges.append((i, int(d.argmin())))
+    return edges
 
 
 def synth_generate(spec):

@@ -1,25 +1,56 @@
 """Raw node features via node2vec: biased second-order walks + skip-gram.
 
 Walk transition weights follow the standard node2vec scheme: 1/p to return
-to the previous node, 1 to a common neighbor, 1/q otherwise. Sampling is
-linear over the neighbor list (graphs here are desk scale, no alias tables).
-Skip-gram is trained with negative sampling over a unigram^0.75 node
-distribution.
+to the previous node, 1 to a common neighbor, 1/q otherwise. Skip-gram is
+trained with negative sampling over a unigram^0.75 node distribution.
+
+Both samplers invert a cumulative distribution built once (per
+``build_corpus`` call for each (previous, current) node pair of the walks,
+per ``train_skipgram`` call for the negatives) with one ``searchsorted``
+over uniform draws. That is exactly what ``Generator.choice(..., p=...)``
+does, without rebuilding and checking the CDF on every call, so the random
+streams, corpora and features are the same as sampling with ``choice``.
+The skip-gram update itself is sequential SGD, one context pair at a time.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .data import DataError
 
+# Context pairs whose negatives are drawn in one piece, bounding the memory
+# of a large corpus; the draws are the same for any block size.
+_NEGATIVE_BLOCK = 1 << 16
 
-def biased_walk(graph, start, length, p, q, rng):
-    """One second-order random walk; stops early at a dead end."""
-    if length < 1:
-        raise ValueError("walk length must be >= 1")
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
+
+def _inverse_cdf(weights):
+    """The CDF ``Generator.choice`` inverts for probabilities ``weights``."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _transition_cdf(graph, prev, cur, p, q):
+    nbrs = graph.neighbors[cur]
+    prev_nbrs = graph.neighbors[prev]
+    weights = np.empty(len(nbrs))
+    for i, x in enumerate(nbrs):
+        if x == prev:
+            weights[i] = 1.0 / p
+        elif x in prev_nbrs:
+            weights[i] = 1.0
+        else:
+            weights[i] = 1.0 / q
+    weights /= weights.sum()
+    return _inverse_cdf(weights)
+
+
+def _walk(graph, start, length, p, q, rng, cdfs):
+    """biased_walk with the transition CDFs memoized in cdfs, a dict keyed
+    by (prev, cur) that is valid for one graph, p and q."""
     walk = [int(start)]
     while len(walk) < length:
         cur = walk[-1]
@@ -29,20 +60,26 @@ def biased_walk(graph, start, length, p, q, rng):
         if len(walk) == 1:
             nxt = nbrs[rng.integers(len(nbrs))]
         else:
-            prev = walk[-2]
-            prev_nbrs = graph.neighbors[prev]
-            weights = np.empty(len(nbrs))
-            for i, x in enumerate(nbrs):
-                if x == prev:
-                    weights[i] = 1.0 / p
-                elif x in prev_nbrs:
-                    weights[i] = 1.0
-                else:
-                    weights[i] = 1.0 / q
-            weights /= weights.sum()
-            nxt = nbrs[rng.choice(len(nbrs), p=weights)]
+            key = (walk[-2], cur)
+            cdf = cdfs.get(key)
+            if cdf is None:
+                cdf = cdfs[key] = _transition_cdf(graph, *key, p, q)
+            nxt = nbrs[cdf.searchsorted(rng.random(), side="right")]
         walk.append(int(nxt))
     return walk
+
+
+def _check_walk_args(length, p, q):
+    if length < 1:
+        raise ValueError("walk length must be >= 1")
+    if p <= 0 or q <= 0:
+        raise ValueError("p and q must be positive")
+
+
+def biased_walk(graph, start, length, p, q, rng):
+    """One second-order random walk; stops early at a dead end."""
+    _check_walk_args(length, p, q)
+    return _walk(graph, start, length, p, q, rng, {})
 
 
 def build_corpus(graph, walks_per_node, length, p=1.0, q=1.0, seed=0):
@@ -50,21 +87,32 @@ def build_corpus(graph, walks_per_node, length, p=1.0, q=1.0, seed=0):
     corpus deterministic regardless of iteration order."""
     if walks_per_node < 1 or length < 1:
         raise ValueError("walks_per_node and length must be positive")
+    _check_walk_args(length, p, q)
+    cdfs = {}
     walks = []
     for node in range(graph.n_nodes):
         rng = np.random.default_rng([seed, 0x77A1C5, node])
         for _ in range(walks_per_node):
-            walks.append(biased_walk(graph, node, length, p, q, rng))
+            walks.append(_walk(graph, node, length, p, q, rng, cdfs))
     return walks
 
 
-def _context_pairs(walk, window):
-    for i, center in enumerate(walk):
-        lo = max(0, i - window)
-        hi = min(len(walk), i + window + 1)
-        for j in range(lo, hi):
-            if j != i:
-                yield center, walk[j]
+def _context_pairs(corpus, window):
+    """The corpus as one array of nodes, and its (P, 2) array of (center,
+    context) pairs: walk by walk, center by center, context positions
+    ascending."""
+    lengths = np.fromiter((len(w) for w in corpus), dtype=np.intp,
+                          count=len(corpus))
+    nodes = np.fromiter(itertools.chain.from_iterable(corpus), dtype=np.intp,
+                        count=int(lengths.sum()))
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    stop = start + np.repeat(lengths, lengths)
+    offsets = np.array([d for d in range(-window, window + 1) if d != 0],
+                       dtype=np.intp)
+    ctx = np.arange(nodes.size)[:, None] + offsets
+    valid = (ctx >= start[:, None]) & (ctx < stop[:, None])
+    centers = np.broadcast_to(nodes[:, None], ctx.shape)[valid]
+    return nodes, np.stack([centers, nodes[ctx[valid]]], axis=1)
 
 
 def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
@@ -81,39 +129,44 @@ def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
     w_in = (rng.random((n_nodes, dim)) - 0.5) / dim
     w_out = np.zeros((n_nodes, dim))
 
-    counts = np.zeros(n_nodes)
-    for walk in corpus:
-        for v in walk:
-            counts[v] += 1
+    nodes, pairs = _context_pairs(corpus, window)
+    n_pairs = len(pairs)
+    if epochs > 0 and n_pairs == 0:
+        raise ValueError(f"no context pairs in the corpus with window {window}")
+    counts = np.bincount(nodes, minlength=n_nodes)
     noise = np.maximum(counts, 1.0) ** 0.75
     noise /= noise.sum()
+    noise_cdf = _inverse_cdf(noise)
 
-    pairs = [pr for walk in corpus for pr in _context_pairs(walk, window)]
-    total = max(1, epochs * len(pairs))
+    labels = np.zeros(negatives + 1)
+    labels[0] = 1.0
+    total = max(1, epochs * n_pairs)
     epoch_losses = []
     step = 0
     for _ in range(epochs):
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(n_pairs)
         loss_sum = 0.0
-        for k in order:
-            center, ctx = pairs[k]
-            cur_lr = lr * max(1e-4, 1.0 - step / total)
-            step += 1
-            targets = np.empty(negatives + 1, dtype=np.intp)
-            targets[0] = ctx
-            targets[1:] = rng.choice(n_nodes, size=negatives, p=noise)
-            labels = np.zeros(negatives + 1)
-            labels[0] = 1.0
-            vin = w_in[center]
-            vout = w_out[targets]
-            scores = 1.0 / (1.0 + np.exp(-vout @ vin))
-            loss_sum += -np.log(max(scores[0], 1e-12)) - np.log(
-                np.maximum(1.0 - scores[1:], 1e-12)).sum()
-            err = scores - labels
-            grad_in = err @ vout
-            w_out[targets] -= cur_lr * err[:, None] * vin[None, :]
-            w_in[center] -= cur_lr * grad_in
-        epoch_losses.append(loss_sum / len(pairs))
+        for lo in range(0, n_pairs, _NEGATIVE_BLOCK):
+            block = order[lo:lo + _NEGATIVE_BLOCK]
+            targets = np.empty((len(block), negatives + 1), dtype=np.intp)
+            targets[:, 0] = pairs[block, 1]
+            targets[:, 1:] = noise_cdf.searchsorted(
+                rng.random((len(block), negatives)), side="right")
+            for center, tgt in zip(pairs[block, 0].tolist(), targets):
+                cur_lr = lr * max(1e-4, 1.0 - step / total)
+                step += 1
+                vin = w_in[center]
+                vout = w_out.take(tgt, axis=0)
+                scores = 1.0 / (1.0 + np.exp(-vout @ vin))
+                if return_losses:
+                    loss_sum += -np.log(max(scores[0], 1e-12)) - np.log(
+                        np.maximum(1.0 - scores[1:], 1e-12)).sum()
+                err = scores - labels
+                grad_in = err @ vout
+                vout -= np.multiply.outer(cur_lr * err, vin)
+                w_out[tgt] = vout
+                w_in[center] -= cur_lr * grad_in
+        epoch_losses.append(loss_sum / n_pairs)
     feats = w_in.copy()
     if return_losses:
         return feats, epoch_losses

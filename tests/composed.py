@@ -1,14 +1,22 @@
-"""The GRU forecaster composed from per-step autodiff ops, and windowing
-as a loop of copies.
+"""Reference implementations the library's faster code must equal bit for bit.
 
-This is the reference ``forecaster.forecast`` must equal bit for bit: about
-25 tape nodes per recurrent step, each with its own textbook backward rule.
-The ops here are the ones nothing in the library needs any more; the tests
-in test_autodiff.py check them like any other op. ``make_windows`` is the
-per-window loop that ``data.make_windows``' strided views must equal.
+- The GRU forecaster composed from per-step autodiff ops: about 25 tape
+  nodes per recurrent step, each with its own textbook backward rule, the
+  reference for ``forecaster.forecast``. The ops here are the ones nothing in
+  the library needs any more; the tests in test_autodiff.py check them like
+  any other op.
+- ``make_windows``: the per-window loop that ``data.make_windows``' strided
+  views must equal.
+- ``biased_walk``, ``build_corpus`` and ``train_skipgram``: node2vec with the
+  walk weights rebuilt at every step and one ``Generator.choice`` call per
+  sampled node, the reference for ``crosscity.node2vec``.
+- ``random_geometric_edges``: the pairwise ``np.linalg.norm`` loop that
+  ``data._make_topology`` must reproduce edge for edge.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -119,3 +127,116 @@ def make_windows(series, history, horizon):
         np.array(inputs)[:, :, None],
         np.array(targets)[:, :, None],
     )
+
+
+def biased_walk(graph, start, length, p, q, rng):
+    """Same contract as ``node2vec.biased_walk``, weights rebuilt per step."""
+    walk = [int(start)]
+    while len(walk) < length:
+        cur = walk[-1]
+        nbrs = graph.neighbors[cur]
+        if not nbrs:
+            break
+        if len(walk) == 1:
+            nxt = nbrs[rng.integers(len(nbrs))]
+        else:
+            prev = walk[-2]
+            prev_nbrs = graph.neighbors[prev]
+            weights = np.empty(len(nbrs))
+            for i, x in enumerate(nbrs):
+                if x == prev:
+                    weights[i] = 1.0 / p
+                elif x in prev_nbrs:
+                    weights[i] = 1.0
+                else:
+                    weights[i] = 1.0 / q
+            weights /= weights.sum()
+            nxt = nbrs[rng.choice(len(nbrs), p=weights)]
+        walk.append(int(nxt))
+    return walk
+
+
+def build_corpus(graph, walks_per_node, length, p=1.0, q=1.0, seed=0):
+    """Same contract as ``node2vec.build_corpus``."""
+    walks = []
+    for node in range(graph.n_nodes):
+        rng = np.random.default_rng([seed, 0x77A1C5, node])
+        for _ in range(walks_per_node):
+            walks.append(biased_walk(graph, node, length, p, q, rng))
+    return walks
+
+
+def _context_pairs(walk, window):
+    for i, center in enumerate(walk):
+        lo = max(0, i - window)
+        hi = min(len(walk), i + window + 1)
+        for j in range(lo, hi):
+            if j != i:
+                yield center, walk[j]
+
+
+def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
+                   lr=0.025, seed=0, return_losses=False):
+    """Same contract as ``node2vec.train_skipgram``: pairs as a list of
+    tuples, one ``rng.choice`` per pair for its negatives. With no context
+    pairs and epochs > 0 the epoch loss divides by zero."""
+    rng = np.random.default_rng([seed, 0x5E1F])
+    w_in = (rng.random((n_nodes, dim)) - 0.5) / dim
+    w_out = np.zeros((n_nodes, dim))
+
+    counts = np.zeros(n_nodes)
+    for walk in corpus:
+        for v in walk:
+            counts[v] += 1
+    noise = np.maximum(counts, 1.0) ** 0.75
+    noise /= noise.sum()
+
+    pairs = [pr for walk in corpus for pr in _context_pairs(walk, window)]
+    total = max(1, epochs * len(pairs))
+    epoch_losses = []
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(len(pairs))
+        loss_sum = 0.0
+        for k in order:
+            center, ctx = pairs[k]
+            cur_lr = lr * max(1e-4, 1.0 - step / total)
+            step += 1
+            targets = np.empty(negatives + 1, dtype=np.intp)
+            targets[0] = ctx
+            targets[1:] = rng.choice(n_nodes, size=negatives, p=noise)
+            labels = np.zeros(negatives + 1)
+            labels[0] = 1.0
+            vin = w_in[center]
+            vout = w_out[targets]
+            scores = 1.0 / (1.0 + np.exp(-vout @ vin))
+            loss_sum += -np.log(max(scores[0], 1e-12)) - np.log(
+                np.maximum(1.0 - scores[1:], 1e-12)).sum()
+            err = scores - labels
+            grad_in = err @ vout
+            w_out[targets] -= cur_lr * err[:, None] * vin[None, :]
+            w_in[center] -= cur_lr * grad_in
+        epoch_losses.append(loss_sum / len(pairs))
+    feats = w_in.copy()
+    if return_losses:
+        return feats, epoch_losses
+    return feats
+
+
+def random_geometric_edges(n, rng):
+    """The edge list of ``data._make_topology``'s random-geometric branch:
+    one ``np.linalg.norm`` per node pair, then stragglers wired to their
+    nearest neighbor."""
+    pts = rng.random((n, 2))
+    radius = 1.7 / math.sqrt(n)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if np.linalg.norm(pts[i] - pts[j]) < radius]
+    deg = np.zeros(n)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for i in np.flatnonzero(deg == 0):
+        d = np.linalg.norm(pts - pts[i], axis=1)
+        d[i] = np.inf
+        edges.append((i, int(d.argmin())))
+    return edges

@@ -131,6 +131,25 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="not a scalar"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, bad):
+        path = tmp_path / "nf.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            f"w shape 2 values 1.0 {bad}\n")
+        with pytest.raises(CheckpointError, match="line 5: w holds a non-finite"):
+            load_checkpoint(path)
+
+    def test_non_finite_stats(self, tmp_path):
+        path = tmp_path / "ns.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            "stats.metro.mean shape - values 1.0\n"
+            "stats.metro.std shape - values nan\n")
+        with pytest.raises(CheckpointError,
+                           match="line 6: stats.metro.std holds a non-finite"):
+            load_checkpoint(path)
+
 
 class TestAtomicSave:
     def test_failed_save_keeps_old_file(self, rng, tmp_path):

@@ -189,6 +189,25 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "missing parameter forecaster.head.b" in err
 
+    def test_evaluate_rejects_checkpoint_with_nan_values(self, synthed, capsys):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out,
+                  "--variant", "target_only"]
+        assert main(["pipeline", *common]) == 0
+        path = os.path.join(out, "finetuned.ckpt")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines("forecaster.head.b shape 3 values nan nan nan\n"
+                          if ln.startswith("forecaster.head.b ") else ln
+                          for ln in lines)
+        capsys.readouterr()
+        assert main(["evaluate", *common]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "forecaster.head.b holds a non-finite value" in err
+        assert "line " in err
+
     def test_compare_needs_two_reports(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)
         assert main(["compare", str(tmp_path / "empty")]) == EXIT_BAD_ARGS

@@ -8,6 +8,7 @@ from crosscity.data import (DataError, INTERVALS_PER_DAY, NormalizationStats,
                             denormalize_values, load_series, load_spec,
                             make_windows, normalize, save_series,
                             synth_generate)
+from crosscity.data import _random_geometric_edges
 from crosscity.graph import RoadGraph
 
 import composed
@@ -255,3 +256,23 @@ class TestSynth:
     def test_unknown_topology(self):
         with pytest.raises(DataError, match="topology"):
             synth_generate(SyntheticCitySpec(topology="torus", days=1))
+
+
+@pytest.mark.parametrize("n", [2, 5, 60, 480, 520])
+def test_random_geometric_edges_equal_the_pairwise_norm_loop(n):
+    for seed in range(4 if n < 400 else 2):
+        got_rng = np.random.default_rng([seed, 0xC17F])
+        want_rng = np.random.default_rng([seed, 0xC17F])
+        got = _random_geometric_edges(n, got_rng)
+        want = composed.random_geometric_edges(n, want_rng)
+        assert got == want, (n, seed)  # the same edges in the same order
+        assert got_rng.random() == want_rng.random()  # the same draws
+
+
+def test_random_geometric_city_equals_the_pairwise_norm_loop():
+    spec = SyntheticCitySpec(n_nodes=70, topology="random-geometric", days=1,
+                             seed=11)
+    g, _ = synth_generate(spec)
+    want = composed.random_geometric_edges(
+        70, np.random.default_rng([11, 0xC17F]))
+    assert g.edges == RoadGraph(70, want).edges

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crosscity.data import DataError
+from crosscity.data import DataError, SyntheticCitySpec, synth_generate
 from crosscity.graph import RoadGraph
 from crosscity import node2vec as n2v
+
+import composed
 
 
 @pytest.fixture
@@ -119,6 +122,91 @@ class TestSkipgram:
         _, losses = n2v.train_skipgram(corpus, 10, dim=16, epochs=4, seed=1,
                                        return_losses=True)
         assert losses[-1] < losses[0]
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return RoadGraph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def skipgram_both(corpus, n_nodes, **kw):
+    """(library, reference) results of train_skipgram; a reference that
+    divides by zero (no context pairs) must be a library ValueError."""
+    try:
+        want = composed.train_skipgram(corpus, n_nodes, **kw)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="no context pairs"):
+            n2v.train_skipgram(corpus, n_nodes, **kw)
+        return None
+    return n2v.train_skipgram(corpus, n_nodes, **kw), want
+
+
+def assert_skipgram_equal(got, want, return_losses):
+    if return_losses:
+        (got, got_losses), (want, want_losses) = got, want
+        assert got_losses == want_losses
+    assert np.array_equal(got, want)
+
+
+class TestEqualsReference:
+    """The CDF samplers draw the same streams as one Generator.choice per
+    sampled node (tests/composed.py), so every result is bit-identical."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=small_graphs(), start=st.integers(0, 7),
+           length=st.integers(1, 9),
+           p=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+           q=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_walk(self, graph, start, length, p, q, seed):
+        start %= graph.n_nodes
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = n2v.biased_walk(graph, start, length, p, q, got_rng)
+        assert got == composed.biased_walk(graph, start, length, p, q, want_rng)
+        assert got_rng.random() == want_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=small_graphs(), walks_per_node=st.integers(1, 4),
+           length=st.integers(1, 8),
+           p=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+           q=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+           window=st.integers(0, 4), negatives=st.integers(0, 5),
+           dim=st.integers(1, 8), epochs=st.integers(0, 3),
+           return_losses=st.booleans(), seed=st.integers(0, 1000))
+    def test_corpus_and_skipgram(self, graph, walks_per_node, length, p, q,
+                                 window, negatives, dim, epochs,
+                                 return_losses, seed):
+        corpus = n2v.build_corpus(graph, walks_per_node, length, p, q, seed)
+        assert corpus == composed.build_corpus(graph, walks_per_node, length,
+                                               p, q, seed)
+        both = skipgram_both(corpus, graph.n_nodes, dim=dim, window=window,
+                             negatives=negatives, epochs=epochs, lr=0.05,
+                             seed=seed, return_losses=return_losses)
+        if both is not None:
+            assert_skipgram_equal(*both, return_losses)
+
+    def test_city_at_default_walk_settings(self):
+        spec = SyntheticCitySpec(n_nodes=40, topology="random-geometric",
+                                 days=1, seed=4)
+        graph, _ = synth_generate(spec)
+        corpus = n2v.build_corpus(graph, 10, 8, 0.5, 2.0, seed=4)
+        assert corpus == composed.build_corpus(graph, 10, 8, 0.5, 2.0, seed=4)
+        got, want = skipgram_both(corpus, 40, dim=16, epochs=2, seed=4,
+                                  return_losses=True)
+        assert_skipgram_equal(got, want, True)
+
+    def test_negatives_do_not_depend_on_the_block_size(self, two_cliques,
+                                                       monkeypatch):
+        corpus = n2v.build_corpus(two_cliques, 3, 6, seed=2)
+        want = composed.train_skipgram(corpus, 10, dim=4, epochs=2, seed=2)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(n2v, "_NEGATIVE_BLOCK", block)
+            assert np.array_equal(
+                n2v.train_skipgram(corpus, 10, dim=4, epochs=2, seed=2), want)
 
 
 def test_feature_csv_round_trip(tmp_path, rng):
