@@ -249,6 +249,10 @@ def load_spec(path):
 
 def _make_topology(spec, rng):
     n = spec.n_nodes
+    if spec.topology in ("ring", "random-geometric") and n < 2:
+        # a lone node would be wired to itself
+        raise DataError(f"spec {spec.name!r}: topology {spec.topology!r} needs "
+                        f"at least 2 nodes, got n_nodes = {n}")
     if spec.topology == "ring":
         edges = [(i, (i + 1) % n) for i in range(n)]
     elif spec.topology == "grid":

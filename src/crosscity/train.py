@@ -217,12 +217,12 @@ def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx):
 
 
 def predict_windows(forecaster, embeddings, dataset, batch=512):
-    """Forecasts for every window of dataset, in order, as one array."""
-    preds = []
-    for lo in range(0, len(dataset), batch):
-        idx = np.arange(lo, min(lo + batch, len(dataset)))
-        f_v = ad.gather_rows(embeddings, dataset.node_ids[idx])
-        preds.append(fc.forecast(forecaster, dataset.inputs[idx], f_v).data)
+    """Forecasts for every window of dataset, in order, as one array: each
+    batch is a slice of the windows, run through the tape-free forward."""
+    emb = embeddings.data
+    preds = [fc.predict(forecaster, dataset.inputs[lo:lo + batch],
+                        emb[dataset.node_ids[lo:lo + batch]])
+             for lo in range(0, len(dataset), batch)]
     return np.concatenate(preds, axis=0)
 
 

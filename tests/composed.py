@@ -2,9 +2,10 @@
 
 - The GRU forecaster composed from per-step autodiff ops: about 25 tape
   nodes per recurrent step, each with its own textbook backward rule, the
-  reference for ``forecaster.forecast``. The ops here are the ones nothing in
-  the library needs any more; the tests in test_autodiff.py check them like
-  any other op.
+  reference for ``forecaster.forecast`` (values and gradients) and for
+  ``forecaster.predict`` and ``train.predict_windows`` (values). The ops here
+  are the ones nothing in the library needs any more; the tests in
+  test_autodiff.py check them like any other op.
 - ``make_windows``: the per-window loop that ``data.make_windows``' strided
   views must equal.
 - ``biased_walk``, ``build_corpus`` and ``train_skipgram``: node2vec with the

@@ -91,6 +91,14 @@ class TestSynth:
         bad.write_text("name = x\nwheels = 4\n")
         assert main(["synth", "--out", str(tmp_path / "x"), str(bad)]) == 1
 
+    def test_single_node_ring_spec(self, tmp_path, capsys):
+        bad = tmp_path / "hamlet.spec"
+        bad.write_text("name = hamlet\nn_nodes = 1\ntopology = ring\ndays = 1\n")
+        assert main(["synth", "--out", str(tmp_path / "x"), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hamlet" in err
+        assert "n_nodes = 1" in err and "Traceback" not in err
+
 
 class TestPipeline:
     def test_full_pipeline(self, synthed):

@@ -257,6 +257,20 @@ class TestSynth:
         with pytest.raises(DataError, match="topology"):
             synth_generate(SyntheticCitySpec(topology="torus", days=1))
 
+    @pytest.mark.parametrize("topology", ["ring", "random-geometric"])
+    def test_single_node_topology_rejected(self, topology):
+        spec = SyntheticCitySpec(name="hamlet", n_nodes=1, topology=topology,
+                                 days=1)
+        with pytest.raises(DataError, match=r"'hamlet'.*at least 2 nodes, "
+                                            r"got n_nodes = 1"):
+            synth_generate(spec)
+
+    def test_single_node_grid(self):
+        g, series = synth_generate(SyntheticCitySpec(n_nodes=1, topology="grid",
+                                                     days=1))
+        assert g.n_nodes == 1 and g.edges == []
+        assert series.n_nodes == 1
+
 
 @pytest.mark.parametrize("n", [2, 5, 60, 480, 520])
 def test_random_geometric_edges_equal_the_pairwise_norm_loop(n):

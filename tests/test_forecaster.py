@@ -200,6 +200,63 @@ def test_fused_forecast_equals_composed_property(batch, hist, hidden, embed,
     assert_matches_composed(p, batch, hist, r)
 
 
+def perturbed_params(hidden, embed, horizon, n_features, r):
+    p = fc.ForecasterParams(n_features, hidden, embed, horizon, r)
+    for t in p.params().values():  # nonzero biases and larger gate inputs
+        t.data = t.data + r.standard_normal(t.data.shape)
+    return p
+
+
+@pytest.mark.parametrize("batch", [1, 9])
+def test_long_window_of_one_unit_states_equals_composed(batch, rng):
+    # hidden 1: every bias gradient step is a single value, which numpy would
+    # sum pairwise over a window of eight steps or more
+    p = perturbed_params(1, 1, 2, 1, rng)
+    assert_matches_composed(p, batch, 12, rng)
+
+
+# -- the tape-free inference path --
+
+def assert_predict_matches(p, batch, hist, r):
+    inputs = r.standard_normal((batch, hist, p.n_features))
+    f_v = r.standard_normal((batch, p.embed_dim))
+    got = fc.predict(p, inputs, f_v)
+    assert type(got) is np.ndarray
+    assert np.array_equal(got, fc.forecast(p, inputs, f_v).data)
+    assert np.array_equal(got, composed.forecast(p, Tensor(inputs), Tensor(f_v)).data)
+
+
+@pytest.mark.parametrize("batch,hist,hidden,embed,horizon,n_features", [
+    (64, 12, 16, 8, 3, 1),
+    (64, 12, 64, 64, 12, 1),
+    (1, 1, 16, 8, 3, 1),
+    (9, 5, 6, 4, 3, 2),
+    (512, 12, 16, 8, 3, 1),    # validation and test batches, acceptance config
+    (512, 12, 64, 64, 12, 1),  # ... and the 64-wide defaults
+])
+def test_predict_equals_forecast_and_composed(batch, hist, hidden, embed,
+                                              horizon, n_features, rng):
+    p = fc.ForecasterParams(n_features, hidden, embed, horizon, rng)
+    assert_predict_matches(p, batch, hist, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_predict_equals_forecast_and_composed_property(batch, hist, hidden, embed,
+                                                       horizon, n_features, seed):
+    r = np.random.default_rng(seed)
+    assert_predict_matches(perturbed_params(hidden, embed, horizon, n_features, r),
+                           batch, hist, r)
+
+
+def test_predict_returns_array_and_records_no_gradient(rng):
+    p = fc.ForecasterParams(1, 4, 3, 2, rng)
+    out = fc.predict(p, rng.standard_normal((5, 6, 1)), rng.standard_normal((5, 3)))
+    assert type(out) is np.ndarray and out.shape == (5, 2, 1)
+    assert all(t.grad is None for t in p.params().values())
+
+
 def test_constant_embeddings_get_no_gradient(rng):
     # temporal_forecaster: the embeddings are a constant zero block
     p = fc.ForecasterParams(1, 4, 3, 2, rng)
@@ -217,3 +274,8 @@ def test_sigmoid_saturates_finitely_and_equals_masked_formula():
     assert np.isfinite(fused).all()
     assert fused[0] == 0.0 and fused[-1] == 1.0
     assert np.array_equal(fused, composed.sigmoid(Tensor(z)).data)
+    # the kernel's call, on a stacked gate pair with output and work array given
+    pair = np.stack([z, z[::-1]])
+    out, work = np.empty_like(pair), np.empty((2,) + pair.shape)
+    assert fc._sigmoid(pair, out, work) is out
+    assert np.array_equal(out, composed.sigmoid(Tensor(pair)).data)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from crosscity import forecaster as fc
 from crosscity import train
 from crosscity.autodiff import Tensor
 from crosscity.config import ExperimentConfig, variant_uses
-from crosscity.data import TrafficSeries
+from crosscity.data import TrafficSeries, make_windows
 from crosscity.graph import RoadGraph
 from crosscity.train import (DomainData, FinetuneModel, PretrainModel,
                              ProtocolError, ReplayLog, Sgdm, clip_global_norm,
                              collect_grads, finetune, pretrain)
+
+import composed
 
 
 # -- optimizer --------------------------------------------------------------
@@ -318,3 +321,19 @@ class TestRunVariant:
         config, sources, target = setup
         with pytest.raises(ValueError, match="variant"):
             run_variant("nope", config, sources, target)
+
+
+# -- batched inference --------------------------------------------------------
+
+def test_predict_windows_equals_per_batch_composed_forecast(rng):
+    series = TrafficSeries(rng.standard_normal((200, 7)))
+    dataset = make_windows(series, 12, 3)
+    assert len(dataset) > 1024 and len(dataset) % 512  # a short last batch
+    p = fc.ForecasterParams(1, 6, 4, 3, rng)
+    emb = Tensor(rng.standard_normal((7, 4)))
+    want = [composed.forecast(p, Tensor(dataset.inputs[lo:lo + 512].copy()),
+                              Tensor(emb.data[dataset.node_ids[lo:lo + 512]])).data
+            for lo in range(0, len(dataset), 512)]
+    got = train.predict_windows(p, emb, dataset)
+    assert got.shape == (len(dataset), 3, 1)
+    assert np.array_equal(got, np.concatenate(want, axis=0))
