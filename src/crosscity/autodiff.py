@@ -2,13 +2,13 @@
 
 Every op records a backward closure on the implicit tape (the graph of
 ``Tensor`` objects); ``backward()`` runs reverse accumulation in topological
-order. Gradients sum when a node feeds multiple consumers. No broadcasting
-except scalar-with-tensor; explicit ops cover the few structured cases
-(row-bias add, row gather) so every backward rule stays auditable. A model
-unit may instead be one fused node with a hand-written backward built on
-``Tensor._result``, as the GRU window in ``forecaster.forecast`` is.
-``matmul`` skips the gradient product for a constant operand such as the
-GIN aggregation matrix (see ``needs_grad``).
+order. Gradients sum when a node feeds multiple consumers. Each model unit
+(GRU window, GIN layer, domain head) is one fused node built on
+``Tensor._result`` with a hand-written backward; the ops here glue those
+together (combiner, row gather, L1 loss), plus ``tsum`` and ``scale`` for
+benchmarks and tests. No broadcasting except scalar-with-tensor and the
+row-bias add. ``matmul`` skips the gradient product for a constant operand
+(see ``needs_grad``).
 """
 
 from __future__ import annotations
@@ -117,16 +117,6 @@ def sub(a, b):
     return Tensor._result(a.data - b.data, (a, b), bwd)
 
 
-def mul(a, b):
-    _check_same_shape("mul", a, b)
-    def bwd(g):
-        ga = g * b.data
-        gb = g * a.data
-        a._accum(ga if ga.shape == a.shape else ga.sum())
-        b._accum(gb if gb.shape == b.shape else gb.sum())
-    return Tensor._result(a.data * b.data, (a, b), bwd)
-
-
 def scale(a, factor):
     """Multiply by a python constant (not differentiated w.r.t. factor)."""
     factor = float(factor)
@@ -136,29 +126,6 @@ def scale(a, factor):
 
 
 # -- unary elementwise ------------------------------------------------------
-
-def relu(a):
-    mask = a.data > 0
-    def bwd(g):
-        a._accum(g * mask)
-    return Tensor._result(a.data * mask, (a,), bwd)
-
-
-def log(a):
-    if np.any(a.data <= 0):
-        raise ValueError("log: non-positive input")
-    def bwd(g):
-        a._accum(g / a.data)
-    return Tensor._result(np.log(a.data), (a,), bwd)
-
-
-def clamp_min(a, floor):
-    """max(a, floor); gradient passes only where a exceeded the floor."""
-    mask = a.data > floor
-    def bwd(g):
-        a._accum(g * mask)
-    return Tensor._result(np.maximum(a.data, floor), (a,), bwd)
-
 
 def absolute(a):
     sign = np.sign(a.data)  # subgradient 0 at ties
@@ -200,37 +167,6 @@ def gather_rows(a, idx):
         np.add.at(buf, idx, g)
         a._accum(buf)
     return Tensor._result(a.data[idx], (a,), bwd)
-
-
-def softmax_rows(a):
-    """Row-wise softmax with max-subtraction; accepts (n,) or (m, n)."""
-    x = a.data
-    if x.ndim == 1:
-        x = x[None, :]
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-    if a.data.ndim == 1:
-        out = out[0]
-    def bwd(g):
-        if a.data.ndim == 1:
-            s, gg = out[None, :], g[None, :]
-        else:
-            s, gg = out, g
-        dot = (gg * s).sum(axis=1, keepdims=True)
-        ga = s * (gg - dot)
-        a._accum(ga[0] if a.data.ndim == 1 else ga)
-    return Tensor._result(out, (a,), bwd)
-
-
-def grad_reverse(a, factor):
-    """Identity forward; backward passes -factor times the upstream gradient."""
-    factor = float(factor)
-    if factor < 0:
-        raise ValueError("grad_reverse: factor must be >= 0")
-    def bwd(g):
-        a._accum(g * (-factor))
-    return Tensor._result(a.data.copy(), (a,), bwd)
 
 
 # -- reductions -------------------------------------------------------------

@@ -90,19 +90,23 @@ def _load_domain(data_dir, name, need_series=True, need_features=True):
 # -- subcommands ------------------------------------------------------------
 
 def cmd_synth(args):
-    os.makedirs(args.out, exist_ok=True)
-    manifest = []
+    missing = [p for p in args.specs if not os.path.exists(p)]
+    if missing:
+        raise CliError(f"spec file not found: {missing[0]}", EXIT_BAD_ARGS)
+    cities = []
     for spec_path in args.specs:
-        if not os.path.exists(spec_path):
-            raise CliError(f"spec file not found: {spec_path}", EXIT_BAD_ARGS)
         spec = dio.load_spec(spec_path)
         if args.seed is not None:
             spec.seed = args.seed
-        graph, series = dio.synth_generate(spec)
-        edges, csv, _ = _domain_paths(args.out, spec.name)
+        cities.append((spec.name, *dio.synth_generate(spec)))
+    # every city generated: only now touch the output directory
+    os.makedirs(args.out, exist_ok=True)
+    manifest = []
+    for name, graph, series in cities:
+        edges, csv, _ = _domain_paths(args.out, name)
         save_graph(graph, edges)
         dio.save_series(series, csv)
-        manifest.append((spec.name, edges, csv))
+        manifest.append((name, edges, csv))
     with open(os.path.join(args.out, "manifest.txt"), "w") as fh:
         for name, edges, csv in manifest:
             fh.write(f"{name} {edges} {csv}\n")

@@ -220,14 +220,14 @@ class SyntheticCitySpec:
             if key not in _SPEC_KEYS:
                 raise DataError(f"unknown synthetic spec key {key!r}")
             current = getattr(spec, key)
-            if isinstance(current, tuple):
-                val = tuple(float(v) for v in raw.split(";") if v)
-            elif isinstance(current, int):
-                val = int(raw)
-            elif isinstance(current, float):
-                val = float(raw)
-            else:
-                val = raw
+            try:
+                if isinstance(current, tuple):
+                    val = tuple(float(v) for v in raw.split(";") if v)
+                else:  # int, float or str, as the field's default is
+                    val = type(current)(raw)
+            except ValueError:
+                raise DataError(f"synthetic spec key {key!r}: cannot read {raw!r} "
+                                f"as {type(current).__name__}") from None
             setattr(spec, key, val)
         return spec
 
@@ -244,7 +244,10 @@ def load_spec(path):
                 continue
             key, _, val = line.partition("=")
             kv[key.strip()] = val.strip()
-    return SyntheticCitySpec.from_kv(kv)
+    try:
+        return SyntheticCitySpec.from_kv(kv)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _make_topology(spec, rng):

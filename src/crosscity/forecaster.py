@@ -34,8 +34,7 @@ class ForecasterParams:
     head maps hidden -> horizon * n_features.
     """
 
-    def __init__(self, n_features=1, hidden_dim=64, embed_dim=64, horizon=12, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, n_features, hidden_dim, embed_dim, horizon, rng):
         self.n_features = n_features
         self.hidden_dim = hidden_dim
         self.embed_dim = embed_dim

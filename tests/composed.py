@@ -1,11 +1,20 @@
 """Reference implementations the library's faster code must equal bit for bit.
 
+- The elementwise and reduction ops the library's fused nodes replaced:
+  ``mul``, ``relu``, ``log``, ``clamp_min``, ``softmax_rows``,
+  ``grad_reverse``, ``sigmoid``, ``tanh``, ``transpose`` and ``concat``,
+  each with its own textbook backward rule. The tests in test_autodiff.py
+  check them like any other op.
 - The GRU forecaster composed from per-step autodiff ops: about 25 tape
-  nodes per recurrent step, each with its own textbook backward rule, the
-  reference for ``forecaster.forecast`` (values and gradients) and for
-  ``forecaster.predict`` and ``train.predict_windows`` (values). The ops here
-  are the ones nothing in the library needs any more; the tests in
-  test_autodiff.py check them like any other op.
+  nodes per recurrent step, the reference for ``forecaster.forecast``
+  (values and gradients) and for ``forecaster.predict`` and
+  ``train.predict_windows`` (values).
+- ``gin_layer`` and ``spatial_encoder``: the GIN layer as nine ops, the
+  reference for ``gin.GinLayer.forward`` and ``gin.SpatialEncoder.forward``.
+- ``classifier_logits``, ``classify`` and ``adversarial_loss``: the domain
+  head as a chain of ops per group (reversal, MLP, softmax, clamp, log,
+  one-hot mask, sum, scale), added left to right over the groups, the
+  reference for ``adversary.adversarial_loss``.
 - ``make_windows``: the per-window loop that ``data.make_windows``' strided
   views must equal.
 - ``biased_walk``, ``build_corpus`` and ``train_skipgram``: node2vec with the
@@ -22,8 +31,73 @@ import math
 import numpy as np
 
 from crosscity import autodiff as ad
+from crosscity.adversary import LOG_FLOOR
 from crosscity.autodiff import ShapeError, Tensor
 from crosscity.data import DataError, WindowedDataset
+
+
+def mul(a, b):
+    ad._check_same_shape("mul", a, b)
+    def bwd(g):
+        ga = g * b.data
+        gb = g * a.data
+        a._accum(ga if ga.shape == a.shape else ga.sum())
+        b._accum(gb if gb.shape == b.shape else gb.sum())
+    return Tensor._result(a.data * b.data, (a, b), bwd)
+
+
+def relu(a):
+    mask = a.data > 0
+    def bwd(g):
+        a._accum(g * mask)
+    return Tensor._result(a.data * mask, (a,), bwd)
+
+
+def log(a):
+    if np.any(a.data <= 0):
+        raise ValueError("log: non-positive input")
+    def bwd(g):
+        a._accum(g / a.data)
+    return Tensor._result(np.log(a.data), (a,), bwd)
+
+
+def clamp_min(a, floor):
+    """max(a, floor); gradient passes only where a exceeded the floor."""
+    mask = a.data > floor
+    def bwd(g):
+        a._accum(g * mask)
+    return Tensor._result(np.maximum(a.data, floor), (a,), bwd)
+
+
+def softmax_rows(a):
+    """Row-wise softmax with max-subtraction; accepts (n,) or (m, n)."""
+    x = a.data
+    if x.ndim == 1:
+        x = x[None, :]
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+    if a.data.ndim == 1:
+        out = out[0]
+    def bwd(g):
+        if a.data.ndim == 1:
+            s, gg = out[None, :], g[None, :]
+        else:
+            s, gg = out, g
+        dot = (gg * s).sum(axis=1, keepdims=True)
+        ga = s * (gg - dot)
+        a._accum(ga[0] if a.data.ndim == 1 else ga)
+    return Tensor._result(out, (a,), bwd)
+
+
+def grad_reverse(a, factor):
+    """Identity forward; backward passes -factor times the upstream gradient."""
+    factor = float(factor)
+    if factor < 0:
+        raise ValueError("grad_reverse: factor must be >= 0")
+    def bwd(g):
+        a._accum(g * (-factor))
+    return Tensor._result(a.data.copy(), (a,), bwd)
 
 
 def sigmoid(a):
@@ -74,10 +148,10 @@ def gru_step(params, x_t, h_prev, f_v):
     xh = concat(x_t, h_prev, axis=1)
     u = sigmoid(ad.add_rowvec(ad.matmul(xh, transpose(params.theta_u)), params.b_u))
     r = sigmoid(ad.add_rowvec(ad.matmul(xh, transpose(params.theta_r)), params.b_r))
-    xrh = concat(x_t, ad.mul(r, h_prev), axis=1)
+    xrh = concat(x_t, mul(r, h_prev), axis=1)
     c = tanh(ad.add_rowvec(ad.matmul(xrh, transpose(params.theta_c)), params.b_c))
-    blended = ad.add(ad.mul(u, h_prev),
-                     ad.mul(ad.sub(Tensor(1.0), u), c))
+    blended = ad.add(mul(u, h_prev),
+                     mul(ad.sub(Tensor(1.0), u), c))
     fe = concat(f_v, blended, axis=1)
     return ad.add_rowvec(ad.matmul(fe, params.mix_w), params.mix_b)
 
@@ -107,6 +181,58 @@ def _reshape_pred(out, batch, horizon, n_features):
     def bwd(g):
         out._accum(g.reshape(batch, horizon * n_features))
     return Tensor._result(out.data.reshape(batch, horizon, n_features), (out,), bwd)
+
+
+def gin_layer(layer, x, agg_matrix):
+    """Same contract as ``gin.GinLayer.forward``, nine ops."""
+    own = mul(x, ad.add(layer.eps, Tensor(1.0)))
+    mixed = ad.add(own, ad.matmul(agg_matrix, x))
+    h = relu(ad.add_rowvec(ad.matmul(mixed, layer.w1), layer.b1))
+    return ad.add_rowvec(ad.matmul(h, layer.w2), layer.b2)
+
+
+def spatial_encoder(encoder, features, graph):
+    """Same contract as ``gin.SpatialEncoder.forward``, layer by layer."""
+    x = features if isinstance(features, Tensor) else Tensor(features)
+    agg = Tensor(graph.mean_aggregation_matrix())
+    for layer in encoder.layers:
+        x = gin_layer(layer, x, agg)
+    return x
+
+
+def classifier_logits(classifier, f_v):
+    x = f_v if isinstance(f_v, Tensor) else Tensor(f_v)
+    h = relu(ad.add_rowvec(ad.matmul(x, classifier.w1), classifier.b1))
+    return ad.add_rowvec(ad.matmul(h, classifier.w2), classifier.b2)
+
+
+def classify(classifier, f_v):
+    """Probability rows for each input embedding."""
+    return softmax_rows(classifier_logits(classifier, f_v))
+
+
+def adversarial_loss(classifier, groups, reversal_factor=None):
+    """Same contract as ``adversary.adversarial_loss``: per group, the
+    embeddings pass through grad_reverse (when a factor is given), the
+    classifier, the softmax, the clamp and the log, and the one-hot mask
+    picks the domain's column; the groups' losses add left to right."""
+    if not groups:
+        raise ValueError("adversarial_loss: no domain groups")
+    total = None
+    for emb, domain in groups:
+        if emb.shape[0] == 0:
+            raise ValueError(f"adversarial_loss: empty group for domain {domain}")
+        x = emb if isinstance(emb, Tensor) else Tensor(emb)
+        if reversal_factor is not None:
+            x = grad_reverse(x, reversal_factor)
+        probs = classify(classifier, x)
+        safe = clamp_min(probs, LOG_FLOOR)
+        mask = np.zeros((x.shape[0], classifier.n_domains))
+        mask[:, domain] = 1.0
+        picked = mul(log(safe), Tensor(mask))
+        ce = ad.scale(ad.tsum(picked), -1.0 / x.shape[0])
+        total = ce if total is None else ad.add(total, ce)
+    return total
 
 
 def make_windows(series, history, horizon):

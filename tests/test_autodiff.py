@@ -32,7 +32,7 @@ class TestForward:
 
     def test_log_domain_error(self):
         with pytest.raises(ValueError, match="non-positive"):
-            ad.log(Tensor([1.0, 0.0]))
+            composed.log(Tensor([1.0, 0.0]))
 
     def test_concat_vectors(self):
         out = composed.concat(Tensor([1.0]), Tensor([2.0, 3.0]), axis=0)
@@ -52,52 +52,52 @@ class TestForward:
 
     def test_finite_outputs_on_finite_inputs(self, rng):
         x = Tensor(rng.standard_normal((4, 4)) * 50)
-        for op in (composed.sigmoid, composed.tanh, ad.relu, ad.softmax_rows,
-                   ad.absolute):
+        for op in (composed.sigmoid, composed.tanh, composed.relu,
+                   composed.softmax_rows, ad.absolute):
             assert np.isfinite(op(x).data).all()
 
 
 class TestSoftmax:
     def test_uniform(self):
-        out = ad.softmax_rows(Tensor([0.0, 0.0, 0.0]))
+        out = composed.softmax_rows(Tensor([0.0, 0.0, 0.0]))
         assert np.allclose(out.data, 1 / 3, atol=1e-15)
 
     def test_no_overflow(self):
-        out = ad.softmax_rows(Tensor([1000.0, 0.0]))
+        out = composed.softmax_rows(Tensor([1000.0, 0.0]))
         assert np.isfinite(out.data).all()
         assert out.data[0] > 0.999999
 
     def test_sums_to_one(self, rng):
         for _ in range(10):
-            out = ad.softmax_rows(Tensor(rng.standard_normal(7)))
+            out = composed.softmax_rows(Tensor(rng.standard_normal(7)))
             assert abs(out.data.sum() - 1.0) < 1e-12
             assert (out.data > 0).all()
 
     def test_shift_invariance(self, rng):
         x = rng.standard_normal(5)
-        a = ad.softmax_rows(Tensor(x)).data
-        b = ad.softmax_rows(Tensor(x + 123.456)).data
+        a = composed.softmax_rows(Tensor(x)).data
+        b = composed.softmax_rows(Tensor(x + 123.456)).data
         assert np.allclose(a, b, atol=1e-9)
 
 
 class TestGradReverse:
     def test_forward_identity(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        assert np.array_equal(ad.grad_reverse(x, 0.5).data, x.data)
+        assert np.array_equal(composed.grad_reverse(x, 0.5).data, x.data)
 
     def test_backward_negates(self):
         x = Tensor([1.0, 1.0], requires_grad=True)
-        ad.tsum(ad.grad_reverse(x, 1.0)).backward()
+        ad.tsum(composed.grad_reverse(x, 1.0)).backward()
         assert x.grad.tolist() == [-1.0, -1.0]
 
     def test_factor_zero_annihilates(self):
         x = Tensor([2.0, 3.0], requires_grad=True)
-        ad.tsum(ad.grad_reverse(x, 0.0)).backward()
+        ad.tsum(composed.grad_reverse(x, 0.0)).backward()
         assert x.grad.tolist() == [0.0, 0.0]
 
     def test_negative_factor_rejected(self):
         with pytest.raises(ValueError):
-            ad.grad_reverse(Tensor([1.0]), -0.1)
+            composed.grad_reverse(Tensor([1.0]), -0.1)
 
     def test_matches_negated_identity_path(self, rng):
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -108,7 +108,7 @@ class TestGradReverse:
             w.grad = None
             h = ad.matmul(x, w)
             if with_reversal:
-                h = ad.grad_reverse(h, factor)
+                h = composed.grad_reverse(h, factor)
             ad.tsum(composed.sigmoid(h)).backward()
             return w.grad.copy()
 
@@ -118,7 +118,7 @@ class TestGradReverse:
 class TestBackward:
     def test_square(self):
         x = Tensor(3.0, requires_grad=True)
-        ad.mul(x, x).backward()
+        composed.mul(x, x).backward()
         assert x.grad == 6.0
 
     def test_mean(self):
@@ -133,7 +133,7 @@ class TestBackward:
     def test_unused_parameter_has_no_grad(self):
         x = Tensor(2.0, requires_grad=True)
         y = Tensor(4.0, requires_grad=True)
-        ad.mul(x, x).backward()
+        composed.mul(x, x).backward()
         assert y.grad is None  # callers treat missing grads as zero
 
     def test_matmul_constant_operand_gets_no_grad(self, rng):
@@ -145,7 +145,7 @@ class TestBackward:
 
     def test_accumulation_on_fanout(self):
         x = Tensor(2.0, requires_grad=True)
-        ad.add(ad.mul(x, x), ad.mul(x, x)).backward()  # d/dx 2x^2 = 4x
+        ad.add(composed.mul(x, x), composed.mul(x, x)).backward()  # d/dx 2x^2 = 4x
         assert x.grad == 8.0
 
     def test_concat_backward_splits_ones(self):
@@ -167,8 +167,9 @@ class TestBackward:
         assert abs(x.grad - 0.25) < 1e-12
         assert_grads_close(lambda: composed.sigmoid(x), {"x": x})
 
-    @pytest.mark.parametrize("op", [composed.sigmoid, composed.tanh, ad.relu,
-                                    ad.absolute, ad.softmax_rows])
+    @pytest.mark.parametrize("op", [composed.sigmoid, composed.tanh,
+                                    composed.relu, ad.absolute,
+                                    composed.softmax_rows])
     def test_elementwise_grads_vs_finite_diff(self, op, rng):
         # 10 random points per op, rel err < 1e-4 against central differences
         for _ in range(10):
@@ -177,8 +178,8 @@ class TestBackward:
 
     def test_log_and_clamp_grads(self, rng):
         x = Tensor(rng.random(5) + 0.5, requires_grad=True)
-        assert_grads_close(lambda: ad.tsum(ad.log(x)), {"x": x})
-        assert_grads_close(lambda: ad.tsum(ad.clamp_min(x, 0.9)), {"x": x})
+        assert_grads_close(lambda: ad.tsum(composed.log(x)), {"x": x})
+        assert_grads_close(lambda: ad.tsum(composed.clamp_min(x, 0.9)), {"x": x})
 
     def test_structured_op_grads(self, rng):
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -212,9 +213,9 @@ class TestDeterminism:
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_softmax_normalization_property(vals):
-    out = ad.softmax_rows(Tensor(np.array(vals)))
+    out = composed.softmax_rows(Tensor(np.array(vals)))
     assert abs(out.data.sum() - 1.0) < 1e-12
-    shifted = ad.softmax_rows(Tensor(np.array(vals) + 7.25))
+    shifted = composed.softmax_rows(Tensor(np.array(vals) + 7.25))
     assert np.allclose(out.data, shifted.data, atol=1e-9)
 
 
@@ -228,7 +229,7 @@ def test_grad_reverse_scaling_property(seed, factor):
     def grad(rev):
         w.grad = None
         h = ad.matmul(x, w)
-        h = ad.grad_reverse(h, factor) if rev else h
+        h = composed.grad_reverse(h, factor) if rev else h
         ad.tsum(composed.tanh(h)).backward()
         return w.grad.copy()
 

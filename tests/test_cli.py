@@ -99,6 +99,31 @@ class TestSynth:
         assert err.startswith("error: ") and "hamlet" in err
         assert "n_nodes = 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("bad_text, code", [
+        ("name = hamlet\nn_nodes = 1\ntopology = ring\ndays = 1\n", 1),
+        (None, EXIT_BAD_ARGS),
+        ("name = hamlet\nn_nodes = ten\ndays = 1\n", 1),
+    ], ids=["one-node-ring", "missing", "bad-value"])
+    def test_failing_spec_writes_no_city(self, tmp_path, capsys, bad_text, code):
+        # the good spec comes first; nothing of it may reach --out
+        good = write_specs(tmp_path)[0]
+        bad = tmp_path / "hamlet.spec"
+        if bad_text is not None:
+            bad.write_text(bad_text)
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), good, str(bad)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_bad_spec_value_names_file_and_key(self, tmp_path, capsys):
+        bad = tmp_path / "town.spec"
+        bad.write_text("name = town\nn_nodes = ten\n")
+        assert main(["synth", "--out", str(tmp_path / "x"), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "'n_nodes'" in err and "'ten'" in err and "Traceback" not in err
+
 
 class TestPipeline:
     def test_full_pipeline(self, synthed):

@@ -195,6 +195,22 @@ class TestSpec:
         assert spec.name == "ville" and spec.n_nodes == 9
         assert spec.topology == "ring"
 
+    @pytest.mark.parametrize("key, raw", [("n_nodes", "ten"), ("base_flow", "lots"),
+                                          ("peak_hours", "8;noon")])
+    def test_bad_value_names_key_and_value(self, key, raw):
+        with pytest.raises(DataError) as exc:
+            SyntheticCitySpec.from_kv({"name": "x", key: raw})
+        assert repr(key) in str(exc.value) and repr(raw) in str(exc.value)
+
+    def test_load_spec_bad_value_names_file(self, tmp_path):
+        path = tmp_path / "c.spec"
+        path.write_text("name = ville\nn_nodes = ten\n")
+        with pytest.raises(DataError) as exc:
+            load_spec(path)
+        msg = str(exc.value)
+        assert msg.startswith(f"{path}: ")
+        assert "'n_nodes'" in msg and "'ten'" in msg
+
 
 class TestSynth:
     def test_deterministic(self):

@@ -12,7 +12,7 @@ from conftest import assert_grads_close
 
 def identity_encoder(dim, n_layers=1):
     """ε=0, both MLP affines set to identity (relu is identity on >=0)."""
-    enc = SpatialEncoder(dim, dim, n_layers)
+    enc = SpatialEncoder(dim, dim, n_layers, np.random.default_rng(0))
     for layer in enc.layers:
         layer.eps.data = np.zeros(())
         layer.w1.data = np.eye(dim)
@@ -52,7 +52,7 @@ def test_row_count_mismatch_rejected(rng):
 
 
 def test_param_names_and_determinism():
-    enc = SpatialEncoder(8, 8, 1)
+    enc = SpatialEncoder(8, 8, 1, np.random.default_rng(0))
     names = list(enc.params("encoder").keys())
     assert names == ["encoder.layer0.eps", "encoder.layer0.mlp.w1",
                      "encoder.layer0.mlp.b1", "encoder.layer0.mlp.w2",
@@ -62,7 +62,7 @@ def test_param_names_and_determinism():
 
 def test_param_count_formula():
     d = 8
-    enc = SpatialEncoder(d, d, 2)
+    enc = SpatialEncoder(d, d, 2, np.random.default_rng(0))
     count = sum(p.data.size for p in enc.params().values())
     per_layer = 1 + d * d + d + d * d + d  # eps + two affine maps
     assert count == 2 * per_layer
@@ -102,3 +102,41 @@ def test_epsilon_gradient_vs_finite_diff(rng):
     params = enc.params()
     assert_grads_close(lambda: ad.tmean(composed.tanh(enc.forward(feats, g))),
                        params)
+
+
+def _encoder_grads(enc, x, graph, forward, weights):
+    """Output and every gradient (parameters, then x) of
+    sum(weights * forward(x, graph)) on a fresh tape."""
+    for p in [x, *enc.params().values()]:
+        p.grad = None
+    out = forward(x, graph)
+    ad.tsum(composed.mul(out, Tensor(weights))).backward()
+    grads = {k: p.grad for k, p in enc.params().items()}
+    grads["x"] = x.grad
+    return out.data, grads
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_fused_layer_equals_composed_exactly(n_layers, x_grad, rng):
+    # nodes 5 and 6 are isolated: their aggregation row is zero
+    graph = RoadGraph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    enc = SpatialEncoder(5, 6, n_layers, rng)
+    for i, layer in enumerate(enc.layers):
+        layer.eps.data = np.asarray(0.3 - 0.5 * i)
+        layer.b1.data = rng.standard_normal(6) * 0.5
+        layer.b2.data = rng.standard_normal(6)
+    x = Tensor(rng.standard_normal((7, 5)), requires_grad=x_grad)
+    weights = rng.standard_normal((7, 6))
+    got, got_g = _encoder_grads(enc, x, graph, enc.forward, weights)
+    want, want_g = _encoder_grads(
+        enc, x, graph, lambda f, g: composed.spatial_encoder(enc, f, g), weights)
+    assert np.array_equal(got, want)
+    if not x_grad:
+        # a constant gets no gradient; the composed mul gave it one anyway
+        assert got_g.pop("x") is None
+        want_g.pop("x")
+    assert got_g.keys() == want_g.keys()
+    for k in want_g:
+        assert np.array_equal(got_g[k], want_g[k]), k
+

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crosscity import forecaster as fc
+from crosscity import gin
 from crosscity import train
 from crosscity.autodiff import Tensor
 from crosscity.config import ExperimentConfig, variant_uses
@@ -337,3 +338,74 @@ def test_predict_windows_equals_per_batch_composed_forecast(rng):
     got = train.predict_windows(p, emb, dataset)
     assert got.shape == (len(dataset), 3, 1)
     assert np.array_equal(got, np.concatenate(want, axis=0))
+
+
+# -- fused model units on the pretrain tape -----------------------------------
+
+def _pretrain_step_grads(monkeypatch, config, sources, target):
+    """Every parameter's gradient, before clipping, at each pretrain step."""
+    steps = []
+
+    def recording(params):
+        grads = collect_grads(params)
+        steps.append({k: g.copy() for k, g in grads.items()})
+        return grads
+
+    monkeypatch.setattr(train, "collect_grads", recording)
+    ckpt = pretrain(config, sources, target)
+    return steps, ckpt
+
+
+@pytest.mark.parametrize("gin_layers", [1, 2])
+def test_pretrain_step_gradients_equal_composed_exactly(gin_layers, setup,
+                                                        monkeypatch):
+    # three domain groups share the classifier, so its gradients hold three
+    # terms whose order of accumulation shows in the last bits
+    config, sources, target = setup
+    config.gin_layers = gin_layers
+    config.pretrain_epochs, config.pretrain_batches_per_epoch = 1, 2
+    got, got_ckpt = _pretrain_step_grads(monkeypatch, config, sources, target)
+    with monkeypatch.context() as m:
+        m.setattr(train, "adversarial_loss", composed.adversarial_loss)
+        m.setattr(gin.GinLayer, "forward", composed.gin_layer)
+        want, want_ckpt = _pretrain_step_grads(m, config, sources, target)
+    assert len(got) == len(want) == 4
+    for step, (g, w) in enumerate(zip(got, want)):
+        assert g.keys() == w.keys()
+        for k in w:
+            assert np.array_equal(g[k], w[k]), f"step {step}: {k}"
+    assert got_ckpt == want_ckpt
+
+
+def _op_nodes(loss):
+    """Nodes with a backward rule on loss's tape, counted once each."""
+    seen, stack, ops = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        ops += node._backward is not None
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return ops
+
+
+@pytest.mark.parametrize("gin_layers", [1, 2])
+def test_pretrain_step_tape_holds_one_node_per_unit(gin_layers, setup,
+                                                    monkeypatch):
+    # per step: one node per GIN layer of the three encoders, the domain
+    # head, the row gather, the GRU window, the L1 loss's sub, absolute and
+    # mean, and the sum of the two losses
+    config, sources, target = setup
+    config.gin_layers = gin_layers
+    config.pretrain_epochs, config.pretrain_batches_per_epoch = 1, 1
+    counts = []
+    update = train._update
+
+    def counting(params, loss, *rest):
+        counts.append(_op_nodes(loss))
+        return update(params, loss, *rest)
+
+    monkeypatch.setattr(train, "_update", counting)
+    pretrain(config, sources, target)
+    assert counts == [3 * gin_layers + 7] * len(sources)
