@@ -31,12 +31,12 @@ class DomainClassifier:
         self.w2 = Tensor(glorot(rng, hidden_dim, n_domains), requires_grad=True)
         self.b2 = Tensor(np.zeros(n_domains), requires_grad=True)
 
-    def params(self, prefix="classifier"):
+    def params(self):
         return {
-            f"{prefix}.w1": self.w1,
-            f"{prefix}.b1": self.b1,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.b2": self.b2,
+            "classifier.w1": self.w1,
+            "classifier.b1": self.b1,
+            "classifier.w2": self.w2,
+            "classifier.b2": self.b2,
         }
 
 
@@ -94,7 +94,7 @@ def adversarial_loss(classifier, groups, reversal_factor=None):
     return Tensor._result(np.asarray(total), parents, backward)
 
 
-def adaptation_factor(progress, eta=10.0):
+def adaptation_factor(progress, eta):
     """Schedule F in [0, 2/(1+e^-eta)-1); exact 0 at progress 0."""
     if progress < 0.0 or progress > 1.0:
         warnings.warn(f"adaptation progress {progress} outside [0,1]; clamped")

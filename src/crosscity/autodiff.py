@@ -5,10 +5,10 @@ Every op records a backward closure on the implicit tape (the graph of
 order. Gradients sum when a node feeds multiple consumers. Each model unit
 (GRU window, GIN layer, domain head) is one fused node built on
 ``Tensor._result`` with a hand-written backward; the ops here glue those
-together (combiner, row gather, L1 loss), plus ``tsum`` and ``scale`` for
-benchmarks and tests. No broadcasting except scalar-with-tensor and the
-row-bias add. ``matmul`` skips the gradient product for a constant operand
-(see ``needs_grad``).
+together (combiner, row gather, L1 loss), plus ``tsum`` for benchmarks and
+tests. No broadcasting except scalar-with-tensor and the row-bias add.
+``matmul`` skips the gradient product for a constant operand (see
+``needs_grad``).
 """
 
 from __future__ import annotations
@@ -115,14 +115,6 @@ def sub(a, b):
         a._accum(g if not _is_scalar(a) or a.shape == g.shape else g.sum())
         b._accum(-g if not _is_scalar(b) or b.shape == g.shape else -g.sum())
     return Tensor._result(a.data - b.data, (a, b), bwd)
-
-
-def scale(a, factor):
-    """Multiply by a python constant (not differentiated w.r.t. factor)."""
-    factor = float(factor)
-    def bwd(g):
-        a._accum(g * factor)
-    return Tensor._result(a.data * factor, (a,), bwd)
 
 
 # -- unary elementwise ------------------------------------------------------

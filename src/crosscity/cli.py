@@ -77,7 +77,7 @@ def _load_domain(data_dir, name, need_series=True, need_features=True):
     if need_series:
         if not os.path.exists(csv):
             raise CliError(f"missing series file {csv}", EXIT_BAD_ARGS)
-        series = dio.load_series(csv, graph, domain=name)
+        series = dio.load_series(csv, graph)
     features = None
     if need_features:
         if not os.path.exists(feats):

@@ -28,13 +28,12 @@ INTERVALS_PER_DAY = 288  # 5-minute bins
 class TrafficSeries:
     """T x N observation matrix plus interval metadata and a read counter."""
 
-    def __init__(self, values, interval_minutes=5, domain="", start=None):
+    def __init__(self, values, interval_minutes=5, start=None):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise DataError(f"series must be T x N, got shape {values.shape}")
         self._values = values
         self.interval_minutes = interval_minutes
-        self.domain = domain
         self.start = start or datetime(2024, 1, 1)
         self.read_count = 0
 
@@ -52,8 +51,7 @@ class TrafficSeries:
         return self._values
 
     def replaced(self, values):
-        out = TrafficSeries(values, self.interval_minutes, self.domain, self.start)
-        return out
+        return TrafficSeries(values, self.interval_minutes, self.start)
 
 
 class NormalizationStats(NamedTuple):
@@ -141,37 +139,58 @@ def chrono_split(series, ratios=(0.7, 0.1, 0.2), history=12, horizon=12,
 
 # -- CSV ingestion ----------------------------------------------------------
 
-def load_series(path, graph, interval_minutes=5, domain=""):
-    """Parse 'timestamp,node0,...' CSV; rejects gaps, disorder, NaN and inf."""
+def read_cells(parse, toks, path, ln, cols):
+    """parse applied to the cells toks of CSV line ln, under the headers
+    cols; DataError names the path, line and column of the first cell it
+    cannot read, or of a non-finite float."""
+    try:
+        vals = [parse(tok) for tok in toks]
+        if parse is not float or all(map(math.isfinite, vals)):
+            return vals
+    except ValueError:
+        pass
+    for col, tok in zip(cols, toks):  # find the bad cell
+        try:
+            v = parse(tok)
+        except ValueError:
+            raise DataError(f"{path}, line {ln}, column {col}: cannot read {tok!r}") from None
+        if not math.isfinite(v):
+            raise DataError(f"{path}, line {ln}, column {col}: non-finite value {tok!r}")
+
+
+def load_series(path, graph):
+    """Parse a 'timestamp,node0,...' CSV, one value column per graph node.
+
+    The first two timestamps fix the interval, a positive whole number of
+    minutes, and every later step must equal it. DataError names the path
+    and line (and column, for a cell) of whatever it refuses.
+    """
+    width = graph.n_nodes + 1
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if len(header) != graph.n_nodes + 1:
-            raise DataError(
-                f"expected {graph.n_nodes + 1} columns, found {len(header)}")
+        if len(header) != width:
+            raise DataError(f"{path}: expected {width} columns, found {len(header)}")
         rows, stamps = [], []
         for ln, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if len(parts) != graph.n_nodes + 1:
-                raise DataError(f"row {ln}: expected {graph.n_nodes + 1} columns")
-            stamps.append(datetime.fromisoformat(parts[0]))
-            vals = []
-            for col, tok in enumerate(parts[1:]):
-                v = float(tok)
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"row {ln}, column {header[col + 1]}: non-finite value {tok!r}")
-                vals.append(v)
-            rows.append(vals)
-    if not rows:
-        raise DataError("empty series file")
-    step = timedelta(minutes=interval_minutes)
+            if len(parts) != width:
+                raise DataError(f"{path}, line {ln}: expected {width} columns")
+            stamps += read_cells(datetime.fromisoformat, parts[:1], path, ln, header)
+            rows.append(read_cells(float, parts[1:], path, ln, header[1:]))
+    if len(rows) < 2:
+        raise DataError(f"{path}: {len(rows)} rows, too few to fix the interval")
+    step, minute = stamps[1] - stamps[0], timedelta(minutes=1)
+    if step > timedelta(0) and step % minute:
+        raise DataError(f"{path}, line 3: interval {step} is not whole minutes")
     for i in range(1, len(stamps)):
         delta = stamps[i] - stamps[i - 1]
         if delta <= timedelta(0):
-            raise DataError(f"row {i + 2}: timestamps not strictly increasing")
-        if delta > step:
-            raise DataError(f"row {i + 2}: gap of {delta} exceeds one interval")
-    return TrafficSeries(np.array(rows), interval_minutes, domain, stamps[0])
+            raise DataError(f"{path}, line {i + 2}: timestamps not strictly increasing")
+        if delta != step:
+            kind = "gap" if delta > step else "shorter step"
+            raise DataError(f"{path}, line {i + 2}: {kind} of {delta}; "
+                            f"the interval is {step}")
+    return TrafficSeries(np.array(rows), step // minute, stamps[0])
 
 
 def save_series(series, path):
@@ -322,4 +341,4 @@ def synth_generate(spec):
     x = (1.0 - spec.smoothing) * x + spec.smoothing * (x @ agg.T)
     x = x + spec.noise_level * rng.standard_normal(x.shape)
     x = np.maximum(x, 0.0)
-    return graph, TrafficSeries(x, spec.interval_minutes, spec.name)
+    return graph, TrafficSeries(x, spec.interval_minutes)

@@ -55,18 +55,18 @@ class ForecasterParams:
                              requires_grad=True)
         self.head_b = Tensor(np.zeros(horizon * n_features), requires_grad=True)
 
-    def params(self, prefix="forecaster"):
+    def params(self):
         return {
-            f"{prefix}.theta_u": self.theta_u,
-            f"{prefix}.theta_r": self.theta_r,
-            f"{prefix}.theta_c": self.theta_c,
-            f"{prefix}.b_u": self.b_u,
-            f"{prefix}.b_r": self.b_r,
-            f"{prefix}.b_c": self.b_c,
-            f"{prefix}.mix.w": self.mix_w,
-            f"{prefix}.mix.b": self.mix_b,
-            f"{prefix}.head.w": self.head_w,
-            f"{prefix}.head.b": self.head_b,
+            "forecaster.theta_u": self.theta_u,
+            "forecaster.theta_r": self.theta_r,
+            "forecaster.theta_c": self.theta_c,
+            "forecaster.b_u": self.b_u,
+            "forecaster.b_r": self.b_r,
+            "forecaster.b_c": self.b_c,
+            "forecaster.mix.w": self.mix_w,
+            "forecaster.mix.b": self.mix_b,
+            "forecaster.head.w": self.head_w,
+            "forecaster.head.b": self.head_b,
         }
 
 
@@ -253,12 +253,11 @@ def _sum_back(stack):
     return np.add.reduce(stack[::-1], axis=0, initial=0.0)
 
 
-def _sigmoid(z, out=None, work=None):
+def _sigmoid(z, out, w):
     """Logistic function as exp(min(z, 0)) / (1 + exp(-|z|)): exp never sees
     a positive argument, so it cannot overflow, and the value is 1 / (1 + e)
-    where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|). work, if given,
-    is a (2,) + z.shape work array."""
-    w = np.empty((2,) + z.shape) if work is None else work
+    where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|). w is a
+    (2,) + z.shape work array."""
     np.abs(z, out=w[0])
     np.negative(w[0], out=w[0])
     np.minimum(z, 0.0, out=w[1])

@@ -41,18 +41,10 @@ class RoadGraph:
         the one dense N x N array a graph keeps."""
         return (self._mean_agg > 0).astype(np.float64)
 
-    def degree(self, v):
-        return len(self.neighbors[v])
-
     def mean_aggregation_matrix(self):
         """Row-normalized adjacency, rows of isolated nodes all-zero; built
         with the graph, so every call returns the same read-only array."""
         return self._mean_agg
-
-    def permuted(self, perm):
-        """Relabel node i as perm[i]; used by equivariance checks."""
-        perm = np.asarray(perm)
-        return RoadGraph(self.n_nodes, [(perm[u], perm[v]) for u, v in self.edges])
 
 
 def load_graph(path_or_lines, n_nodes=None):

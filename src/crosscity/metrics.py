@@ -2,7 +2,7 @@
 embedding export, and the domain-confusion probe.
 
 All metrics run on the raw (denormalized) vph scale. MAPE averages only
-over samples whose ground truth exceeds a threshold (default 1 vph); the
+over samples whose ground truth exceeds ``MAPE_THRESHOLD`` (1 vph); the
 included count is carried in the report.
 """
 
@@ -13,9 +13,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checkpoint import atomic_open
+from .checkpoint import CheckpointError, atomic_open
+from .config import variant_uses
 from .data import chrono_split, denormalize_values, make_windows, normalize
 from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
+
+
+MAPE_THRESHOLD = 1.0  # vph; MAPE skips samples whose truth is not above it
 
 
 class MetricError(ValueError):
@@ -36,12 +40,12 @@ def rmse(y, y_hat):
     return float(np.sqrt(((y - y_hat) ** 2).mean()))
 
 
-def mape(y, y_hat, threshold=1.0, return_count=False):
-    """Fractional MAPE over indices with |y| > threshold."""
+def mape(y, y_hat, return_count=False):
+    """Fractional MAPE over indices with |y| > MAPE_THRESHOLD."""
     y, y_hat = np.asarray(y, float).reshape(-1), np.asarray(y_hat, float).reshape(-1)
     if y.size == 0 or y.size != y_hat.size:
         raise MetricError(f"mape: bad lengths {y.size} vs {y_hat.size}")
-    keep = np.abs(y) > threshold
+    keep = np.abs(y) > MAPE_THRESHOLD
     if not keep.any():
         raise MetricError("mape: every sample fell below the inclusion threshold")
     value = float((np.abs(y[keep] - y_hat[keep]) / np.abs(y[keep])).mean())
@@ -62,7 +66,7 @@ class MetricReport:
     seed: int
     config_hash: str
     domain: str = ""
-    mape_threshold: float = 1.0
+    mape_threshold: float = MAPE_THRESHOLD
 
     def to_kv(self):
         lines = []
@@ -97,27 +101,29 @@ class MetricReport:
             raise MetricError(f"{path}: {exc}") from exc
 
 
-def _reports(variant, truth, preds, horizons, config, target, mape_threshold):
+def _reports(variant, truth, preds, horizons, config, target):
     """One MetricReport per horizon over each window's first h steps."""
     reports = []
     for h in horizons:
         y, y_hat = truth[:, :h, :], preds[:, :h, :]
-        mp, included = mape(y, y_hat, mape_threshold, return_count=True)
+        mp, included = mape(y, y_hat, return_count=True)
         reports.append(MetricReport(
             variant=variant, horizon=h, mae=mae(y, y_hat), rmse=rmse(y, y_hat),
             mape=mp, n_samples=y.size, mape_included=included,
             seed=config.seed, config_hash=config.config_hash(),
-            domain=target.name, mape_threshold=mape_threshold))
+            domain=target.name))
     return reports
 
 
-def evaluate(checkpoint, config, target, horizons=(3, 6, 12), variant="model",
-             mape_threshold=1.0):
-    """Metric reports on the target test split, one per horizon.
+def evaluate(checkpoint, config, target, horizons, variant):
+    """Metric reports of `variant` on the target test split, one per horizon.
 
-    Predictions come from the finetuned model in the checkpoint, are cut to
-    each requested horizon's first steps, and denormalized with the stored
-    target stats before scoring.
+    The model is the ``FinetuneModel`` of `variant`, and the finetuned
+    checkpoint must hold exactly its parameters, else ``CheckpointError``.
+    Predictions are cut to each horizon's first steps and denormalized with
+    the stored target stats. A checkpoint records no variant, so ``full``,
+    ``wo_da`` and ``target_only``, which share their parameter names, pass
+    for one another.
     """
     if checkpoint.stage != "finetuned":
         raise ValueError(f"evaluate expects a finetuned checkpoint, got "
@@ -125,11 +131,13 @@ def evaluate(checkpoint, config, target, horizons=(3, 6, 12), variant="model",
     for h in horizons:
         if h > config.horizon:
             raise ValueError(f"horizon {h} exceeds trained horizon {config.horizon}")
-    use_encoder = any(k.startswith("encoder.target") for k in checkpoint.tensors)
-    use_private = any(k.startswith("encoder.private") for k in checkpoint.tensors)
-    rng = np.random.default_rng(0)
-    model = FinetuneModel(config, rng, use_encoder, use_private)
-    _load_params(model.params(), checkpoint.tensors)
+    model = FinetuneModel(config, variant_uses(variant), np.random.default_rng(0))
+    params = model.params()
+    for name in checkpoint.tensors:
+        if name not in params:
+            raise CheckpointError(f"checkpoint parameter {name} is not part "
+                                  f"of a {variant!r} model")
+    _load_params(params, checkpoint.tensors)
 
     st = checkpoint.stats[target.name]
     _, _, test = chrono_split(target.series, config.split_ratios,
@@ -139,11 +147,10 @@ def evaluate(checkpoint, config, target, horizons=(3, 6, 12), variant="model",
     emb = model.embeddings(target.raw_features, target.graph)
     preds = denormalize_values(predict_windows(model.forecaster, emb, test_set), st)
     truth = denormalize_values(test_set.targets, st)
-    return _reports(variant, truth, preds, horizons, config, target,
-                    mape_threshold)
+    return _reports(variant, truth, preds, horizons, config, target)
 
 
-def evaluate_ha(config, target, horizons=(3, 6, 12), mape_threshold=1.0):
+def evaluate_ha(config, target, horizons=(3, 6, 12)):
     """Historical-average baseline on the identical test windows."""
     _, _, test = chrono_split(target.series, config.split_ratios,
                               config.history, config.horizon,
@@ -154,8 +161,7 @@ def evaluate_ha(config, target, horizons=(3, 6, 12), mape_threshold=1.0):
     inputs = np.ascontiguousarray(test_set.inputs)
     means = inputs.mean(axis=1, keepdims=True)  # (B, 1, N_f)
     preds = np.repeat(means, config.horizon, axis=1)
-    return _reports("ha", test_set.targets, preds, horizons, config, target,
-                    mape_threshold)
+    return _reports("ha", test_set.targets, preds, horizons, config, target)
 
 
 def compare_variants(reports, reference):

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, read_cells
 
 # Context pairs whose negatives are drawn in one piece, bounding the memory
 # of a large corpus; the draws are the same for any block size.
@@ -49,8 +49,9 @@ def _transition_cdf(graph, prev, cur, p, q):
 
 
 def _walk(graph, start, length, p, q, rng, cdfs):
-    """biased_walk with the transition CDFs memoized in cdfs, a dict keyed
-    by (prev, cur) that is valid for one graph, p and q."""
+    """One second-order random walk from start, stopping early at a dead
+    end; the transition CDFs are memoized in cdfs, a dict keyed by (prev,
+    cur) that is valid for one graph, p and q."""
     walk = [int(start)]
     while len(walk) < length:
         cur = walk[-1]
@@ -69,25 +70,13 @@ def _walk(graph, start, length, p, q, rng, cdfs):
     return walk
 
 
-def _check_walk_args(length, p, q):
-    if length < 1:
-        raise ValueError("walk length must be >= 1")
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
-
-
-def biased_walk(graph, start, length, p, q, rng):
-    """One second-order random walk; stops early at a dead end."""
-    _check_walk_args(length, p, q)
-    return _walk(graph, start, length, p, q, rng, {})
-
-
 def build_corpus(graph, walks_per_node, length, p=1.0, q=1.0, seed=0):
     """walks_per_node walks from every node; per-node RNG streams keep the
     corpus deterministic regardless of iteration order."""
     if walks_per_node < 1 or length < 1:
         raise ValueError("walks_per_node and length must be positive")
-    _check_walk_args(length, p, q)
+    if p <= 0 or q <= 0:
+        raise ValueError("p and q must be positive")
     cdfs = {}
     walks = []
     for node in range(graph.n_nodes):
@@ -190,19 +179,22 @@ def save_features(features, path):
 
 
 def load_features(path):
-    """Read a save_features CSV; node ids must be exactly 0..N-1 and every
-    row equally wide."""
+    """Read a save_features CSV; node ids must be exactly 0..N-1, every row
+    as wide as the header and every feature a finite number. DataError
+    names the path, and the line and column of a bad cell."""
     rows = []
     with open(path) as fh:
-        fh.readline()  # header
-        for line in fh:
+        header = fh.readline().strip().split(",")
+        for ln, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            rows.append((int(parts[0]), [float(x) for x in parts[1:]]))
+            if len(parts) != len(header):
+                raise DataError(f"{path}, line {ln}: row width {len(parts)}, "
+                                f"header width {len(header)}")
+            node, = read_cells(int, parts[:1], path, ln, header)
+            rows.append((node, read_cells(float, parts[1:], path, ln, header[1:])))
     if not rows:
         raise DataError(f"{path}: no feature rows")
     rows.sort()
     if [v for v, _ in rows] != list(range(len(rows))):
         raise DataError(f"{path}: node ids are not exactly 0..{len(rows) - 1}")
-    if len({len(vals) for _, vals in rows}) > 1:
-        raise DataError(f"{path}: feature rows differ in width")
     return np.array([vals for _, vals in rows])

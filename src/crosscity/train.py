@@ -65,11 +65,9 @@ class Sgdm:
         self.velocity = {}
 
     def step(self, params, grads):
+        """grads holds a gradient for every name in params."""
         for name, p in params.items():
-            v = self.momentum * self.velocity.get(name, 0.0)
-            g = grads.get(name)
-            if g is not None:
-                v = v + g
+            v = self.momentum * self.velocity.get(name, 0.0) + grads[name]
             self.velocity[name] = v
             p.data = p.data - self.lr * v
 
@@ -116,8 +114,8 @@ class PretrainModel:
         for name in self.source_names:
             out.update(self.encoders[name].params(f"encoder.src.{name}"))
         out.update(self.target_encoder.params("encoder.target"))
-        out.update(self.forecaster.params("forecaster"))
-        out.update(self.classifier.params("classifier"))
+        out.update(self.forecaster.params())
+        out.update(self.classifier.params())
         return out
 
 
@@ -137,35 +135,34 @@ class CombinerParams:
         b = ad.add_rowvec(ad.matmul(private, self.pri_w), self.pri_b)
         return ad.add_rowvec(ad.matmul(ad.add(a, b), self.cmb_w), self.cmb_b)
 
-    def params(self, prefix="combiner"):
+    def params(self):
         return {
-            f"{prefix}.pre.w": self.pre_w, f"{prefix}.pre.b": self.pre_b,
-            f"{prefix}.pri.w": self.pri_w, f"{prefix}.pri.b": self.pri_b,
-            f"{prefix}.cmb.w": self.cmb_w, f"{prefix}.cmb.b": self.cmb_b,
+            "combiner.pre.w": self.pre_w, "combiner.pre.b": self.pre_b,
+            "combiner.pri.w": self.pri_w, "combiner.pri.b": self.pri_b,
+            "combiner.cmb.w": self.cmb_w, "combiner.cmb.b": self.cmb_b,
         }
 
 
 class FinetuneModel:
-    """Target-side model: pre-trained encoder/forecaster plus fresh private
-    encoder and combiner. Variant flags prune unused parts."""
+    """Target-side model with the parts `uses` (``config.variant_uses``)
+    names, drawn from rng in this order: shared encoder, private encoder,
+    combiner, forecaster. An unused part is None; params() names the rest."""
 
-    def __init__(self, config, rng, use_encoder=True, use_private=True):
+    def __init__(self, config, uses, rng):
         d = config.embed_dim
-        self.use_encoder = use_encoder
-        self.use_private = use_private
-        self.encoder = SpatialEncoder(d, d, config.gin_layers, rng) if use_encoder else None
+        self.encoder = (SpatialEncoder(d, d, config.gin_layers, rng)
+                        if uses.shared_encoder else None)
         self.private = (SpatialEncoder(d, d, config.gin_layers, rng)
-                        if use_encoder and use_private else None)
-        self.combiner = (CombinerParams(d, rng)
-                         if use_encoder and use_private else None)
+                        if uses.private_encoder else None)
+        self.combiner = CombinerParams(d, rng) if uses.private_encoder else None
         self.forecaster = ForecasterParams(
             config.n_features, config.hidden_dim, d, config.horizon, rng)
 
     def embeddings(self, raw, graph):
-        if not self.use_encoder:
+        if self.encoder is None:
             return Tensor(np.zeros((graph.n_nodes, self.forecaster.embed_dim)))
         shared = self.encoder.forward(raw, graph)
-        if not self.use_private:
+        if self.private is None:
             return shared
         private = self.private.forward(raw, graph)
         return self.combiner.combine(shared, private)
@@ -177,8 +174,8 @@ class FinetuneModel:
         if self.private is not None:
             out.update(self.private.params("encoder.private"))
         if self.combiner is not None:
-            out.update(self.combiner.params("combiner"))
-        out.update(self.forecaster.params("forecaster"))
+            out.update(self.combiner.params())
+        out.update(self.forecaster.params())
         return out
 
 
@@ -216,13 +213,16 @@ def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx):
     return fc.source_loss(preds, dataset.targets[idx])
 
 
-def predict_windows(forecaster, embeddings, dataset, batch=512):
+_PREDICT_BATCH = 512  # windows per tape-free forward call
+
+
+def predict_windows(forecaster, embeddings, dataset):
     """Forecasts for every window of dataset, in order, as one array: each
     batch is a slice of the windows, run through the tape-free forward."""
-    emb = embeddings.data
-    preds = [fc.predict(forecaster, dataset.inputs[lo:lo + batch],
-                        emb[dataset.node_ids[lo:lo + batch]])
-             for lo in range(0, len(dataset), batch)]
+    emb, n = embeddings.data, _PREDICT_BATCH
+    preds = [fc.predict(forecaster, dataset.inputs[lo:lo + n],
+                        emb[dataset.node_ids[lo:lo + n]])
+             for lo in range(0, len(dataset), n)]
     return np.concatenate(preds, axis=0)
 
 
@@ -330,11 +330,10 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
                 f"expected a 'pretrained' checkpoint, got {checkpoint.stage!r}")
 
     init_rng = np.random.default_rng([config.seed, 0xF17E])
-    model = FinetuneModel(config, init_rng, uses.shared_encoder,
-                          uses.private_encoder)
+    model = FinetuneModel(config, uses, init_rng)
     if uses.pretrain:
         _load_params(model.encoder.params("encoder.target"), checkpoint.tensors)
-        _load_params(model.forecaster.params("forecaster"), checkpoint.tensors)
+        _load_params(model.forecaster.params(), checkpoint.tensors)
     params = model.params()
     opt = Sgdm(config.learning_rate, config.momentum)
     batch_rng = np.random.default_rng([config.seed, 0xF1BA])

@@ -1,7 +1,7 @@
 """Reference implementations the library's faster code must equal bit for bit.
 
 - The elementwise and reduction ops the library's fused nodes replaced:
-  ``mul``, ``relu``, ``log``, ``clamp_min``, ``softmax_rows``,
+  ``mul``, ``scale``, ``relu``, ``log``, ``clamp_min``, ``softmax_rows``,
   ``grad_reverse``, ``sigmoid``, ``tanh``, ``transpose`` and ``concat``,
   each with its own textbook backward rule. The tests in test_autodiff.py
   check them like any other op.
@@ -22,6 +22,8 @@
   sampled node, the reference for ``crosscity.node2vec``.
 - ``random_geometric_edges``: the pairwise ``np.linalg.norm`` loop that
   ``data._make_topology`` must reproduce edge for edge.
+- ``permuted_graph``: a graph with its nodes relabeled, for the encoder's
+  permutation-equivariance checks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from crosscity import autodiff as ad
 from crosscity.adversary import LOG_FLOOR
 from crosscity.autodiff import ShapeError, Tensor
 from crosscity.data import DataError, WindowedDataset
+from crosscity.graph import RoadGraph
 
 
 def mul(a, b):
@@ -88,6 +91,14 @@ def softmax_rows(a):
         ga = s * (gg - dot)
         a._accum(ga[0] if a.data.ndim == 1 else ga)
     return Tensor._result(out, (a,), bwd)
+
+
+def scale(a, factor):
+    """Multiply by a python constant (not differentiated w.r.t. factor)."""
+    factor = float(factor)
+    def bwd(g):
+        a._accum(g * factor)
+    return Tensor._result(a.data * factor, (a,), bwd)
 
 
 def grad_reverse(a, factor):
@@ -230,7 +241,7 @@ def adversarial_loss(classifier, groups, reversal_factor=None):
         mask = np.zeros((x.shape[0], classifier.n_domains))
         mask[:, domain] = 1.0
         picked = mul(log(safe), Tensor(mask))
-        ce = ad.scale(ad.tsum(picked), -1.0 / x.shape[0])
+        ce = scale(ad.tsum(picked), -1.0 / x.shape[0])
         total = ce if total is None else ad.add(total, ce)
     return total
 
@@ -257,7 +268,8 @@ def make_windows(series, history, horizon):
 
 
 def biased_walk(graph, start, length, p, q, rng):
-    """Same contract as ``node2vec.biased_walk``, weights rebuilt per step."""
+    """Same walk as ``node2vec._walk`` (called with an empty CDF memo),
+    weights rebuilt per step."""
     walk = [int(start)]
     while len(walk) < length:
         cur = walk[-1]
@@ -367,3 +379,9 @@ def random_geometric_edges(n, rng):
         d[i] = np.inf
         edges.append((i, int(d.argmin())))
     return edges
+
+
+def permuted_graph(graph, perm):
+    """graph with node i relabeled as perm[i]."""
+    perm = np.asarray(perm)
+    return RoadGraph(graph.n_nodes, [(perm[u], perm[v]) for u, v in graph.edges])

@@ -24,6 +24,7 @@ from crosscity.graph import RoadGraph
 from crosscity.train import (DomainData, PretrainModel, ReplayLog, finetune,
                              pretrain)
 
+import composed
 from conftest import analytic_grads, finite_diff
 
 
@@ -56,7 +57,7 @@ def test_full_loss_gradient_matches_finite_differences(rng):
         # joint loss with a constant coupling weight; the reversal wiring is
         # checked separately since finite differences cannot observe it
         loss_adv = adversarial_loss(model.classifier, groups)
-        return ad.add(loss_src, ad.scale(loss_adv, 0.5))
+        return ad.add(loss_src, composed.scale(loss_adv, 0.5))
 
     params = model.params()
     ana = analytic_grads(loss_fn, params)
@@ -126,7 +127,7 @@ def test_encoder_permutation_equivariance(rng):
         perm = rng.permutation(n)
         x_p = np.empty_like(x)
         x_p[perm] = x  # node i relabeled as perm[i]
-        out_p = enc.forward(x_p, graph.permuted(perm)).data
+        out_p = enc.forward(x_p, composed.permuted_graph(graph, perm)).data
         assert np.abs(out_p[perm] - out).max() < 1e-9
     print("\nPASS encoder equivariance on 20 random graphs")
 

@@ -116,7 +116,7 @@ def assert_head_equals_composed(clf, groups, factor, upstream=1.0):
         for t in tensors.values():
             t.grad = None
         loss = loss_fn(clf, groups, reversal_factor=factor)
-        ad.scale(loss, upstream).backward()
+        composed.scale(loss, upstream).backward()
         runs.append((loss.data, {k: t.grad for k, t in tensors.items()}))
     (got, got_g), (want, want_g) = runs
     assert np.array_equal(got, want)

@@ -151,6 +151,18 @@ class TestPipeline:
         assert not os.path.exists(os.path.join(out, "pretrained.ckpt"))
         assert os.path.exists(os.path.join(out, "report_target_only_h3_s0.txt"))
 
+    def test_fifteen_minute_city(self, tmp_path):
+        specs = write_specs(tmp_path)
+        with open(specs[2], "a") as fh:
+            fh.write("interval_minutes = 15\n")
+        data = str(tmp_path / "data")
+        assert main(["synth", "--out", data] + specs) == 0
+        cfg_path, _ = tiny_config_file(tmp_path)
+        out = str(tmp_path / "run_q")
+        assert main(["pipeline", "--config", cfg_path, "--data", data,
+                     "--out", out, "--variant", "target_only"]) == 0
+        assert os.path.exists(os.path.join(out, "report_target_only_h3_s0.txt"))
+
     def test_compare_over_reports(self, synthed):
         data, cfg_path, _, tmp_path = synthed
         out = str(tmp_path / "run_cmp")
@@ -240,6 +252,53 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "forecaster.head.b holds a non-finite value" in err
         assert "line " in err
+
+    @pytest.mark.parametrize("trained, label, message", [
+        ("full", "wo_pri", "is not part of a 'wo_pri' model"),
+        ("full", "temporal_forecaster",
+         "is not part of a 'temporal_forecaster' model"),
+        ("wo_pri", "full", "missing parameter encoder.private."),
+        ("temporal_forecaster", "full", "missing parameter encoder.target."),
+    ])
+    def test_evaluate_refuses_a_checkpoint_of_another_variant(
+            self, synthed, capsys, trained, label, message):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out]
+        assert main(["pipeline", *common, "--variant", trained]) == 0
+
+        def files():
+            return {f: open(os.path.join(out, f), "rb").read()
+                    for f in sorted(os.listdir(out))}
+        before = files()
+        capsys.readouterr()
+        assert main(["evaluate", *common, "--variant", label]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        # no report written, every existing one byte-unchanged
+        assert files() == before
+
+    @pytest.mark.parametrize("suffix", [".csv", ".features.csv"])
+    def test_unreadable_cell_names_file_line_and_column(self, synthed, capsys,
+                                                        suffix):
+        data, cfg_path, _, tmp_path = synthed
+        assert main(["embed", "--config", cfg_path, "--data", data]) == 0
+        path = os.path.join(data, "tee" + suffix)
+        lines = open(path).read().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[1] = "abc"
+        lines[2] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        column = lines[0].split(",")[1]
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg_path, "--data", data,
+                     "--out", str(tmp_path / "o"),
+                     "--variant", "target_only"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path}, line 3, column {column}: cannot read 'abc'" in err
 
     def test_compare_needs_two_reports(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)

@@ -130,10 +130,10 @@ class TestSplit:
 class TestCsv:
     def test_round_trip(self, rng, tmp_path):
         g = RoadGraph(3, [(0, 1), (1, 2)])
-        s = series_of(rng.random((20, 3)) * 500, domain="demo")
+        s = series_of(rng.random((20, 3)) * 500)
         path = tmp_path / "demo.csv"
         save_series(s, path)
-        back = load_series(path, g, domain="demo")
+        back = load_series(path, g)
         assert np.array_equal(back.signal(), s.signal())
         assert back.start == s.start
 
@@ -141,10 +141,46 @@ class TestCsv:
         path = tmp_path / "gap.csv"
         path.write_text(
             "timestamp,node0\n"
+            "2023-12-31T23:55:00,0.0\n"
             "2024-01-01T00:00:00,1.0\n"
             "2024-01-01T00:15:00,2.0\n")
         with pytest.raises(DataError, match="gap"):
             load_series(path, RoadGraph(1, []))
+
+    def test_interval_read_from_the_file(self, rng, tmp_path):
+        g = RoadGraph(2, [(0, 1)])
+        s = series_of(rng.random((10, 2)), interval_minutes=15)
+        path = tmp_path / "q.csv"
+        save_series(s, path)
+        back = load_series(path, g)
+        assert back.interval_minutes == 15
+        assert np.array_equal(back.signal(), s.signal())
+
+    @pytest.mark.parametrize("stamps, match", [
+        (("00:00:00", "00:15:00", "00:20:00"), "shorter"),
+        (("00:00:00", "00:15:00", "00:30:00", "00:35:00"), "shorter"),
+        (("00:00:00", "00:00:30", "00:01:00"), "whole minutes"),
+        (("00:00:00",), "too few"),
+        (("00:05:00", "00:05:00", "00:10:00"), "increasing"),
+    ])
+    def test_rejects_steps_off_the_interval(self, tmp_path, stamps, match):
+        path = tmp_path / "steps.csv"
+        path.write_text("timestamp,node0\n" + "".join(
+            f"2024-01-01T{t},1.0\n" for t in stamps))
+        with pytest.raises(DataError, match=match):
+            load_series(path, RoadGraph(1, []))
+
+    @pytest.mark.parametrize("row, column", [("2024-01-01T00:05:00,1.0,abc", "node1"),
+                                             ("2024-01-01T00:05:00,,2.0", "node0"),
+                                             ("noon,1.0,2.0", "timestamp")])
+    def test_unreadable_cell_names_path_line_and_column(self, tmp_path, row,
+                                                         column):
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp,node0,node1\n"
+                        f"2024-01-01T00:00:00,1.0,2.0\n{row}\n")
+        with pytest.raises(DataError) as exc:
+            load_series(path, RoadGraph(2, [(0, 1)]))
+        assert f"{path}, line 3, column {column}: " in str(exc.value)
 
     def test_rejects_disorder(self, tmp_path):
         path = tmp_path / "dis.csv"
@@ -267,7 +303,7 @@ class TestSynth:
     def test_grid_topology_nodes_connected(self):
         spec = SyntheticCitySpec(n_nodes=9, topology="grid", days=1)
         g, _ = synth_generate(spec)
-        assert all(g.degree(v) > 0 for v in range(9))
+        assert all(len(g.neighbors[v]) > 0 for v in range(9))
 
     def test_unknown_topology(self):
         with pytest.raises(DataError, match="topology"):

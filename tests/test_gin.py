@@ -80,7 +80,7 @@ def test_permutation_equivariance(rng):
         base = enc.forward(feats, g).data
         permuted_feats = np.empty_like(feats)
         permuted_feats[perm] = feats
-        permuted = enc.forward(permuted_feats, g.permuted(perm)).data
+        permuted = enc.forward(permuted_feats, composed.permuted_graph(g, perm)).data
         assert np.allclose(permuted[perm], base, atol=1e-9)
 
 

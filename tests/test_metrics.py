@@ -64,7 +64,7 @@ class TestEvaluateHa:
         config = ExperimentConfig(history=3, horizon=4, target_domain="t")
         values = np.tile([1.0, 2.0, 3.0], 34)[:100, None]
         target = DomainData("t", RoadGraph(1, []), None,
-                            TrafficSeries(values, domain="t"))
+                            TrafficSeries(values))
         reports = evaluate_ha(config, target, horizons=(1, 2, 3, 4))
         test = values[80:, 0]
         for rep in reports:
@@ -80,7 +80,7 @@ class TestEvaluateHa:
         config = ExperimentConfig(history=12, horizon=12, target_domain="t")
         values = 200.0 + 150.0 * rng.random((600, 9))
         target = DomainData("t", RoadGraph(9, []), None,
-                            TrafficSeries(values, domain="t"))
+                            TrafficSeries(values))
         got = evaluate_ha(config, target)
         monkeypatch.setattr(metrics, "make_windows", composed.make_windows)
         assert got == evaluate_ha(config, target)

@@ -26,18 +26,18 @@ def two_cliques():
 class TestWalks:
     def test_sole_neighbor_always_chosen(self, path_graph):
         rng = np.random.default_rng(0)
-        walk = n2v.biased_walk(path_graph, 0, 2, 1.0, 1.0, rng)
+        walk = n2v._walk(path_graph, 0, 2, 1.0, 1.0, rng, {})
         assert walk == [0, 1]
 
     def test_isolated_start_gives_singleton(self):
         g = RoadGraph(3, [(1, 2)])
-        walk = n2v.biased_walk(g, 0, 8, 1.0, 1.0, np.random.default_rng(0))
+        walk = n2v._walk(g, 0, 8, 1.0, 1.0, np.random.default_rng(0), {})
         assert walk == [0]
 
     def test_walks_respect_adjacency(self, two_cliques):
         rng = np.random.default_rng(7)
         for start in range(10):
-            walk = n2v.biased_walk(two_cliques, start, 8, 0.5, 2.0, rng)
+            walk = n2v._walk(two_cliques, start, 8, 0.5, 2.0, rng, {})
             for a, b in zip(walk, walk[1:]):
                 assert two_cliques.adjacency[a, b] == 1.0
 
@@ -48,7 +48,7 @@ class TestWalks:
         counts = {1: 0, 2: 0, 3: 0}
         steps = 10_000
         for _ in range(steps):
-            walk = n2v.biased_walk(g, 1, 3, 1.0, 1.0, rng)
+            walk = n2v._walk(g, 1, 3, 1.0, 1.0, rng, {})
             # second transition leaves node walk[1]; count choices out of node 0
             if walk[1] == 0:
                 counts[walk[2]] += 1
@@ -63,7 +63,7 @@ class TestWalks:
         rng = np.random.default_rng(3)
         returns = 0
         for _ in range(2000):
-            walk = n2v.biased_walk(g, 0, 3, 0.01, 1.0, rng)
+            walk = n2v._walk(g, 0, 3, 0.01, 1.0, rng, {})
             if walk == [0, 1, 0]:
                 returns += 1
         assert returns > 1800  # 1/p = 100 vs 1/q = 1
@@ -165,7 +165,7 @@ class TestEqualsReference:
         start %= graph.n_nodes
         got_rng = np.random.default_rng(seed)
         want_rng = np.random.default_rng(seed)
-        got = n2v.biased_walk(graph, start, length, p, q, got_rng)
+        got = n2v._walk(graph, start, length, p, q, got_rng, {})
         assert got == composed.biased_walk(graph, start, length, p, q, want_rng)
         assert got_rng.random() == want_rng.random()
 
@@ -230,6 +230,17 @@ def test_feature_csv_rejects_ragged_rows(tmp_path):
     path.write_text("node,f0,f1\n0,1.0,2.0\n1,3.0\n")
     with pytest.raises(DataError, match="width"):
         n2v.load_features(path)
+
+
+@pytest.mark.parametrize("row, column", [("1,abc,2.0", "f0"), ("1,1.0,nan", "f1"),
+                                         ("one,1.0,2.0", "node")])
+def test_feature_csv_unreadable_cell_names_path_line_and_column(tmp_path, row,
+                                                                column):
+    path = tmp_path / "f.csv"
+    path.write_text(f"node,f0,f1\n0,1.0,2.0\n{row}\n")
+    with pytest.raises(DataError) as exc:
+        n2v.load_features(path)
+    assert f"{path}, line 3, column {column}: " in str(exc.value)
 
 
 def test_feature_csv_rejects_a_file_without_rows(tmp_path):

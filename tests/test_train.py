@@ -5,7 +5,7 @@ from crosscity import forecaster as fc
 from crosscity import gin
 from crosscity import train
 from crosscity.autodiff import Tensor
-from crosscity.config import ExperimentConfig, variant_uses
+from crosscity.config import VARIANTS, ExperimentConfig, variant_uses
 from crosscity.data import TrafficSeries, make_windows
 from crosscity.graph import RoadGraph
 from crosscity.train import (DomainData, FinetuneModel, PretrainModel,
@@ -90,7 +90,7 @@ def tiny_domain(name, n_nodes, seed, config, with_series=True):
         t = np.arange(120, dtype=float)
         base = 50 + 20 * np.sin(2 * np.pi * t / 24)
         series = TrafficSeries(
-            base[:, None] + 2 * rng.standard_normal((120, n_nodes)), domain=name)
+            base[:, None] + 2 * rng.standard_normal((120, n_nodes)))
     return DomainData(name, graph, raw, series)
 
 
@@ -227,6 +227,16 @@ class TestFinetune:
         assert any(k.startswith("encoder.target") for k in fin_tonly.tensors)
         fin_temp = finetune(None, target, config, variant="temporal_forecaster")
         assert not any(k.startswith("encoder") for k in fin_temp.tensors)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_model_params_name_the_checkpoint(self, setup, variant):
+        config, sources, target = setup
+        uses = variant_uses(variant)
+        pre = (pretrain(config, sources, target, variant=variant)
+               if uses.pretrain else None)
+        fin = finetune(pre, target, config, variant=variant)
+        model = FinetuneModel(config, uses, np.random.default_rng(0))
+        assert list(model.params()) == list(fin.tensors)
 
     def test_stage_checks(self, setup):
         config, sources, target = setup
