@@ -42,11 +42,17 @@ def _load_config(args):
         if not os.path.exists(args.config):
             raise CliError(f"config file not found: {args.config}", EXIT_BAD_ARGS)
         with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(fh.read())
+            try:
+                cfg = ExperimentConfig.from_json(fh.read())
+            except ValueError as exc:
+                raise CliError(f"{args.config}: {exc}") from None
     else:
         cfg = ExperimentConfig()
-    overrides = dict(kv.split("=", 1) for kv in (args.set or []))
-    cfg = cfg.with_overrides(overrides)
+    items = args.set or []
+    for kv in items:
+        if "=" not in kv:
+            raise CliError(f"--set {kv!r}: expected KEY=VALUE")
+    cfg = cfg.with_overrides(dict(kv.split("=", 1) for kv in items))
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
@@ -68,23 +74,22 @@ def _domain_paths(data_dir, name):
             os.path.join(data_dir, f"{name}.features.csv"))
 
 
-def _load_domain(data_dir, name, need_series=True, need_features=True):
+def _existing(path, what):
+    if not os.path.exists(path):
+        raise CliError(f"missing {path}, the {what}", EXIT_BAD_ARGS)
+    return path
+
+
+def _load_city(data_dir, name, series):
+    """City `name`'s graph and node2vec features, and its traffic series
+    only when `series` is true."""
     edges, csv, feats = _domain_paths(data_dir, name)
-    if not os.path.exists(edges):
-        raise CliError(f"missing edge list {edges}", EXIT_BAD_ARGS)
-    graph = load_graph(edges)
-    series = None
-    if need_series:
-        if not os.path.exists(csv):
-            raise CliError(f"missing series file {csv}", EXIT_BAD_ARGS)
-        series = dio.load_series(csv, graph)
-    features = None
-    if need_features:
-        if not os.path.exists(feats):
-            raise CliError(f"missing features file {feats}; run `embed` first",
-                           EXIT_BAD_ARGS)
-        features = n2v.load_features(feats)
-    return DomainData(name, graph, features, series)
+    graph = load_graph(_existing(edges, "edge list"))
+    traffic = (dio.load_series(_existing(csv, "series file"), graph)
+               if series else None)
+    features = n2v.load_features(
+        _existing(feats, "features file `embed` writes"))
+    return DomainData(name, graph, features, traffic)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -98,7 +103,13 @@ def cmd_synth(args):
         spec = dio.load_spec(spec_path)
         if args.seed is not None:
             spec.seed = args.seed
-        cities.append((spec.name, *dio.synth_generate(spec)))
+        graph, series = dio.synth_generate(spec)
+        if not graph.neighbors[-1]:
+            # an edge list records its node count as the highest id it names
+            raise CliError(f"{spec_path}: node {graph.n_nodes - 1} of city "
+                           f"{spec.name!r} has no edge, so its edge list "
+                           f"cannot record n_nodes = {graph.n_nodes}")
+        cities.append((spec.name, graph, series))
     # every city generated: only now touch the output directory
     os.makedirs(args.out, exist_ok=True)
     manifest = []
@@ -118,12 +129,13 @@ def cmd_embed(args):
     cfg = _load_config(args)
     names = list(cfg.source_domains) + [cfg.target_domain]
     for name in names:
-        dom = _load_domain(args.data, name, need_series=False, need_features=False)
+        edges, _, feats_path = _domain_paths(args.data, name)
+        graph = load_graph(_existing(edges, "edge list"))
         feats = n2v.raw_features(
-            dom.graph, cfg.embed_dim, cfg.walks_per_node, cfg.walk_length,
+            graph, cfg.embed_dim, cfg.walks_per_node, cfg.walk_length,
             cfg.walk_p, cfg.walk_q, cfg.skipgram_window, cfg.skipgram_negatives,
             cfg.skipgram_epochs, cfg.skipgram_lr, cfg.seed)
-        n2v.save_features(feats, _domain_paths(args.data, name)[2])
+        n2v.save_features(feats, feats_path)
     print(f"embedded {len(names)} cities")
     return 0
 
@@ -136,16 +148,10 @@ def _load_run_checkpoint(args, cfg, stage):
     return ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
 
 
-def _gather_domains(args, cfg, target_needs_series):
-    sources = [_load_domain(args.data, n) for n in cfg.source_domains]
-    target = _load_domain(args.data, cfg.target_domain,
-                          need_series=target_needs_series)
-    return sources, target
-
-
 def cmd_pretrain(args):
     cfg = _load_config(args)
-    sources, target = _gather_domains(args, cfg, target_needs_series=False)
+    sources = [_load_city(args.data, n, series=True) for n in cfg.source_domains]
+    target = _load_city(args.data, cfg.target_domain, series=False)
     _echo_config(cfg, args.out)
     log = ReplayLog() if args.replay_log else None
     ckpt = pretrain(cfg, sources, target, variant=args.variant, replay_log=log)
@@ -158,7 +164,7 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     cfg = _load_config(args)
-    _, target = _gather_domains(args, cfg, target_needs_series=True)
+    target = _load_city(args.data, cfg.target_domain, series=True)
     pre = (_load_run_checkpoint(args, cfg, "pretrained")
            if variant_uses(args.variant).pretrain else None)
     _echo_config(cfg, args.out)
@@ -174,7 +180,7 @@ def cmd_finetune(args):
 def cmd_evaluate(args):
     cfg = _load_config(args)
     fin = _load_run_checkpoint(args, cfg, "finetuned")
-    _, target = _gather_domains(args, cfg, target_needs_series=True)
+    target = _load_city(args.data, cfg.target_domain, series=True)
     horizons = tuple(h for h in (3, 6, 12) if h <= cfg.horizon)
     reports = mx.evaluate(fin, cfg, target, horizons, variant=args.variant)
     reports += mx.evaluate_ha(cfg, target, horizons)
@@ -203,9 +209,10 @@ def cmd_compare(args):
 def cmd_export_embeddings(args):
     cfg = _load_config(args)
     pre = _load_run_checkpoint(args, cfg, "pretrained")
-    sources, target = _gather_domains(args, cfg, target_needs_series=False)
+    cities = [_load_city(args.data, n, series=False)
+              for n in cfg.source_domains + [cfg.target_domain]]
     out_csv = os.path.join(args.out, "embeddings.csv")
-    mx.export_embeddings(pre, cfg, sources + [target], out_csv)
+    mx.export_embeddings(pre, cfg, cities, out_csv)
     print(f"wrote {out_csv}")
     return 0
 
@@ -238,7 +245,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p):
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key")
@@ -248,12 +255,14 @@ def build_parser():
                        help="model variant")
         p.add_argument("--replay-log", action="store_true",
                        help="write one line per optimizer step")
-        if data:
-            p.add_argument("--data", default="runs/data",
-                           help="directory with NAME.edges / NAME.csv files")
+        p.add_argument("--data", default="runs/data",
+                       help="directory with NAME.edges / NAME.csv files")
 
     p = sub.add_parser("synth", help="generate synthetic cities from spec files")
-    common(p, data=False)
+    p.add_argument("--out", default="runs/run0",
+                   help="directory the cities are written to")
+    p.add_argument("--seed", type=int,
+                   help="seed for every city, replacing its spec's own")
     p.add_argument("specs", nargs="+", help="key=value synthetic city spec files")
     p.set_defaults(func=cmd_synth)
 

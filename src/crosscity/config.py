@@ -112,16 +112,21 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
             cur = getattr(self, key)
             items = [s for s in raw.split(";") if s]
-            if isinstance(cur, int):
-                d[key] = int(raw)
-            elif isinstance(cur, float):
-                d[key] = float(raw)
-            elif isinstance(cur, tuple):
-                d[key] = [float(s) for s in items]
-            elif isinstance(cur, list):
-                d[key] = items
-            elif cur is None:
-                d[key] = None if raw in ("", "none", "None") else int(raw)
-            else:
-                d[key] = raw
+            try:
+                if isinstance(cur, int):
+                    d[key] = int(raw)
+                elif isinstance(cur, float):
+                    d[key] = float(raw)
+                elif isinstance(cur, tuple):
+                    d[key] = [float(s) for s in items]
+                elif isinstance(cur, list):
+                    d[key] = items
+                elif cur is None:
+                    d[key] = None if raw in ("", "none", "None") else int(raw)
+                else:
+                    d[key] = raw
+            except ValueError:
+                kind = "float" if isinstance(cur, (float, tuple)) else "int"
+                raise ValueError(f"config key {key!r}: cannot read {raw!r} "
+                                 f"as {kind}") from None
         return ExperimentConfig.from_dict(d)

@@ -223,15 +223,6 @@ class SyntheticCitySpec:
     interval_minutes: int = 5
     seed: int = 0
 
-    def to_kv(self):
-        out = {}
-        for key in _SPEC_KEYS:
-            val = getattr(self, key)
-            if isinstance(val, tuple):
-                val = ";".join(repr(v) for v in val)
-            out[key] = str(val)
-        return out
-
     @classmethod
     def from_kv(cls, kv):
         spec = cls()

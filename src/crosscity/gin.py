@@ -86,7 +86,7 @@ class SpatialEncoder:
             x = layer.forward(x, agg)
         return x
 
-    def params(self, prefix="encoder"):
+    def params(self, prefix):
         out = {}
         for i, layer in enumerate(self.layers):
             out.update(layer.params(f"{prefix}.layer{i}"))

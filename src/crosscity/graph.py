@@ -47,36 +47,31 @@ class RoadGraph:
         return self._mean_agg
 
 
-def load_graph(path_or_lines, n_nodes=None):
-    """Parse an edge list: one "u,v" per line, '#' comments, blank lines ok.
-
-    When n_nodes is omitted it is inferred as max id + 1.
-    """
-    if isinstance(path_or_lines, (str, bytes)) or hasattr(path_or_lines, "__fspath__"):
-        with open(path_or_lines) as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(path_or_lines)
+def load_graph(path):
+    """Parse an edge-list file: one "u,v" per line, '#' comments, blank
+    lines ok. The node count is the highest id + 1; every GraphError names
+    the path."""
     edges = []
-    max_id = -1
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise GraphError(f"line {ln}: expected 'u,v', got {raw.strip()!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphError(f"line {ln}: non-integer node id in {raw.strip()!r}") from exc
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if n_nodes is None:
-        if max_id < 0:
-            raise GraphError("empty edge list and no node count given")
-        n_nodes = max_id + 1
-    return RoadGraph(n_nodes, edges)
+    with open(path) as fh:
+        for ln, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 2:
+                raise GraphError(f"{path}, line {ln}: expected 'u,v', "
+                                 f"got {raw.strip()!r}")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise GraphError(f"{path}, line {ln}: non-integer node id in "
+                                 f"{raw.strip()!r}") from None
+    if not edges:
+        raise GraphError(f"{path}: empty edge list")
+    try:
+        return RoadGraph(max(map(max, edges)) + 1, edges)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def save_graph(graph, path):

@@ -40,8 +40,9 @@ def rmse(y, y_hat):
     return float(np.sqrt(((y - y_hat) ** 2).mean()))
 
 
-def mape(y, y_hat, return_count=False):
-    """Fractional MAPE over indices with |y| > MAPE_THRESHOLD."""
+def mape(y, y_hat):
+    """Fractional MAPE over indices with |y| > MAPE_THRESHOLD, and the
+    number of those indices."""
     y, y_hat = np.asarray(y, float).reshape(-1), np.asarray(y_hat, float).reshape(-1)
     if y.size == 0 or y.size != y_hat.size:
         raise MetricError(f"mape: bad lengths {y.size} vs {y_hat.size}")
@@ -49,9 +50,7 @@ def mape(y, y_hat, return_count=False):
     if not keep.any():
         raise MetricError("mape: every sample fell below the inclusion threshold")
     value = float((np.abs(y[keep] - y_hat[keep]) / np.abs(y[keep])).mean())
-    if return_count:
-        return value, int(keep.sum())
-    return value
+    return value, int(keep.sum())
 
 
 @dataclass
@@ -106,7 +105,7 @@ def _reports(variant, truth, preds, horizons, config, target):
     reports = []
     for h in horizons:
         y, y_hat = truth[:, :h, :], preds[:, :h, :]
-        mp, included = mape(y, y_hat, return_count=True)
+        mp, included = mape(y, y_hat)
         reports.append(MetricReport(
             variant=variant, horizon=h, mae=mae(y, y_hat), rmse=rmse(y, y_hat),
             mape=mp, n_samples=y.size, mape_included=included,

@@ -105,7 +105,7 @@ def _context_pairs(corpus, window):
 
 
 def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
-                   lr=0.025, seed=0, return_losses=False):
+                   lr=0.025, seed=0):
     """Skip-gram with negative sampling over walk windows.
 
     Returns an (n_nodes, dim) raw-feature matrix (the input-side vectors).
@@ -130,11 +130,9 @@ def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
     labels = np.zeros(negatives + 1)
     labels[0] = 1.0
     total = max(1, epochs * n_pairs)
-    epoch_losses = []
     step = 0
     for _ in range(epochs):
         order = rng.permutation(n_pairs)
-        loss_sum = 0.0
         for lo in range(0, n_pairs, _NEGATIVE_BLOCK):
             block = order[lo:lo + _NEGATIVE_BLOCK]
             targets = np.empty((len(block), negatives + 1), dtype=np.intp)
@@ -147,19 +145,12 @@ def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
                 vin = w_in[center]
                 vout = w_out.take(tgt, axis=0)
                 scores = 1.0 / (1.0 + np.exp(-vout @ vin))
-                if return_losses:
-                    loss_sum += -np.log(max(scores[0], 1e-12)) - np.log(
-                        np.maximum(1.0 - scores[1:], 1e-12)).sum()
                 err = scores - labels
                 grad_in = err @ vout
                 vout -= np.multiply.outer(cur_lr * err, vin)
                 w_out[tgt] = vout
                 w_in[center] -= cur_lr * grad_in
-        epoch_losses.append(loss_sum / n_pairs)
-    feats = w_in.copy()
-    if return_losses:
-        return feats, epoch_losses
-    return feats
+    return w_in
 
 
 def raw_features(graph, dim, walks_per_node=200, walk_length=8, p=1.0, q=1.0,

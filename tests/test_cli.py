@@ -3,6 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from crosscity import cli
+from crosscity import data as dio
+from crosscity import node2vec as n2v
 from crosscity.cli import EXIT_BAD_ARGS, main
 from crosscity.config import ExperimentConfig
 
@@ -116,6 +119,30 @@ class TestSynth:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("flag", [
+        ["--config", "c.json"], ["--set", "horizon=3"], ["--variant", "full"],
+        ["--replay-log"]])
+    def test_takes_only_out_seed_and_specs(self, tmp_path, capsys, flag):
+        spec = write_specs(tmp_path)[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "x"), *flag, spec])
+        assert exc.value.code == EXIT_BAD_ARGS
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_city_whose_edge_list_cannot_record_its_nodes(self, tmp_path,
+                                                          capsys):
+        # a 1-node grid has no edge, so `embed` could not read it back
+        good = write_specs(tmp_path)[0]
+        bad = tmp_path / "hamlet.spec"
+        bad.write_text("name = hamlet\nn_nodes = 1\ntopology = grid\ndays = 1\n")
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), good, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "'hamlet'" in err and "n_nodes = 1" in err
+        assert not out.exists()
+
     def test_bad_spec_value_names_file_and_key(self, tmp_path, capsys):
         bad = tmp_path / "town.spec"
         bad.write_text("name = town\nn_nodes = ten\n")
@@ -184,6 +211,50 @@ class TestPipeline:
         lines = open(os.path.join(out, "embeddings.csv")).read().splitlines()
         n_nodes = 8 + 9 + 7
         assert len(lines) == 1 + 2 * n_nodes  # header + raw + shared per node
+
+
+SOURCE_FILES = [f"{name}{suffix}" for name in ("alpha", "beta")
+                for suffix in (".edges", ".csv", ".features.csv")]
+TARGET_FILES = ["tee.edges", "tee.csv", "tee.features.csv"]
+
+
+class TestStageInputs:
+    @pytest.mark.parametrize("command, expected", [
+        ("embed", ["alpha.edges", "beta.edges", "tee.edges"]),
+        ("pretrain", SOURCE_FILES + ["tee.edges", "tee.features.csv"]),
+        ("finetune", TARGET_FILES),
+        ("evaluate", TARGET_FILES),
+        ("export-embeddings", [f"{name}{suffix}"
+                               for name in ("alpha", "beta", "tee")
+                               for suffix in (".edges", ".features.csv")]),
+    ])
+    def test_each_command_reads_only_its_inputs(self, synthed, monkeypatch,
+                                                command, expected):
+        data, cfg_path, _, tmp_path = synthed
+        common = ["--config", cfg_path, "--data", data,
+                  "--out", str(tmp_path / "o")]
+        assert main(["pipeline", *common]) == 0
+        opened = []
+        for module, name in ((cli, "load_graph"), (dio, "load_series"),
+                             (n2v, "load_features")):
+            def wrapper(path, *args, _load=getattr(module, name)):
+                opened.append(os.path.basename(path))
+                return _load(path, *args)
+            monkeypatch.setattr(module, name, wrapper)
+        assert main([command, *common]) == 0
+        assert sorted(opened) == sorted(expected)
+
+    def test_target_stages_ignore_a_malformed_source_series(self, synthed):
+        data, cfg_path, _, tmp_path = synthed
+        common = ["--config", cfg_path, "--data", data,
+                  "--out", str(tmp_path / "o"), "--variant", "target_only"]
+        assert main(["embed", *common]) == 0
+        with open(os.path.join(data, "alpha.csv"), "a") as fh:
+            fh.write("not,a,row\n")
+        assert main(["finetune", *common]) == 0
+        assert main(["evaluate", *common]) == 0
+        # the source series is still read, and refused, where it is an input
+        assert main(["pretrain", *common, "--variant", "full"]) == 1
 
 
 class TestErrors:
@@ -308,6 +379,33 @@ class TestErrors:
         code = main(["pretrain", "--set", "bogus=1",
                      "--data", str(tmp_path), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, names", [
+        (["--set", "horizon=abc"], ["'horizon'", "'abc'"]),
+        (["--set", "split_ratios=0.7;x;0.2"], ["'split_ratios'", "'0.7;x;0.2'"]),
+        (["--set", "foo"], ["'foo'", "KEY=VALUE"]),
+        (["--config", "{config}"], ["{config}: "]),
+    ], ids=["int-value", "list-value", "no-equals", "malformed-config"])
+    def test_config_errors_name_the_key_item_or_file(self, tmp_path, capsys,
+                                                     argv, names):
+        config = tmp_path / "broken.json"
+        config.write_text('{"horizon": 3,,}')
+        argv = [a.format(config=config) for a in argv]
+        assert main(["pretrain", *argv, "--data", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for name in names:
+            assert name.format(config=config) in err
+
+    def test_unreadable_edge_list_names_the_file(self, synthed, capsys):
+        data, cfg_path, _, _ = synthed
+        path = os.path.join(data, "beta.edges")
+        with open(path, "w") as fh:
+            fh.write("# no edges\n")
+        assert main(["embed", "--config", cfg_path, "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: empty edge list\n"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -123,7 +123,7 @@ def test_end_to_end_gradient_through_encoder(rng):
     p = fc.ForecasterParams(1, 8, 4, 2, rng)
     inputs = rng.standard_normal((4, 3, 1))
     targets = rng.standard_normal((4, 2, 1))
-    params = {**enc.params(), **p.params()}
+    params = {**enc.params("encoder"), **p.params()}
 
     def loss():
         emb = enc.forward(feats, g)

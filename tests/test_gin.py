@@ -63,7 +63,7 @@ def test_param_names_and_determinism():
 def test_param_count_formula():
     d = 8
     enc = SpatialEncoder(d, d, 2, np.random.default_rng(0))
-    count = sum(p.data.size for p in enc.params().values())
+    count = sum(p.data.size for p in enc.params("encoder").values())
     per_layer = 1 + d * d + d + d * d + d  # eps + two affine maps
     assert count == 2 * per_layer
 
@@ -99,7 +99,7 @@ def test_epsilon_gradient_vs_finite_diff(rng):
     feats = rng.standard_normal((4, 5))
     enc = SpatialEncoder(5, 5, 1, rng)
     enc.layers[0].eps.data = np.asarray(0.3)
-    params = enc.params()
+    params = enc.params("encoder")
     assert_grads_close(lambda: ad.tmean(composed.tanh(enc.forward(feats, g))),
                        params)
 
@@ -107,11 +107,11 @@ def test_epsilon_gradient_vs_finite_diff(rng):
 def _encoder_grads(enc, x, graph, forward, weights):
     """Output and every gradient (parameters, then x) of
     sum(weights * forward(x, graph)) on a fresh tape."""
-    for p in [x, *enc.params().values()]:
+    for p in [x, *enc.params("encoder").values()]:
         p.grad = None
     out = forward(x, graph)
     ad.tsum(composed.mul(out, Tensor(weights))).backward()
-    grads = {k: p.grad for k, p in enc.params().items()}
+    grads = {k: p.grad for k, p in enc.params("encoder").items()}
     grads["x"] = x.grad
     return out.data, grads
 

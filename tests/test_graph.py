@@ -80,6 +80,18 @@ def test_load_graph_comments_and_errors(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("text", [
+    "", "# header only\n", "0,1\nfoo,2\n", "0,1\n1,2,3\n", "2,2\n", "-3,-1\n",
+], ids=["empty", "comment-only", "non-integer", "three-ids", "self-loop",
+        "negative-ids"])
+def test_every_error_names_the_path(tmp_path, text):
+    path = tmp_path / "city.edges"
+    path.write_text(text)
+    with pytest.raises(GraphError) as exc:
+        load_graph(path)
+    assert str(exc.value).startswith((f"{path}: ", f"{path}, line "))
+
+
 # edge lines with ids up to 64 (the graph is a dense N x N array), mixed
 # with separators, comments and junk that holds no digits
 EDGE_LINE = st.one_of(
@@ -92,11 +104,12 @@ EDGE_LINE = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(EDGE_LINE, max_size=12),
-       st.one_of(st.none(), st.integers(-1, 70)))
-def test_fuzzed_edge_lists_parse_or_raise_graph_error(lines, n_nodes):
+@given(st.lists(EDGE_LINE, max_size=12))
+def test_fuzzed_edge_lists_parse_or_raise_graph_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.edges"
+    path.write_text("\n".join(lines))
     try:
-        g = load_graph(lines, n_nodes)
+        g = load_graph(path)
     except GraphError:
         return
     assert isinstance(g, RoadGraph)

@@ -119,8 +119,10 @@ class TestSkipgram:
 
     def test_loss_decreases_over_epochs(self, two_cliques):
         corpus = n2v.build_corpus(two_cliques, 20, 8, seed=1)
-        _, losses = n2v.train_skipgram(corpus, 10, dim=16, epochs=4, seed=1,
-                                       return_losses=True)
+        # the library keeps no losses; composed.train_skipgram equals it
+        # bit for bit and returns them
+        _, losses = composed.train_skipgram(corpus, 10, dim=16, epochs=4,
+                                            seed=1, return_losses=True)
         assert losses[-1] < losses[0]
 
 
@@ -142,13 +144,6 @@ def skipgram_both(corpus, n_nodes, **kw):
             n2v.train_skipgram(corpus, n_nodes, **kw)
         return None
     return n2v.train_skipgram(corpus, n_nodes, **kw), want
-
-
-def assert_skipgram_equal(got, want, return_losses):
-    if return_losses:
-        (got, got_losses), (want, want_losses) = got, want
-        assert got_losses == want_losses
-    assert np.array_equal(got, want)
 
 
 class TestEqualsReference:
@@ -176,18 +171,17 @@ class TestEqualsReference:
            q=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
            window=st.integers(0, 4), negatives=st.integers(0, 5),
            dim=st.integers(1, 8), epochs=st.integers(0, 3),
-           return_losses=st.booleans(), seed=st.integers(0, 1000))
+           seed=st.integers(0, 1000))
     def test_corpus_and_skipgram(self, graph, walks_per_node, length, p, q,
-                                 window, negatives, dim, epochs,
-                                 return_losses, seed):
+                                 window, negatives, dim, epochs, seed):
         corpus = n2v.build_corpus(graph, walks_per_node, length, p, q, seed)
         assert corpus == composed.build_corpus(graph, walks_per_node, length,
                                                p, q, seed)
         both = skipgram_both(corpus, graph.n_nodes, dim=dim, window=window,
                              negatives=negatives, epochs=epochs, lr=0.05,
-                             seed=seed, return_losses=return_losses)
+                             seed=seed)
         if both is not None:
-            assert_skipgram_equal(*both, return_losses)
+            assert np.array_equal(*both)
 
     def test_city_at_default_walk_settings(self):
         spec = SyntheticCitySpec(n_nodes=40, topology="random-geometric",
@@ -195,9 +189,8 @@ class TestEqualsReference:
         graph, _ = synth_generate(spec)
         corpus = n2v.build_corpus(graph, 10, 8, 0.5, 2.0, seed=4)
         assert corpus == composed.build_corpus(graph, 10, 8, 0.5, 2.0, seed=4)
-        got, want = skipgram_both(corpus, 40, dim=16, epochs=2, seed=4,
-                                  return_losses=True)
-        assert_skipgram_equal(got, want, True)
+        got, want = skipgram_both(corpus, 40, dim=16, epochs=2, seed=4)
+        assert np.array_equal(got, want)
 
     def test_negatives_do_not_depend_on_the_block_size(self, two_cliques,
                                                        monkeypatch):
