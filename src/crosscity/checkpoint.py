@@ -8,12 +8,10 @@ statistics ride along as ``stats.<domain>.mean`` / ``.std`` scalar records.
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import numpy as np
 
 from .data import NormalizationStats
+from .textio import atomic_open, float_reprs
 
 FORMAT_VERSION = 1
 
@@ -56,20 +54,6 @@ def _parse_shape(token):
     return tuple(int(d) for d in token.split(","))
 
 
-@contextlib.contextmanager
-def atomic_open(path):
-    """Write to a temp file beside path that replaces it only once the block
-    succeeds; on failure path is untouched and the temp file removed."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def save_checkpoint(ckpt, path):
     with atomic_open(path) as fh:
         fh.write(f"version={FORMAT_VERSION}\n")
@@ -82,7 +66,7 @@ def save_checkpoint(ckpt, path):
             records[f"stats.{domain}.std"] = np.asarray(std)
         for name in sorted(records):
             arr = np.asarray(records[name], dtype=np.float64)
-            vals = " ".join(repr(float(v)) for v in arr.reshape(-1))
+            vals = " ".join(float_reprs(arr.reshape(-1)))
             fh.write(f"{name} shape {_shape_token(arr.shape)} values {vals}\n")
 
 

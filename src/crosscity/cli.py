@@ -26,6 +26,7 @@ from . import metrics as mx
 from . import node2vec as n2v
 from .config import VARIANTS, ExperimentConfig, variant_uses
 from .graph import load_graph, save_graph
+from .textio import atomic_open
 from .train import DomainData, ReplayLog, finetune, pretrain
 
 EXIT_BAD_ARGS = 2
@@ -61,9 +62,9 @@ def _load_config(args):
 def _echo_config(cfg, out_dir):
     """Record the effective config; call it only once every input check passed."""
     os.makedirs(out_dir, exist_ok=True)
-    with ck.atomic_open(os.path.join(out_dir, "config.json")) as fh:
+    with atomic_open(os.path.join(out_dir, "config.json")) as fh:
         fh.write(cfg.to_json() + "\n")
-    with ck.atomic_open(os.path.join(out_dir, "run_info.txt")) as fh:
+    with atomic_open(os.path.join(out_dir, "run_info.txt")) as fh:
         fh.write(f"version={__version__}\nseed={cfg.seed}\n"
                  f"config_hash={cfg.config_hash()}\n")
 
@@ -118,7 +119,7 @@ def cmd_synth(args):
         save_graph(graph, edges)
         dio.save_series(series, csv)
         manifest.append((name, edges, csv))
-    with open(os.path.join(args.out, "manifest.txt"), "w") as fh:
+    with atomic_open(os.path.join(args.out, "manifest.txt")) as fh:
         for name, edges, csv in manifest:
             fh.write(f"{name} {edges} {csv}\n")
     print(f"wrote {len(manifest)} cities to {args.out}")
@@ -128,9 +129,10 @@ def cmd_synth(args):
 def cmd_embed(args):
     cfg = _load_config(args)
     names = list(cfg.source_domains) + [cfg.target_domain]
-    for name in names:
-        edges, _, feats_path = _domain_paths(args.data, name)
-        graph = load_graph(_existing(edges, "edge list"))
+    paths = [_domain_paths(args.data, name) for name in names]
+    # every edge list read before any features are written
+    graphs = [load_graph(_existing(edges, "edge list")) for edges, _, _ in paths]
+    for graph, (_, _, feats_path) in zip(graphs, paths):
         feats = n2v.raw_features(
             graph, cfg.embed_dim, cfg.walks_per_node, cfg.walk_length,
             cfg.walk_p, cfg.walk_q, cfg.skipgram_window, cfg.skipgram_negatives,
@@ -224,16 +226,16 @@ def cmd_pipeline(args):
         stages.insert(1, "pretrain")
     marker = os.path.join(args.out, "stage.txt")
     for stage in stages:
-        with open(marker, "w") as fh:
+        with atomic_open(marker) as fh:
             fh.write(stage + "\n")
         code = {"embed": cmd_embed, "pretrain": cmd_pretrain,
                 "finetune": cmd_finetune, "evaluate": cmd_evaluate}[stage](args)
         if code != 0:
             return code
-    with open(os.path.join(args.out, "manifest.txt"), "w") as fh:
+    with atomic_open(os.path.join(args.out, "manifest.txt")) as fh:
         fh.write("stages=" + ",".join(stages) + "\n")
         fh.write(f"variant={args.variant}\n")
-    with open(marker, "w") as fh:
+    with atomic_open(marker) as fh:
         fh.write("done\n")
     return 0
 
@@ -259,8 +261,9 @@ def build_parser():
                        help="directory with NAME.edges / NAME.csv files")
 
     p = sub.add_parser("synth", help="generate synthetic cities from spec files")
-    p.add_argument("--out", default="runs/run0",
-                   help="directory the cities are written to")
+    p.add_argument("--out", default="runs/data",
+                   help="directory the cities are written to, the stages' "
+                        "--data default")
     p.add_argument("--seed", type=int,
                    help="seed for every city, replacing its spec's own")
     p.add_argument("specs", nargs="+", help="key=value synthetic city spec files")

@@ -8,6 +8,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
+from .textio import check_fields, parse_fields
+
 
 class VariantUses(NamedTuple):
     """The parts of the protocol a model variant uses."""
@@ -84,13 +86,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """The config of a JSON object. Each value must have its field's
+        kind, and is kept as it is, so the hash sees what the JSON said.
+        The source domains must be distinct and exclude the target."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a config is a JSON object, got {d!r}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_fields(d, cls(), "config")
         cfg = cls(**d)
         cfg.split_ratios = tuple(cfg.split_ratios)
         cfg.source_domains = list(cfg.source_domains)
+        sources = cfg.source_domains
+        if len(set(sources)) < len(sources) or cfg.target_domain in sources:
+            raise ValueError(
+                f"config keys 'source_domains' {sources} and 'target_domain' "
+                f"{cfg.target_domain!r}: the sources must be distinct and "
+                f"exclude the target")
         return cfg
 
     def to_json(self):
@@ -105,28 +118,6 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def with_overrides(self, overrides):
-        """Apply dotted-key=value overrides (flat keys only)."""
-        d = self.to_dict()
-        for key, raw in overrides.items():
-            if key not in d:
-                raise ValueError(f"unknown config key {key!r}")
-            cur = getattr(self, key)
-            items = [s for s in raw.split(";") if s]
-            try:
-                if isinstance(cur, int):
-                    d[key] = int(raw)
-                elif isinstance(cur, float):
-                    d[key] = float(raw)
-                elif isinstance(cur, tuple):
-                    d[key] = [float(s) for s in items]
-                elif isinstance(cur, list):
-                    d[key] = items
-                elif cur is None:
-                    d[key] = None if raw in ("", "none", "None") else int(raw)
-                else:
-                    d[key] = raw
-            except ValueError:
-                kind = "float" if isinstance(cur, (float, tuple)) else "int"
-                raise ValueError(f"config key {key!r}: cannot read {raw!r} "
-                                 f"as {kind}") from None
-        return ExperimentConfig.from_dict(d)
+        """Apply key=value overrides, each read as its field's kind."""
+        fields = parse_fields(overrides, ExperimentConfig(), "config")
+        return ExperimentConfig.from_dict({**self.to_dict(), **fields})

@@ -16,10 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import RoadGraph
-
-
-class DataError(ValueError):
-    pass
+from .textio import (DataError, content_lines, parse_fields, read_table,
+                     write_table)
 
 
 INTERVALS_PER_DAY = 288  # 5-minute bins
@@ -139,25 +137,6 @@ def chrono_split(series, ratios=(0.7, 0.1, 0.2), history=12, horizon=12,
 
 # -- CSV ingestion ----------------------------------------------------------
 
-def read_cells(parse, toks, path, ln, cols):
-    """parse applied to the cells toks of CSV line ln, under the headers
-    cols; DataError names the path, line and column of the first cell it
-    cannot read, or of a non-finite float."""
-    try:
-        vals = [parse(tok) for tok in toks]
-        if parse is not float or all(map(math.isfinite, vals)):
-            return vals
-    except ValueError:
-        pass
-    for col, tok in zip(cols, toks):  # find the bad cell
-        try:
-            v = parse(tok)
-        except ValueError:
-            raise DataError(f"{path}, line {ln}, column {col}: cannot read {tok!r}") from None
-        if not math.isfinite(v):
-            raise DataError(f"{path}, line {ln}, column {col}: non-finite value {tok!r}")
-
-
 def load_series(path, graph):
     """Parse a 'timestamp,node0,...' CSV, one value column per graph node.
 
@@ -165,18 +144,7 @@ def load_series(path, graph):
     minutes, and every later step must equal it. DataError names the path
     and line (and column, for a cell) of whatever it refuses.
     """
-    width = graph.n_nodes + 1
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != width:
-            raise DataError(f"{path}: expected {width} columns, found {len(header)}")
-        rows, stamps = [], []
-        for ln, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != width:
-                raise DataError(f"{path}, line {ln}: expected {width} columns")
-            stamps += read_cells(datetime.fromisoformat, parts[:1], path, ln, header)
-            rows.append(read_cells(float, parts[1:], path, ln, header[1:]))
+    stamps, rows = read_table(path, datetime.fromisoformat, graph.n_nodes + 1)
     if len(rows) < 2:
         raise DataError(f"{path}: {len(rows)} rows, too few to fix the interval")
     step, minute = stamps[1] - stamps[0], timedelta(minutes=1)
@@ -195,13 +163,10 @@ def load_series(path, graph):
 
 def save_series(series, path):
     x = series.signal()
-    with open(path, "w") as fh:
-        fh.write("timestamp," + ",".join(f"node{i}" for i in range(x.shape[1])) + "\n")
-        t = series.start
-        step = timedelta(minutes=series.interval_minutes)
-        for row in x:
-            fh.write(t.isoformat() + "," + ",".join(repr(float(v)) for v in row) + "\n")
-            t += step
+    step = timedelta(minutes=series.interval_minutes)
+    write_table(path, ["timestamp"] + [f"node{i}" for i in range(x.shape[1])],
+                (((series.start + i * step).isoformat(), row)
+                 for i, row in enumerate(x)))
 
 
 # -- synthetic generator ----------------------------------------------------
@@ -225,35 +190,14 @@ class SyntheticCitySpec:
 
     @classmethod
     def from_kv(cls, kv):
-        spec = cls()
-        for key, raw in kv.items():
-            if key not in _SPEC_KEYS:
-                raise DataError(f"unknown synthetic spec key {key!r}")
-            current = getattr(spec, key)
-            try:
-                if isinstance(current, tuple):
-                    val = tuple(float(v) for v in raw.split(";") if v)
-                else:  # int, float or str, as the field's default is
-                    val = type(current)(raw)
-            except ValueError:
-                raise DataError(f"synthetic spec key {key!r}: cannot read {raw!r} "
-                                f"as {type(current).__name__}") from None
-            setattr(spec, key, val)
-        return spec
-
-
-_SPEC_KEYS = list(SyntheticCitySpec.__dataclass_fields__)
+        return cls(**parse_fields(kv, cls(), "synthetic spec"))
 
 
 def load_spec(path):
     kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
+    for _, line in content_lines(path):
+        key, _, val = line.partition("=")
+        kv[key.strip()] = val.strip()
     try:
         return SyntheticCitySpec.from_kv(kv)
     except DataError as exc:

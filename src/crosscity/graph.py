@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .textio import atomic_open, content_lines
+
 
 class GraphError(ValueError):
     pass
@@ -52,20 +54,13 @@ def load_graph(path):
     lines ok. The node count is the highest id + 1; every GraphError names
     the path."""
     edges = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}, line {ln}: expected 'u,v', "
-                                 f"got {raw.strip()!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise GraphError(f"{path}, line {ln}: non-integer node id in "
-                                 f"{raw.strip()!r}") from None
+    for ln, line in content_lines(path):
+        try:
+            u, v = map(int, line.replace(",", " ").split())
+        except ValueError:  # not two ids, or not integers
+            raise GraphError(f"{path}, line {ln}: expected 'u,v' with integer "
+                             f"node ids, got {line!r}") from None
+        edges.append((u, v))
     if not edges:
         raise GraphError(f"{path}: empty edge list")
     try:
@@ -75,7 +70,7 @@ def load_graph(path):
 
 
 def save_graph(graph, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("# edge list: u,v per line\n")
         for u, v in graph.edges:
             fh.write(f"{u},{v}\n")

@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checkpoint import CheckpointError, atomic_open
+from .checkpoint import CheckpointError
 from .config import variant_uses
 from .data import chrono_split, denormalize_values, make_windows, normalize
+from .textio import atomic_open, write_table
 from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
 
 
@@ -67,21 +68,17 @@ class MetricReport:
     domain: str = ""
     mape_threshold: float = MAPE_THRESHOLD
 
-    def to_kv(self):
-        lines = []
-        for key in ("variant", "domain", "horizon", "mae", "rmse", "mape",
-                    "n_samples", "mape_included", "mape_threshold", "seed",
-                    "config_hash"):
-            lines.append(f"{key}={getattr(self, key)!r}")
-        return "\n".join(lines) + "\n"
-
     def write(self, path):
+        """One `key=repr(value)` line per field."""
         with atomic_open(path) as fh:
-            fh.write(self.to_kv())
+            for key in ("variant", "domain", "horizon", "mae", "rmse", "mape",
+                        "n_samples", "mape_included", "mape_threshold", "seed",
+                        "config_hash"):
+                fh.write(f"{key}={getattr(self, key)!r}\n")
 
     @classmethod
     def read(cls, path):
-        """Parse to_kv's lines; values are Python literals, never code."""
+        """Parse write's lines; values are Python literals, never code."""
         known = {f.name for f in fields(cls)}
         kv = {}
         with open(path) as fh:
@@ -190,10 +187,8 @@ def compare_variants(reports, reference):
 def write_comparison_csv(rows, path):
     cols = ["variant", "horizon", "mae", "rmse", "mape",
             "impv_pct_mae", "impv_pct_rmse", "impv_pct_mape"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+    write_table(path, cols, (("{variant},{horizon}".format(**row),
+                              [row[c] for c in cols[2:]]) for row in rows))
 
 
 def export_embeddings(checkpoint, config, domains, path):
@@ -201,14 +196,12 @@ def export_embeddings(checkpoint, config, domains, path):
     projection tools. 'raw' rows are the node2vec features verbatim;
     'shared' rows come from each domain's stage-1 encoder."""
     embeddings = stage1_embeddings(checkpoint, config, domains)
-    with open(path, "w") as fh:
-        dim = config.embed_dim
-        fh.write("domain,node,kind," + ",".join(f"f{i}" for i in range(dim)) + "\n")
-        for dom, shared in zip(domains, embeddings):
-            for kind, rows in (("raw", dom.raw_features), ("shared", shared)):
-                for v in range(dom.graph.n_nodes):
-                    fh.write(f"{dom.name},{v},{kind},"
-                             + ",".join(repr(float(x)) for x in rows[v]) + "\n")
+    write_table(path, ["domain", "node", "kind"]
+                + [f"f{i}" for i in range(config.embed_dim)],
+                ((f"{dom.name},{v},{kind}", rows[v])
+                 for dom, shared in zip(domains, embeddings)
+                 for kind, rows in (("raw", dom.raw_features), ("shared", shared))
+                 for v in range(dom.graph.n_nodes)))
 
 
 def stage1_embeddings(checkpoint, config, domains):

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .data import DataError, read_cells
+from .textio import DataError, read_table, write_table
 
 # Context pairs whose negatives are drawn in one piece, bounding the memory
 # of a large corpus; the draws are the same for any block size.
@@ -163,29 +163,17 @@ def raw_features(graph, dim, walks_per_node=200, walk_length=8, p=1.0, q=1.0,
 
 def save_features(features, path):
     """CSV export: node id first, then the feature values."""
-    with open(path, "w") as fh:
-        fh.write("node," + ",".join(f"f{i}" for i in range(features.shape[1])) + "\n")
-        for v in range(features.shape[0]):
-            fh.write(str(v) + "," + ",".join(repr(float(x)) for x in features[v]) + "\n")
+    write_table(path, ["node"] + [f"f{i}" for i in range(features.shape[1])],
+                enumerate(features))
 
 
 def load_features(path):
     """Read a save_features CSV; node ids must be exactly 0..N-1, every row
     as wide as the header and every feature a finite number. DataError
     names the path, and the line and column of a bad cell."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for ln, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise DataError(f"{path}, line {ln}: row width {len(parts)}, "
-                                f"header width {len(header)}")
-            node, = read_cells(int, parts[:1], path, ln, header)
-            rows.append((node, read_cells(float, parts[1:], path, ln, header[1:])))
+    nodes, rows = read_table(path, int)
     if not rows:
         raise DataError(f"{path}: no feature rows")
-    rows.sort()
-    if [v for v, _ in rows] != list(range(len(rows))):
-        raise DataError(f"{path}: node ids are not exactly 0..{len(rows) - 1}")
-    return np.array([vals for _, vals in rows])
+    if sorted(nodes) != list(range(len(nodes))):
+        raise DataError(f"{path}: node ids are not exactly 0..{len(nodes) - 1}")
+    return np.array(rows)[np.argsort(nodes)]

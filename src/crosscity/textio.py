@@ -1,0 +1,137 @@
+"""How crosscity reads and writes text: every file it writes goes through
+`atomic_open`, and each text format it reads is parsed here."""
+
+import contextlib
+import math
+import os
+
+import numpy as np
+
+
+class DataError(ValueError):
+    pass
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """Write to a temp file beside path that replaces it only once the block
+    succeeds; on failure path is untouched and the temp file removed."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def float_reprs(values):
+    """The repr of each entry of the 1-D float array `values`."""
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def write_table(path, header, rows):
+    """Write a CSV file: the header's cells, then for each (lead, values) of
+    rows a line of lead, as text, and the floats values."""
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lead, values in rows:
+            fh.write(f"{lead},{','.join(float_reprs(values))}\n")
+
+
+def content_lines(path):
+    """(line number, text) of each line of the file at path, with its `#`
+    comment and outer blanks cut; lines left empty are skipped."""
+    with open(path) as fh:
+        for ln, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield ln, line
+
+
+def read_cells(parse, toks, path, ln, cols):
+    """parse applied to the cells toks of CSV line ln, under the headers
+    cols; DataError names the path, line and column of the first cell it
+    cannot read, or of a non-finite float."""
+    try:
+        vals = [parse(tok) for tok in toks]
+        if parse is not float or all(map(math.isfinite, vals)):
+            return vals
+    except ValueError:
+        pass
+    for col, tok in zip(cols, toks):  # find the bad cell
+        try:
+            v = parse(tok)
+        except ValueError:
+            raise DataError(f"{path}, line {ln}, column {col}: cannot read {tok!r}") from None
+        if not math.isfinite(v):
+            raise DataError(f"{path}, line {ln}, column {col}: non-finite value {tok!r}")
+
+
+def read_table(path, parse_first, width=None):
+    """The first cells, read by parse_first, and the float rest of each row
+    of the CSV file at path; every row is as wide as the header, which is
+    `width` cells wide when that is given."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if width is not None and len(header) != width:
+            raise DataError(f"{path}: expected {width} columns, found {len(header)}")
+        firsts, rows = [], []
+        for ln, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) != len(header):
+                raise DataError(f"{path}, line {ln}: row width {len(parts)}, "
+                                f"header width {len(header)}")
+            firsts += read_cells(parse_first, parts[:1], path, ln, header)
+            rows.append(read_cells(float, parts[1:], path, ln, header[1:]))
+    return firsts, rows
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# a field's kind, by the type of its default: the kind's name, its reader of
+# a raw string (`;`-separated items for a tuple or list) and its JSON test
+_KINDS = {
+    int: ("int", int, _is_int),
+    float: ("float", float, _is_number),
+    str: ("str", str, lambda v: isinstance(v, str)),
+    tuple: ("floats", lambda raw: tuple(map(float, filter(None, raw.split(";")))),
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+    list: ("strs", lambda raw: list(filter(None, raw.split(";"))),
+           lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    type(None): ("int or none",
+                 lambda raw: None if raw in ("", "none", "None") else int(raw),
+                 lambda v: v is None or _is_int(v)),
+}
+
+
+def parse_fields(kv, defaults, what):
+    """The raw strings kv read as the kinds of the same-named fields of the
+    dataclass instance `defaults`; DataError names the `what` key it refuses."""
+    fields = {}
+    for key, raw in kv.items():
+        if key not in defaults.__dataclass_fields__:
+            raise DataError(f"unknown {what} key {key!r}")
+        name, parse, _ = _KINDS[type(getattr(defaults, key))]
+        try:
+            fields[key] = parse(raw)
+        except ValueError:
+            raise DataError(f"{what} key {key!r}: cannot read {raw!r} "
+                            f"as {name}") from None
+    return fields
+
+
+def check_fields(d, defaults, what):
+    """DataError unless every JSON value of d has the kind of the same-named
+    field of `defaults`; an int counts as a float, a bool as neither."""
+    for key, value in d.items():
+        name, _, accepts = _KINDS[type(getattr(defaults, key))]
+        if not accepts(value):
+            raise DataError(f"{what} key {key!r}: expected {name}, got {value!r}")

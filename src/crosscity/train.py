@@ -26,6 +26,7 @@ from .config import variant_uses
 from .data import NormalizationStats, chrono_split, make_windows, normalize
 from .gin import SpatialEncoder, glorot
 from .forecaster import ForecasterParams
+from .textio import atomic_open
 
 
 class ProtocolError(RuntimeError):
@@ -51,7 +52,7 @@ class ReplayLog:
         self.steps.append(kw)
 
     def write(self, path):
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             for rec in self.steps:
                 fh.write(" ".join(f"{k}={v}" for k, v in rec.items()) + "\n")
 
@@ -235,6 +236,10 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
     """
     if not sources:
         raise ValueError("pretrain needs at least one source domain")
+    names = [s.name for s in sources]
+    if len(set(names)) < len(names) or target.name in names:
+        raise ProtocolError(f"source domains {names} must be distinct and "
+                            f"exclude the target {target.name!r}")
     uses = variant_uses(variant)
     if not uses.pretrain:
         raise ValueError(f"pretrain does not apply to variant {variant!r}")

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -168,6 +169,15 @@ class TestPipeline:
         # horizon 3 reports for the model and the baseline
         assert os.path.exists(os.path.join(out, "report_full_h3_s0.txt"))
         assert os.path.exists(os.path.join(out, "report_ha_h3_s0.txt"))
+
+    def test_synth_writes_where_the_stages_read_by_default(self, tmp_path,
+                                                           monkeypatch):
+        specs = write_specs(tmp_path)
+        cfg_path, _ = tiny_config_file(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth"] + specs) == 0
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        assert open(os.path.join("runs", "run0", "stage.txt")).read() == "done\n"
 
     def test_target_only_skips_pretrain(self, synthed):
         data, cfg_path, _, tmp_path = synthed
@@ -370,6 +380,40 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{path}, line 3, column {column}: cannot read 'abc'" in err
+
+    def test_embed_checks_every_edge_list_before_writing(self, synthed):
+        data, cfg_path, _, _ = synthed
+        assert main(["embed", "--config", cfg_path, "--data", data]) == 0
+        feats = {}
+        for name in ("alpha", "beta"):
+            with open(os.path.join(data, f"{name}.features.csv"), "rb") as fh:
+                feats[name] = fh.read()
+        os.remove(os.path.join(data, "tee.edges"))
+        assert main(["embed", "--config", cfg_path, "--data", data,
+                     "--seed", "5"]) == EXIT_BAD_ARGS
+        for name, text in feats.items():
+            with open(os.path.join(data, f"{name}.features.csv"), "rb") as fh:
+                assert fh.read() == text
+
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", "3"), ("embed_dim", True), ("learning_rate", False),
+        ("source_domains", ["alpha", "alpha"]),
+        ("source_domains", ["alpha", "tee"]),
+    ], ids=["str-int", "bool-int", "bool-float", "repeated-source",
+            "target-as-source"])
+    def test_config_value_refused_before_any_stage(self, synthed, capsys,
+                                                   key, value):
+        data, cfg_path, cfg, tmp_path = synthed
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**cfg.to_dict(), key: value}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--data", data,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
+        assert repr(key) in err
+        assert not os.path.exists(os.path.join(data, "alpha.features.csv"))
+        assert not os.path.exists(out / "pretrained.ckpt")
 
     def test_compare_needs_two_reports(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)

@@ -24,6 +24,40 @@ class TestSerialization:
         assert len(a.config_hash()) == 16
 
 
+class TestFieldKinds:
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", "3"), ("horizon", 3.0), ("embed_dim", True),
+        ("learning_rate", True), ("learning_rate", "0.1"),
+        ("source_domains", "a"), ("source_domains", ["a", 1]),
+        ("split_ratios", [0.7, "x", 0.2]), ("target_domain", 5),
+        ("target_train_days", 1.5),
+    ])
+    def test_value_of_another_kind_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}': expected"):
+            ExperimentConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("d", [None, [["horizon", 3]], "horizon"])
+    def test_config_is_an_object(self, d):
+        with pytest.raises(ValueError, match="a config is a JSON object"):
+            ExperimentConfig.from_dict(d)
+
+    def test_values_are_kept_so_hashes_hold(self):
+        # an int where a float is expected stays an int, as before
+        cfg = ExperimentConfig.from_dict({"learning_rate": 1,
+                                          "target_train_days": None})
+        assert type(cfg.learning_rate) is int
+        assert cfg.config_hash() == "4f4b7d0a2b50cb51"
+
+    @pytest.mark.parametrize("sources", [["a", "a"], ["a", "t"]])
+    def test_sources_distinct_and_exclude_the_target(self, sources):
+        with pytest.raises(ValueError, match="'source_domains'"):
+            ExperimentConfig.from_dict({"source_domains": sources,
+                                        "target_domain": "t"})
+        with pytest.raises(ValueError, match="'source_domains'"):
+            ExperimentConfig(target_domain="t").with_overrides(
+                {"source_domains": ";".join(sources)})
+
+
 class TestOverrides:
     def test_typed_coercion(self):
         cfg = ExperimentConfig().with_overrides({

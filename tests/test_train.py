@@ -145,6 +145,15 @@ class TestPretrain:
         finally:
             PretrainModel.params = orig_forward
 
+    @pytest.mark.parametrize("names", [("a", "a"), ("a", "t")],
+                             ids=["repeated-source", "target-as-source"])
+    def test_sources_distinct_and_exclude_the_target(self, setup, names):
+        config, _, target = setup
+        sources = [tiny_domain(n, 5, i, config) for i, n in enumerate(names)]
+        with pytest.raises(ProtocolError, match="must be distinct and exclude"):
+            pretrain(config, sources, target)
+        assert target.series.read_count == 0
+
     def test_target_embedding_used_every_epoch(self, setup):
         config, sources, target = setup
         log = ReplayLog()
