@@ -94,7 +94,7 @@ def load_checkpoint(path, expect_config_hash=None):
         raise CheckpointError(
             f"config hash mismatch: checkpoint {header['config_hash']} "
             f"vs current {expect_config_hash}")
-    tensors, stats_raw = {}, {}
+    tensors, stats_raw, first_line = {}, {}, {}
     for ln, line in enumerate(lines[4:], start=5):
         if not line.strip():
             continue
@@ -102,6 +102,10 @@ def load_checkpoint(path, expect_config_hash=None):
         if len(parts) < 4 or parts[1] != "shape" or parts[3] != "values":
             raise CheckpointError(f"line {ln}: malformed tensor record")
         name = parts[0]
+        if name in first_line:
+            raise CheckpointError(f"line {ln}: {name} repeats the record of "
+                                  f"line {first_line[name]}")
+        first_line[name] = ln
         try:
             shape = _parse_shape(parts[2])
         except ValueError as exc:

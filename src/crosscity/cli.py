@@ -220,6 +220,7 @@ def cmd_export_embeddings(args):
 
 
 def cmd_pipeline(args):
+    _load_config(args)  # a refused config leaves no run directory behind
     os.makedirs(args.out, exist_ok=True)
     stages = ["embed", "finetune", "evaluate"]
     if variant_uses(args.variant).pretrain:

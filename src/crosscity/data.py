@@ -2,8 +2,9 @@
 synthetic multi-city generator with diurnal profiles.
 
 Series are T x N flow matrices at a fixed interval. Signal values are read
-through ``TrafficSeries.signal()``, which counts accesses; the pre-training
-stage asserts on that counter to prove target labels stay unread.
+through ``TrafficSeries.signal()``, which counts accesses; ``chrono_split``
+alone calls it, and the pre-training stage asserts on that counter to prove
+target labels stay unread. Its segments, and all built from them, are arrays.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .textio import (DataError, content_lines, parse_fields, read_table,
                      write_table)
 
 
-INTERVALS_PER_DAY = 288  # 5-minute bins
-
-
 class TrafficSeries:
     """T x N observation matrix plus interval metadata and a read counter."""
 
@@ -35,21 +33,10 @@ class TrafficSeries:
         self.start = start or datetime(2024, 1, 1)
         self.read_count = 0
 
-    @property
-    def n_steps(self):
-        return self._values.shape[0]
-
-    @property
-    def n_nodes(self):
-        return self._values.shape[1]
-
     def signal(self):
         """The raw value matrix; every call is logged."""
         self.read_count += 1
         return self._values
-
-    def replaced(self, values):
-        return TrafficSeries(values, self.interval_minutes, self.start)
 
 
 class NormalizationStats(NamedTuple):
@@ -57,18 +44,17 @@ class NormalizationStats(NamedTuple):
     std: float
 
     @classmethod
-    def fit(cls, series):
-        """Population mean/std; a constant series is guarded to std=1."""
-        x = series.signal()
-        mean = float(x.mean())
-        std = float(x.std())
+    def fit(cls, values):
+        """Population mean/std; a constant array is guarded to std=1."""
+        mean = float(values.mean())
+        std = float(values.std())
         if std <= 0:
             std = 1.0
         return cls(mean, std)
 
 
-def normalize(series, stats):
-    return series.replaced((series.signal() - stats.mean) / stats.std)
+def normalize(values, stats):
+    return (values - stats.mean) / stats.std
 
 
 def denormalize_values(values, stats):
@@ -78,7 +64,7 @@ def denormalize_values(values, stats):
 @dataclass
 class WindowedDataset:
     """Samples of (node id, (H', N_f) input, (H, N_f) target); inputs and
-    targets are read-only views of the series they were cut from."""
+    targets are read-only views of the array they were cut from."""
     node_ids: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
@@ -87,10 +73,10 @@ class WindowedDataset:
         return len(self.node_ids)
 
 
-def make_windows(series, history, horizon):
-    """Stride-1 sliding windows per node, start-major and node-minor;
-    T - H' - H + 1 samples each."""
-    x = np.ascontiguousarray(series.signal())
+def make_windows(values, history, horizon):
+    """Stride-1 sliding windows per node of a T x N array, start-major and
+    node-minor; T - H' - H + 1 samples each."""
+    x = np.ascontiguousarray(values)
     t_len, n_nodes = x.shape
     count = t_len - history - horizon + 1
     if count < 1:
@@ -107,32 +93,28 @@ def make_windows(series, history, horizon):
     )
 
 
-def chrono_split(series, ratios=(0.7, 0.1, 0.2), history=12, horizon=12,
-                 train_days=None):
-    """Contiguous chronological train/val/test segments.
+def chrono_split(series, ratios, history, horizon, train_days):
+    """Contiguous chronological train/val/test segments of one read of
+    `series`, as array views.
 
-    train_days, when given, truncates the train segment to its last D whole
-    days (matching few-shot protocols).
+    train_days, when not None, truncates the train segment to its last D
+    whole days (matching few-shot protocols).
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios {ratios} do not sum to 1")
-    t_len = series.n_steps
-    n_train = int(round(ratios[0] * t_len))
-    n_val = int(round(ratios[1] * t_len))
     x = series.signal()
+    n_train = int(round(ratios[0] * len(x)))
+    n_val = int(round(ratios[1] * len(x)))
     segments = [x[:n_train], x[n_train:n_train + n_val], x[n_train + n_val:]]
     if train_days is not None:
-        per_day = INTERVALS_PER_DAY * 5 // series.interval_minutes
-        keep = train_days * per_day
-        segments[0] = segments[0][-keep:]
-    out = []
+        per_day = 24 * 60 // series.interval_minutes
+        segments[0] = segments[0][-train_days * per_day:]
     for seg, name in zip(segments, ("train", "val", "test")):
         if seg.shape[0] < history + horizon:
             raise DataError(
                 f"{name} segment of length {seg.shape[0]} shorter than "
                 f"history {history} + horizon {horizon}")
-        out.append(series.replaced(seg))
-    return tuple(out)
+    return tuple(segments)
 
 
 # -- CSV ingestion ----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Forecast metrics, the historical-average baseline, variant comparison,
 embedding export, and the domain-confusion probe.
 
-All metrics run on the raw (denormalized) vph scale. MAPE averages only
+All metrics run on the raw vph scale, against the raw test windows of the
+target, the same truth for the model and the baseline. MAPE averages only
 over samples whose ground truth exceeds ``MAPE_THRESHOLD`` (1 vph); the
 included count is carried in the report.
 """
@@ -27,26 +28,27 @@ class MetricError(ValueError):
     pass
 
 
-def mae(y, y_hat):
+def _flat_pair(name, y, y_hat):
     y, y_hat = np.asarray(y, float).reshape(-1), np.asarray(y_hat, float).reshape(-1)
     if y.size == 0 or y.size != y_hat.size:
-        raise MetricError(f"mae: bad lengths {y.size} vs {y_hat.size}")
+        raise MetricError(f"{name}: bad lengths {y.size} vs {y_hat.size}")
+    return y, y_hat
+
+
+def mae(y, y_hat):
+    y, y_hat = _flat_pair("mae", y, y_hat)
     return float(np.abs(y - y_hat).mean())
 
 
 def rmse(y, y_hat):
-    y, y_hat = np.asarray(y, float).reshape(-1), np.asarray(y_hat, float).reshape(-1)
-    if y.size == 0 or y.size != y_hat.size:
-        raise MetricError(f"rmse: bad lengths {y.size} vs {y_hat.size}")
+    y, y_hat = _flat_pair("rmse", y, y_hat)
     return float(np.sqrt(((y - y_hat) ** 2).mean()))
 
 
 def mape(y, y_hat):
     """Fractional MAPE over indices with |y| > MAPE_THRESHOLD, and the
     number of those indices."""
-    y, y_hat = np.asarray(y, float).reshape(-1), np.asarray(y_hat, float).reshape(-1)
-    if y.size == 0 or y.size != y_hat.size:
-        raise MetricError(f"mape: bad lengths {y.size} vs {y_hat.size}")
+    y, y_hat = _flat_pair("mape", y, y_hat)
     keep = np.abs(y) > MAPE_THRESHOLD
     if not keep.any():
         raise MetricError("mape: every sample fell below the inclusion threshold")
@@ -111,22 +113,35 @@ def _reports(variant, truth, preds, horizons, config, target):
     return reports
 
 
+def _raw_test(config, target, horizons):
+    """The target's raw test segment, the truth of every scorer, once each
+    horizon is found within the trained one."""
+    for h in horizons:
+        if h > config.horizon:
+            raise ValueError(f"horizon {h} exceeds trained horizon {config.horizon}")
+    return chrono_split(target.series, config.split_ratios, config.history,
+                        config.horizon, config.target_train_days)[2]
+
+
 def evaluate(checkpoint, config, target, horizons, variant):
     """Metric reports of `variant` on the target test split, one per horizon.
 
     The model is the ``FinetuneModel`` of `variant`, and the finetuned
-    checkpoint must hold exactly its parameters, else ``CheckpointError``.
-    Predictions are cut to each horizon's first steps and denormalized with
-    the stored target stats. A checkpoint records no variant, so ``full``,
-    ``wo_da`` and ``target_only``, which share their parameter names, pass
-    for one another.
+    checkpoint must hold exactly its parameters and the target's stats,
+    else ``CheckpointError``. Predictions are cut to each horizon's first
+    steps, denormalized with the stored target stats, and scored against
+    the raw test windows, as ``evaluate_ha`` is. A checkpoint records no
+    variant, so ``full``, ``wo_da`` and ``target_only``, which share their
+    parameter names, pass for one another.
     """
     if checkpoint.stage != "finetuned":
         raise ValueError(f"evaluate expects a finetuned checkpoint, got "
                          f"{checkpoint.stage!r}")
-    for h in horizons:
-        if h > config.horizon:
-            raise ValueError(f"horizon {h} exceeds trained horizon {config.horizon}")
+    st = checkpoint.stats.get(target.name)
+    if st is None:
+        raise CheckpointError(f"checkpoint holds no normalization stats for "
+                              f"domain {target.name!r}")
+    test = _raw_test(config, target, horizons)
     model = FinetuneModel(config, variant_uses(variant), np.random.default_rng(0))
     params = model.params()
     for name in checkpoint.tensors:
@@ -135,23 +150,17 @@ def evaluate(checkpoint, config, target, horizons, variant):
                                   f"of a {variant!r} model")
     _load_params(params, checkpoint.tensors)
 
-    st = checkpoint.stats[target.name]
-    _, _, test = chrono_split(target.series, config.split_ratios,
-                              config.history, config.horizon,
-                              config.target_train_days)
     test_set = make_windows(normalize(test, st), config.history, config.horizon)
     emb = model.embeddings(target.raw_features, target.graph)
     preds = denormalize_values(predict_windows(model.forecaster, emb, test_set), st)
-    truth = denormalize_values(test_set.targets, st)
+    truth = make_windows(test, config.history, config.horizon).targets
     return _reports(variant, truth, preds, horizons, config, target)
 
 
-def evaluate_ha(config, target, horizons=(3, 6, 12)):
-    """Historical-average baseline on the identical test windows."""
-    _, _, test = chrono_split(target.series, config.split_ratios,
-                              config.history, config.horizon,
-                              config.target_train_days)
-    test_set = make_windows(test, config.history, config.horizon)
+def evaluate_ha(config, target, horizons):
+    """Historical-average baseline on the raw test windows evaluate scores."""
+    test_set = make_windows(_raw_test(config, target, horizons),
+                            config.history, config.horizon)
     # a mean over a strided view can sum in another order than over a
     # contiguous array and differ in the last bit; keep the contiguous sums
     inputs = np.ascontiguousarray(test_set.inputs)

@@ -246,9 +246,8 @@ def adversarial_loss(classifier, groups, reversal_factor=None):
     return total
 
 
-def make_windows(series, history, horizon):
+def make_windows(x, history, horizon):
     """Same contract as ``data.make_windows``, one copied window at a time."""
-    x = series.signal()
     t_len, n_nodes = x.shape
     count = t_len - history - horizon + 1
     if count < 1:

@@ -41,8 +41,7 @@ def test_full_loss_gradient_matches_finite_differences(rng):
     }
     raw = {k: rng.standard_normal((4, 8)) for k in graphs}
     model = PretrainModel(cfg, ["s0", "s1"], rng)
-    series = TrafficSeries(rng.standard_normal((12, 4)))
-    batch = make_windows(series, cfg.history, cfg.horizon)
+    batch = make_windows(rng.standard_normal((12, 4)), cfg.history, cfg.horizon)
     idx = np.arange(6)
     node_ids = batch.node_ids[idx]
     inputs, targets = batch.inputs[idx], batch.targets[idx]
@@ -312,7 +311,7 @@ def test_determinism_and_round_trip(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
     assert load_checkpoint(p1) == f1
 
-    windows = make_windows(TrafficSeries(np.zeros((288, 1))), 12, 12)
+    windows = make_windows(np.zeros((288, 1)), 12, 12)
     assert len(windows) == 265
     print("\nPASS determinism: bit-identical checkpoints, exact round-trip, "
           "265 windows per day-long node")

@@ -131,6 +131,17 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="not a scalar"):
             load_checkpoint(path)
 
+    def test_repeated_record(self, tmp_path):
+        path = tmp_path / "r.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            "forecaster.head.b shape 2 values 1.0 2.0\n"
+            "w shape - values 0.5\n"
+            "forecaster.head.b shape 2 values 3.0 4.0\n")
+        with pytest.raises(CheckpointError, match="line 7: forecaster.head.b "
+                                                  "repeats the record of line 5"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, tmp_path, bad):
         path = tmp_path / "nf.ckpt"

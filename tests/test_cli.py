@@ -315,6 +315,24 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "missing parameter forecaster.head.b" in err
 
+    def test_evaluate_rejects_checkpoint_without_the_target_stats(self, synthed,
+                                                                  capsys):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out]
+        for stage in ("embed", "pretrain", "finetune"):
+            assert main([stage, *common]) == 0
+        path = os.path.join(out, "finetuned.ckpt")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines(ln for ln in lines if not ln.startswith("stats.tee."))
+        capsys.readouterr()
+        assert main(["evaluate", *common]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: checkpoint holds no normalization stats for "
+                       "domain 'tee'\n")
+        assert not [f for f in os.listdir(out) if f.startswith("report_")]
+
     def test_evaluate_rejects_checkpoint_with_nan_values(self, synthed, capsys):
         data, cfg_path, _, tmp_path = synthed
         out = str(tmp_path / "o")
@@ -413,7 +431,7 @@ class TestErrors:
         assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
         assert repr(key) in err
         assert not os.path.exists(os.path.join(data, "alpha.features.csv"))
-        assert not os.path.exists(out / "pretrained.ckpt")
+        assert not os.path.exists(out)
 
     def test_compare_needs_two_reports(self, tmp_path):
         os.makedirs(tmp_path / "empty", exist_ok=True)

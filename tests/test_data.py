@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
-from crosscity.data import (DataError, INTERVALS_PER_DAY, NormalizationStats,
+from crosscity import data as dio
+from crosscity.data import (DataError, NormalizationStats,
                             SyntheticCitySpec, TrafficSeries, chrono_split,
                             denormalize_values, load_series, load_spec,
                             make_windows, normalize, save_series,
@@ -20,25 +24,25 @@ def series_of(values, **kw):
 
 class TestNormalization:
     def test_hand_values(self):
-        s = series_of([[1.0], [2.0], [3.0]])
-        st = NormalizationStats.fit(s)
+        x = np.array([[1.0], [2.0], [3.0]])
+        st = NormalizationStats.fit(x)
         assert st.mean == 2.0
         assert abs(st.std - np.sqrt(2.0 / 3.0)) < 1e-15  # population std
-        z = normalize(s, st).signal()
+        z = normalize(x, st)
         expect = np.array([-1.2247448713915890, 0.0, 1.2247448713915890])
         assert np.allclose(z[:, 0], expect, atol=1e-12)
 
     def test_round_trip(self, rng):
-        s = series_of(rng.random((50, 3)) * 100)
-        st = NormalizationStats.fit(s)
-        back = denormalize_values(normalize(s, st).signal(), st)
-        assert np.allclose(back, s.signal(), atol=1e-12)
+        x = rng.random((50, 3)) * 100
+        st = NormalizationStats.fit(x)
+        back = denormalize_values(normalize(x, st), st)
+        assert np.allclose(back, x, atol=1e-12)
 
     def test_constant_series_guard(self):
-        s = series_of(np.full((10, 2), 7.0))
-        st = NormalizationStats.fit(s)
+        x = np.full((10, 2), 7.0)
+        st = NormalizationStats.fit(x)
         assert st.std == 1.0
-        assert np.allclose(normalize(s, st).signal(), 0.0)
+        assert np.allclose(normalize(x, st), 0.0)
 
     def test_read_counter(self):
         s = series_of([[1.0], [2.0]])
@@ -50,25 +54,23 @@ class TestNormalization:
 
 class TestWindows:
     def test_count_one_day(self):
-        s = series_of(np.zeros((288, 4)))
-        ds = make_windows(s, 12, 12)
+        ds = make_windows(np.zeros((288, 4)), 12, 12)
         assert len(ds) == (288 - 12 - 12 + 1) * 4 == 265 * 4
 
     def test_minimal_length(self):
-        s = series_of(np.zeros((24, 1)))
-        assert len(make_windows(s, 12, 12)) == 1
+        assert len(make_windows(np.zeros((24, 1)), 12, 12)) == 1
         with pytest.raises(DataError, match="too short"):
-            make_windows(series_of(np.zeros((23, 1))), 12, 12)
+            make_windows(np.zeros((23, 1)), 12, 12)
 
     def test_adjacency_of_input_and_target(self):
         t = np.arange(30, dtype=float)
-        ds = make_windows(series_of(t[:, None]), 4, 3)
+        ds = make_windows(t[:, None], 4, 3)
         for i in range(len(ds)):
             window = np.concatenate([ds.inputs[i, :, 0], ds.targets[i, :, 0]])
             assert np.array_equal(window, np.arange(i, i + 7, dtype=float))
 
     def test_shapes(self, rng):
-        ds = make_windows(series_of(rng.random((40, 3))), 12, 6)
+        ds = make_windows(rng.random((40, 3)), 12, 6)
         assert ds.inputs.shape == (23 * 3, 12, 1)
         assert ds.targets.shape == (23 * 3, 6, 1)
         assert ds.node_ids.shape == (23 * 3,)
@@ -82,19 +84,19 @@ class TestWindows:
         if t_len < history + horizon:
             for make in (make_windows, composed.make_windows):
                 with pytest.raises(DataError, match="too short"):
-                    make(series_of(x), history, horizon)
+                    make(x, history, horizon)
             return
-        got = make_windows(series_of(x), history, horizon)
-        want = composed.make_windows(series_of(x), history, horizon)
+        got = make_windows(x, history, horizon)
+        want = composed.make_windows(x, history, horizon)
         assert got.node_ids.dtype == want.node_ids.dtype == np.intp
         for key in ("node_ids", "inputs", "targets"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
     def test_read_only_views_of_the_series(self, rng):
-        s = series_of(rng.random((30, 4)))
-        ds = make_windows(s, 5, 3)
+        x = rng.random((30, 4))
+        ds = make_windows(x, 5, 3)
         for arr in (ds.inputs, ds.targets):
-            assert np.shares_memory(arr, s.signal())
+            assert np.shares_memory(arr, x)
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0, 0] = 1.0
 
@@ -102,29 +104,66 @@ class TestWindows:
 class TestSplit:
     def test_segment_arithmetic(self):
         s = series_of(np.arange(1000, dtype=float)[:, None])
-        tr, va, te = chrono_split(s, (0.7, 0.1, 0.2))
-        assert (tr.n_steps, va.n_steps, te.n_steps) == (700, 100, 200)
-        assert tr.signal()[-1, 0] == 699.0
-        assert va.signal()[0, 0] == 700.0
-        assert te.signal()[0, 0] == 800.0
+        tr, va, te = chrono_split(s, (0.7, 0.1, 0.2), 12, 12, None)
+        assert (len(tr), len(va), len(te)) == (700, 100, 200)
+        assert tr[-1, 0] == 699.0
+        assert va[0, 0] == 700.0
+        assert te[0, 0] == 800.0
+        # array views of the one read the split takes
+        assert s.read_count == 1
+        assert all(np.shares_memory(seg, s.signal()) for seg in (tr, va, te))
 
     def test_bad_ratios(self):
         s = series_of(np.zeros((100, 1)))
         with pytest.raises(DataError, match="sum to 1"):
-            chrono_split(s, (0.5, 0.2, 0.2))
+            chrono_split(s, (0.5, 0.2, 0.2), 12, 12, None)
 
     def test_too_short_segment(self):
         s = series_of(np.zeros((60, 1)))
         with pytest.raises(DataError, match="shorter than"):
-            chrono_split(s, (0.7, 0.1, 0.2), history=12, horizon=12)
+            chrono_split(s, (0.7, 0.1, 0.2), 12, 12, None)
 
     def test_train_days_truncation(self):
         days = 10
         s = series_of(np.arange(days * 288, dtype=float)[:, None])
-        tr, _, _ = chrono_split(s, train_days=2)
-        assert tr.n_steps == 2 * 288
+        tr, _, _ = chrono_split(s, (0.7, 0.1, 0.2), 12, 12, 2)
+        assert len(tr) == 2 * 288
         # the last two whole days of the 70% train segment
-        assert tr.signal()[-1, 0] == 0.7 * days * 288 - 1
+        assert tr[-1, 0] == 0.7 * days * 288 - 1
+
+
+def _signal_reads(tree):
+    """The function around every `.signal()` call in tree."""
+    found, scope = set(), []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "signal":
+                found.add(scope[-1] if scope else "<module>")
+            self.generic_visit(node)
+
+    Visitor().visit(tree)
+    return found
+
+
+def test_only_the_split_and_the_writer_read_a_series():
+    # every protocol stage reads a city's traffic through chrono_split, so
+    # a series' read counter counts exactly the splits taken of it
+    found = {f"{path.name}:{func}"
+             for path in sorted(Path(dio.__file__).parent.glob("*.py"))
+             for func in _signal_reads(ast.parse(path.read_text()))}
+    assert found == {"data.py:chrono_split", "data.py:save_series"}
+
+
+def test_the_read_guard_sees_nested_and_module_level_calls():
+    tree = ast.parse("s.signal()\ndef f(s):\n    def g():\n        s.signal()\n"
+                     "    return s.values\n")
+    assert _signal_reads(tree) == {"<module>", "g"}
 
 
 class TestCsv:
@@ -323,7 +362,7 @@ class TestSynth:
         g, series = synth_generate(SyntheticCitySpec(n_nodes=1, topology="grid",
                                                      days=1))
         assert g.n_nodes == 1 and g.edges == []
-        assert series.n_nodes == 1
+        assert series.signal().shape[1] == 1
 
 
 @pytest.mark.parametrize("n", [2, 5, 60, 480, 520])

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from crosscity import metrics
-from crosscity.config import ExperimentConfig
-from crosscity.data import TrafficSeries
+from crosscity.checkpoint import Checkpoint
+from crosscity.config import ExperimentConfig, variant_uses
+from crosscity.data import NormalizationStats, TrafficSeries
 from crosscity.graph import RoadGraph
 from crosscity.metrics import (MetricError, MetricReport, compare_variants,
-                               domain_confusion_probe, evaluate_ha, mae, mape,
-                               rmse, write_comparison_csv)
-from crosscity.train import DomainData
+                               domain_confusion_probe, evaluate, evaluate_ha,
+                               mae, mape, rmse, write_comparison_csv)
+from crosscity.train import DomainData, FinetuneModel
 
 import composed
 
@@ -83,9 +84,46 @@ class TestEvaluateHa:
         values = 200.0 + 150.0 * rng.random((600, 9))
         target = DomainData("t", RoadGraph(9, []), None,
                             TrafficSeries(values))
-        got = evaluate_ha(config, target)
+        got = evaluate_ha(config, target, (3, 6, 12))
         monkeypatch.setattr(metrics, "make_windows", composed.make_windows)
-        assert got == evaluate_ha(config, target)
+        assert got == evaluate_ha(config, target, (3, 6, 12))
+
+    def test_refuses_a_horizon_past_the_trained_one(self):
+        config = ExperimentConfig(history=3, horizon=3, target_domain="t")
+        target = DomainData("t", RoadGraph(1, []), None,
+                            TrafficSeries(np.ones((100, 1))))
+        with pytest.raises(ValueError, match="horizon 6 exceeds trained horizon 3"):
+            evaluate_ha(config, target, (3, 6))
+        assert target.series.read_count == 0
+
+
+def test_model_and_ha_are_scored_against_the_same_raw_truth(rng, monkeypatch):
+    config = ExperimentConfig(history=4, horizon=3, embed_dim=8, hidden_dim=8,
+                              target_domain="t")
+    # flows down to near 0 vph, where denormalize(normalize(x)) != x
+    values = 400.0 * rng.random((1000, 5))
+    graph = RoadGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    target = DomainData("t", graph, rng.standard_normal((5, 8)),
+                        TrafficSeries(values))
+    model = FinetuneModel(config, variant_uses("target_only"), rng)
+    ckpt = Checkpoint("finetuned", config.config_hash(), config.seed,
+                      {k: p.data for k, p in model.params().items()},
+                      {"t": NormalizationStats(200.0, 115.3)})
+    truths = []
+
+    def spy(variant, truth, *rest, real=metrics._reports):
+        truths.append(truth)
+        return real(variant, truth, *rest)
+    monkeypatch.setattr(metrics, "_reports", spy)
+    evaluate(ckpt, config, target, (1, 3), "target_only")
+    evaluate_ha(config, target, (1, 3))
+    model_truth, ha_truth = truths
+    assert np.array_equal(model_truth, ha_truth)
+    assert np.shares_memory(model_truth, values)  # a view, not a round trip
+    assert target.series.read_count == 2  # one split for each scorer
+    assert np.array_equal(model_truth[:, :, 0],
+                          [values[800 + s + 4:800 + s + 7, v]
+                           for s in range(200 - 6) for v in range(5)])
 
 
 def report(variant, horizon, m, r=None, p=None, domain="metro"):

@@ -128,6 +128,11 @@ class TestPretrain:
         pretrain(config, sources, target)
         assert target.series.read_count == before
 
+    def test_reads_each_source_series_once(self, setup):
+        config, sources, target = setup
+        pretrain(config, sources, target)
+        assert [s.series.read_count for s in sources] == [1, 1]
+
     def test_read_guard_trips(self, setup):
         config, sources, target = setup
 
@@ -265,6 +270,11 @@ class TestFinetune:
         assert set(fin.stats) == {"a", "b", "t"}
         assert fin.stage == "finetuned"
 
+    def test_reads_the_target_series_once(self, setup):
+        config, _, target = setup
+        finetune(None, target, config, variant="target_only")
+        assert target.series.read_count == 1
+
     def test_deterministic(self, setup):
         config, sources, target = setup
         pre = pretrain(config, sources, target)
@@ -346,8 +356,7 @@ class TestRunVariant:
 # -- batched inference --------------------------------------------------------
 
 def test_predict_windows_equals_per_batch_composed_forecast(rng):
-    series = TrafficSeries(rng.standard_normal((200, 7)))
-    dataset = make_windows(series, 12, 3)
+    dataset = make_windows(rng.standard_normal((200, 7)), 12, 3)
     assert len(dataset) > 1024 and len(dataset) % 512  # a short last batch
     p = fc.ForecasterParams(1, 6, 4, 3, rng)
     emb = Tensor(rng.standard_normal((7, 4)))
