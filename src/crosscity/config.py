@@ -37,6 +37,26 @@ def variant_uses(variant):
         raise ValueError(f"unknown variant {variant!r}") from None
 
 
+# the range of each bounded key, checked once its kind is: what it expects
+# and its test; a null train-days value means every day
+_RANGES = {
+    **dict.fromkeys(
+        ("history", "horizon", "n_features", "embed_dim", "hidden_dim",
+         "gin_layers", "classifier_hidden", "walks_per_node", "walk_length",
+         "skipgram_epochs", "batch_size", "pretrain_epochs",
+         "pretrain_batches_per_epoch", "finetune_max_epochs",
+         "finetune_batches_per_epoch", "source_train_days",
+         "target_train_days"),
+        ("at least 1", lambda v: v >= 1)),
+    "learning_rate": ("a value above 0", lambda v: v > 0),
+    "skipgram_lr": ("a value above 0", lambda v: v > 0),
+    "momentum": ("a value in [0, 1)", lambda v: 0 <= v < 1),
+    "split_ratios": ("three positive ratios summing to 1",
+                     lambda v: len(v) == 3 and all(r > 0 for r in v)
+                     and abs(sum(v) - 1.0) <= 1e-9),
+}
+
+
 @dataclass
 class ExperimentConfig:
     source_domains: list = field(default_factory=list)
@@ -87,14 +107,20 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         """The config of a JSON object. Each value must have its field's
-        kind, and is kept as it is, so the hash sees what the JSON said.
-        The source domains must be distinct and exclude the target."""
+        kind and lie in its range (``_RANGES``), and is kept as it is, so
+        the hash sees what the JSON said. The source domains must be
+        distinct and exclude the target."""
         if not isinstance(d, dict):
             raise ValueError(f"a config is a JSON object, got {d!r}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         check_fields(d, cls(), "config")
+        for key, value in d.items():
+            rule = _RANGES.get(key)
+            if rule is not None and value is not None and not rule[1](value):
+                raise ValueError(f"config key {key!r}: expected {rule[0]}, "
+                                 f"got {value!r}")
         cfg = cls(**d)
         cfg.split_ratios = tuple(cfg.split_ratios)
         cfg.source_domains = list(cfg.source_domains)

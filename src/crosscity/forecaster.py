@@ -9,10 +9,12 @@ affine output layer maps the final hidden state to all H horizon steps.
 autodiff node with hand-written backpropagation through time. ``predict``
 runs the same forward pass with no tape and no stored steps, for
 validation and test batches. Both share one roll over the window that
-writes each step into preallocated buffers rather than concatenating
-arrays, and keeps every matrix product and every sum as the per-step
-composition of autodiff ops had it. That composition is kept in the test
-suite as the reference both must equal bit for bit.
+writes each step into one block of preallocated buffers rather than
+concatenating arrays, and keeps every matrix product and every sum as the
+per-step composition of autodiff ops had it. That composition is kept in
+the test suite as the reference both must equal bit for bit. ``predict``
+reads the parameters and writes only its own block, so several threads may
+run it at once on different batches.
 """
 
 from __future__ import annotations
@@ -167,7 +169,10 @@ def _roll(p, x, fv, keep):
     tc). Per step the stacks hold xh = [x_t | h_prev], xrh = [x_t | r *
     h_prev], fe = [f_v | blended state], gates = (r, u, 1 - r, 1 - u) and
     hc = (h_prev, c); hc[H', 0] is the final state. With keep every step has
-    its own slot, time-major; without, every step reuses slot 0.
+    its own slot, time-major; without, every step reuses slot 0. The gate
+    pre-activations and the logistic's scratch live in the gate slots, and
+    the biases broadcast over the batch, so a call allocates only these
+    stacks and the output.
     """
     x, fv = np.asarray(x), np.asarray(fv)
     batch, hist, n_f = x.shape if x.ndim == 3 else (0, 0, None)
@@ -177,17 +182,12 @@ def _roll(p, x, fv, keep):
     hid, emb = p.hidden_dim, p.embed_dim
     tr, tu, tc = (w.data.T.copy() for w in (p.theta_r, p.theta_u, p.theta_c))
     slots = hist if keep else 1
-    xh, xrh, fe, gates, hc, z, work, prod, b_ru, b_c, mix_b = _buffers(
+    xh, xrh, fe, gates, hc, prod = _buffers(
         (slots, batch, n_f + hid), (slots, batch, n_f + hid),
         (slots, batch, emb + hid), (slots, 4, batch, hid),
-        (slots + 1 if keep else 1, 2, batch, hid), (2, batch, hid),
-        (2, 2, batch, hid), (2, batch, hid), (2, batch, hid), (batch, hid),
-        (batch, hid))
-    # biases spread over the batch once, so each step adds like shapes
-    b_ru[0], b_ru[1] = p.b_r.data, p.b_u.data
-    b_c[:] = p.b_c.data
-    mix_b[:] = p.mix_b.data
-    mix_w = p.mix_w.data
+        (slots + 1 if keep else 1, 2, batch, hid), (2, batch, hid))
+    b_ru = np.stack((p.b_r.data, p.b_u.data))[:, None, :]
+    b_c, mix_b, mix_w = p.b_c.data, p.mix_b.data, p.mix_w.data
     fe[:, :, :emb] = fv
     hc[0, 0] = 0.0
     if slots:
@@ -199,11 +199,10 @@ def _roll(p, x, fv, keep):
         if not keep:
             xh[0, :, :n_f] = xrh[0, :, :n_f] = x[:, t]
         g, q = gates[s], hc[s]
-        np.matmul(xh[s], tr, out=z[0])
-        np.matmul(xh[s], tu, out=z[1])
-        z += b_ru
-        _sigmoid(z, g[:2], work)
-        np.subtract(1.0, g[:2], out=g[2:])
+        np.matmul(xh[s], tr, out=g[2])
+        np.matmul(xh[s], tu, out=g[3])
+        g[2:] += b_ru
+        _sigmoid(g)
         np.multiply(g[0], q[0], out=xrh[s, :, n_f:])
         np.matmul(xrh[s], tc, out=q[1])
         q[1] += b_c
@@ -253,17 +252,23 @@ def _sum_back(stack):
     return np.add.reduce(stack[::-1], axis=0, initial=0.0)
 
 
-def _sigmoid(z, out, w):
-    """Logistic function as exp(min(z, 0)) / (1 + exp(-|z|)): exp never sees
-    a positive argument, so it cannot overflow, and the value is 1 / (1 + e)
-    where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|). w is a
-    (2,) + z.shape work array."""
-    np.abs(z, out=w[0])
-    np.negative(w[0], out=w[0])
-    np.minimum(z, 0.0, out=w[1])
-    np.exp(w, out=w)
-    w[0] += 1.0
-    return np.divide(w[1], w[0], out=out)
+def _sigmoid(g):
+    """The gate pair of the pre-activations z held in g[2:] of a (4, ...)
+    array: g[:2] becomes the logistic of z and g[2:] one minus it.
+
+    The logistic is exp(min(z, 0)) / (1 + exp(-|z|)): -|z| goes to g[:2]
+    and min(z, 0) to g[2:], one exp covers all four slots, and the quotient
+    lands in g[:2]. exp never sees a positive argument, so it cannot
+    overflow, and the value is 1 / (1 + e) where z >= 0 and e / (1 + e)
+    elsewhere, e = exp(-|z|)."""
+    s, z = g[:2], g[2:]
+    np.abs(z, out=s)
+    np.negative(s, out=s)
+    np.minimum(z, 0.0, out=z)
+    np.exp(g, out=g)
+    s += 1.0
+    np.divide(z, s, out=s)
+    np.subtract(1.0, s, out=z)
 
 
 def source_loss(predictions, targets):

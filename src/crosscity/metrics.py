@@ -157,14 +157,21 @@ def evaluate(checkpoint, config, target, horizons, variant):
     return _reports(variant, truth, preds, horizons, config, target)
 
 
+_HA_CHUNK = 4096  # windows per contiguous copy in evaluate_ha
+
+
 def evaluate_ha(config, target, horizons):
     """Historical-average baseline on the raw test windows evaluate scores."""
     test_set = make_windows(_raw_test(config, target, horizons),
                             config.history, config.horizon)
     # a mean over a strided view can sum in another order than over a
-    # contiguous array and differ in the last bit; keep the contiguous sums
-    inputs = np.ascontiguousarray(test_set.inputs)
-    means = inputs.mean(axis=1, keepdims=True)  # (B, 1, N_f)
+    # contiguous array and differ in the last bit; keep the contiguous sums,
+    # copying one chunk of windows at a time rather than all of them
+    inputs, n = test_set.inputs, _HA_CHUNK
+    means = np.empty((len(inputs), 1, inputs.shape[2]))  # (B, 1, N_f)
+    for lo in range(0, len(inputs), n):
+        means[lo:lo + n] = np.ascontiguousarray(inputs[lo:lo + n]).mean(
+            axis=1, keepdims=True)
     preds = np.repeat(means, config.horizon, axis=1)
     return _reports("ha", test_set.targets, preds, horizons, config, target)
 

@@ -13,6 +13,8 @@ it); only the target graph topology and raw node features participate.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,14 +219,44 @@ def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx):
 _PREDICT_BATCH = 512  # windows per tape-free forward call
 
 
+def _predict_threads(batches):
+    """Threads to spread `batches` tape-free forward batches over: the CPUs
+    this process may run on, at most one per batch, when BLAS runs each call
+    on one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1); else
+    1, as BLAS's own threads would contend with ours for the same cores."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    if blas != "1":
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, batches))
+
+
 def predict_windows(forecaster, embeddings, dataset):
-    """Forecasts for every window of dataset, in order, as one array: each
-    batch is a slice of the windows, run through the tape-free forward."""
+    """Forecasts for every window of dataset, in order, as one (N, H, N_f)
+    array. Each batch of 512 windows is a slice of the dataset run through
+    the tape-free forward, so its values do not depend on the threads:
+    batch k goes to thread k mod T, the caller being thread 0 and T - 1
+    helpers started for this call alone (T from ``_predict_threads``).
+    Helpers run only ``forecaster.predict`` and write their batches into
+    the shared output."""
     emb, n = embeddings.data, _PREDICT_BATCH
-    preds = [fc.predict(forecaster, dataset.inputs[lo:lo + n],
-                        emb[dataset.node_ids[lo:lo + n]])
-             for lo in range(0, len(dataset), n)]
-    return np.concatenate(preds, axis=0)
+    out = np.empty((len(dataset), forecaster.horizon, forecaster.n_features))
+    starts = range(0, len(dataset), n)
+    threads = _predict_threads(len(starts))
+
+    def run(first):
+        for lo in starts[first::threads]:
+            out[lo:lo + n] = fc.predict(forecaster, dataset.inputs[lo:lo + n],
+                                        emb[dataset.node_ids[lo:lo + n]])
+
+    # a pool that is never submitted to starts no thread
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        helpers = [pool.submit(run, k) for k in range(1, threads)]
+        run(0)
+        for helper in helpers:
+            helper.result()
+    return out
 
 
 def pretrain(config, sources, target, variant="full", replay_log=None):
@@ -266,44 +298,47 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
 
     total_steps = max(1, config.pretrain_epochs
                       * config.pretrain_batches_per_epoch * len(sources))
+
+    def step_losses(src, factor, where):
+        """One optimizer step on a batch of src; its forecast and domain
+        losses as floats, so that no step's tape outlives it."""
+        embeddings = model.encoders[src.name].forward(src.raw_features, src.graph)
+        dataset = train_sets[src.name]
+        idx = batch_rng.choice(len(dataset), size=min(config.batch_size,
+                                                      len(dataset)),
+                               replace=False)
+        loss_src = _batched_forecast_loss(model.forecaster, embeddings,
+                                          dataset, idx)
+        if not use_da:
+            _update(params, loss_src, opt, config, where)
+            return float(loss_src.data), 0.0
+        groups = []
+        for gj, other in enumerate(sources):
+            emb = (embeddings if other.name == src.name
+                   else model.encoders[other.name].forward(
+                       other.raw_features, other.graph))
+            groups.append((emb, gj))
+        target_emb = model.target_encoder.forward(target.raw_features, target.graph)
+        groups.append((target_emb, len(sources)))
+        loss_adv = adversarial_loss(model.classifier, groups,
+                                    reversal_factor=factor)
+        _update(params, ad.add(loss_src, loss_adv), opt, config, where)
+        return float(loss_src.data), float(loss_adv.data)
+
     step = 0
     for epoch in range(config.pretrain_epochs):
         target_uses = 0
         for _ in range(config.pretrain_batches_per_epoch):
-            for di, src in enumerate(sources):
+            for src in sources:
                 factor = adaptation_factor(step / total_steps, config.eta) if use_da else 0.0
-                embeddings = model.encoders[src.name].forward(src.raw_features, src.graph)
-                dataset = train_sets[src.name]
-                idx = batch_rng.choice(len(dataset), size=min(config.batch_size,
-                                                              len(dataset)),
-                                       replace=False)
-                loss_src = _batched_forecast_loss(model.forecaster, embeddings,
-                                                  dataset, idx)
-                if use_da:
-                    groups = []
-                    for gj, other in enumerate(sources):
-                        emb = (embeddings if other.name == src.name
-                               else model.encoders[other.name].forward(
-                                   other.raw_features, other.graph))
-                        groups.append((emb, gj))
-                    target_emb = model.target_encoder.forward(
-                        target.raw_features, target.graph)
-                    groups.append((target_emb, len(sources)))
-                    target_uses += 1
-                    loss_adv = adversarial_loss(model.classifier, groups,
-                                                reversal_factor=factor)
-                    loss = ad.add(loss_src, loss_adv)
-                else:
-                    loss_adv = None
-                    loss = loss_src
-                _update(params, loss, opt, config,
-                        f"pretrain step {step}, domain {src.name}")
+                loss_src, loss_adv = step_losses(
+                    src, factor, f"pretrain step {step}, domain {src.name}")
+                target_uses += use_da
                 if replay_log is not None:
                     replay_log.record(
                         step=step, epoch=epoch, domain=src.name,
                         factor=round(float(factor), 6),
-                        loss_src=float(loss_src.data),
-                        loss_adv=(float(loss_adv.data) if loss_adv is not None else 0.0),
+                        loss_src=loss_src, loss_adv=loss_adv,
                         classifier_updated=int(use_da))
                 step += 1
         if replay_log is not None:
@@ -350,6 +385,14 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
     train_set = make_windows(normalize(train, st), config.history, config.horizon)
     val_set = make_windows(normalize(val, st), config.history, config.horizon)
 
+    def step_loss(idx, where):
+        """One optimizer step on the windows idx; its loss as a float, so
+        that the step's tape is gone before validation."""
+        emb = model.embeddings(target.raw_features, target.graph)
+        loss = _batched_forecast_loss(model.forecaster, emb, train_set, idx)
+        _update(params, loss, opt, config, where)
+        return float(loss.data)
+
     best_val = np.inf
     best_tensors = {name: p.data.copy() for name, p in params.items()}
     patience_left = config.early_stop_patience
@@ -359,15 +402,12 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
                         int(np.ceil(len(train_set) / config.batch_size)))
         for b in range(n_batches):
             idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            emb = model.embeddings(target.raw_features, target.graph)
-            loss = _batched_forecast_loss(model.forecaster, emb, train_set, idx)
             step = epoch * n_batches + b
-            _update(params, loss, opt, config,
-                    f"finetune step {step}, domain {target.name}")
+            loss = step_loss(idx, f"finetune step {step}, domain {target.name}")
             if replay_log is not None:
                 replay_log.record(step=step, epoch=epoch,
                                   domain=target.name, factor=0.0,
-                                  loss_src=float(loss.data), loss_adv=0.0,
+                                  loss_src=loss, loss_adv=0.0,
                                   classifier_updated=0)
         emb = model.embeddings(target.raw_features, target.graph)
         val_mae = _epoch_val_mae(model, val_set, emb, st)

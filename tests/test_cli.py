@@ -416,9 +416,9 @@ class TestErrors:
     @pytest.mark.parametrize("key, value", [
         ("horizon", "3"), ("embed_dim", True), ("learning_rate", False),
         ("source_domains", ["alpha", "alpha"]),
-        ("source_domains", ["alpha", "tee"]),
+        ("source_domains", ["alpha", "tee"]), ("target_train_days", 0),
     ], ids=["str-int", "bool-int", "bool-float", "repeated-source",
-            "target-as-source"])
+            "target-as-source", "no-train-days"])
     def test_config_value_refused_before_any_stage(self, synthed, capsys,
                                                    key, value):
         data, cfg_path, cfg, tmp_path = synthed

@@ -58,6 +58,43 @@ class TestFieldKinds:
                 {"source_domains": ";".join(sources)})
 
 
+class TestRanges:
+    @pytest.mark.parametrize("key, value", [
+        ("target_train_days", 0), ("target_train_days", -1),
+        ("source_train_days", 0), ("horizon", 0), ("history", -3),
+        ("batch_size", 0), ("embed_dim", 0), ("hidden_dim", 0),
+        ("pretrain_epochs", 0), ("finetune_max_epochs", 0),
+        ("skipgram_epochs", 0), ("walks_per_node", 0), ("walk_length", 0),
+        ("finetune_batches_per_epoch", 0), ("learning_rate", -1.0),
+        ("learning_rate", 0), ("skipgram_lr", 0.0), ("momentum", 1.5),
+        ("momentum", 1.0), ("momentum", -0.1),
+        ("split_ratios", [0.5, 0.5, 0.5]), ("split_ratios", [1.2, -0.1, -0.1]),
+        ("split_ratios", [0.0, 0.5, 0.5]), ("split_ratios", [0.5, 0.5]),
+    ])
+    def test_value_out_of_range_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
+            ExperimentConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, raw", [
+        ("target_train_days", "0"), ("horizon", "0"), ("batch_size", "0"),
+        ("learning_rate", "-1.0"), ("momentum", "1.5"),
+        ("split_ratios", "0.5;0.5;0.5"),
+    ])
+    def test_override_out_of_range_refused(self, key, raw):
+        with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
+            ExperimentConfig().with_overrides({key: raw})
+
+    @pytest.mark.parametrize("key, value", [
+        ("target_train_days", None), ("target_train_days", 1),
+        ("horizon", 1), ("momentum", 0.0), ("momentum", 0.99),
+        ("learning_rate", 1e-9), ("split_ratios", [0.6, 0.2, 0.2]),
+    ])
+    def test_value_at_the_edge_of_its_range_kept(self, key, value):
+        cfg = ExperimentConfig.from_dict({key: value})
+        assert getattr(cfg, key) == (tuple(value) if key == "split_ratios"
+                                     else value)
+
+
 class TestOverrides:
     def test_typed_coercion(self):
         cfg = ExperimentConfig().with_overrides({

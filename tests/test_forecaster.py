@@ -271,12 +271,15 @@ def test_constant_embeddings_get_no_gradient(rng):
 
 def test_sigmoid_saturates_finitely_and_equals_masked_formula():
     z = np.array([-800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, 800.0])
-    fused = fc._sigmoid(z, np.empty_like(z), np.empty((2,) + z.shape))
-    assert np.isfinite(fused).all()
+    # the kernel's call: a gate pair's pre-activations in slots 2-3 of the
+    # 4-slot gate buffer, the logistic and one minus it written over them
+    pair = np.stack([z, z[::-1]])
+    gates = np.full((4,) + z.shape, np.nan)
+    gates[2:] = pair
+    fc._sigmoid(gates)
+    fused = gates[0]
+    assert np.isfinite(gates).all()
     assert fused[0] == 0.0 and fused[-1] == 1.0
     assert np.array_equal(fused, composed.sigmoid(Tensor(z)).data)
-    # the kernel's call, on a stacked gate pair with output and work array given
-    pair = np.stack([z, z[::-1]])
-    out, work = np.empty_like(pair), np.empty((2,) + pair.shape)
-    assert fc._sigmoid(pair, out, work) is out
-    assert np.array_equal(out, composed.sigmoid(Tensor(pair)).data)
+    assert np.array_equal(gates[:2], composed.sigmoid(Tensor(pair)).data)
+    assert np.array_equal(gates[2:], 1.0 - gates[:2])

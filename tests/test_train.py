@@ -1,3 +1,7 @@
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -366,6 +370,147 @@ def test_predict_windows_equals_per_batch_composed_forecast(rng):
     got = train.predict_windows(p, emb, dataset)
     assert got.shape == (len(dataset), 3, 1)
     assert np.array_equal(got, np.concatenate(want, axis=0))
+
+
+def _pin_blas(monkeypatch, env, cpus):
+    """The environment and CPU affinity `train._predict_threads` reads."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
+@pytest.mark.parametrize("windows", [300, 1024, 1300, 2048, 2100],
+                         ids=["one-partial-batch", "two-batches",
+                              "three-batches-partial-last", "four-batches",
+                              "five-batches-partial-last"])
+def test_predict_windows_on_two_threads_equals_one_bit_for_bit(
+        windows, rng, monkeypatch):
+    n_nodes = 4
+    dataset = make_windows(rng.standard_normal((windows // n_nodes + 14, n_nodes)),
+                           12, 3)
+    assert len(dataset) == windows
+    p = fc.ForecasterParams(1, 16, 8, 3, rng)
+    emb = Tensor(rng.standard_normal((n_nodes, 8)))
+    per_batch = np.concatenate(
+        [fc.predict(p, dataset.inputs[lo:lo + 512],
+                    emb.data[dataset.node_ids[lo:lo + 512]])
+         for lo in range(0, windows, 512)], axis=0)
+    callers = []
+    predict = fc.predict
+
+    def recording(*args):
+        callers.append(threading.get_ident())
+        return predict(*args)
+
+    monkeypatch.setattr(fc, "predict", recording)
+    _pin_blas(monkeypatch, {}, range(2))
+    serial = train.predict_windows(p, emb, dataset)
+    assert set(callers) == {threading.get_ident()}
+    callers.clear()
+    _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(2))
+    split = train.predict_windows(p, emb, dataset)
+    batches = -(-windows // 512)
+    assert len(callers) == batches
+    assert len(set(callers)) == min(2, batches)
+    assert split.shape == serial.shape == (windows, 3, 1)
+    assert np.array_equal(split, serial)
+    assert np.array_equal(serial, per_batch)
+
+
+def test_predict_windows_with_more_threads_than_cores(rng, monkeypatch):
+    # eight threads on nine batches, switching as often as the interpreter
+    # allows: a batch written to the wrong slice or lost would show
+    dataset = make_windows(rng.standard_normal((600, 7)), 12, 3)
+    assert -(-len(dataset) // 512) == 9
+    p = fc.ForecasterParams(1, 8, 4, 3, rng)
+    emb = Tensor(rng.standard_normal((7, 4)))
+    _pin_blas(monkeypatch, {}, range(8))
+    serial = train.predict_windows(p, emb, dataset)
+    _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = train.predict_windows(p, emb, dataset)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(split, serial)
+
+
+@pytest.mark.parametrize("env, cpus, batches, want", [
+    ({}, range(4), 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "4"}, range(4), 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, range(4), 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, [0], 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 8, 4),
+    ({"OMP_NUM_THREADS": "1"}, range(4), 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, range(4), 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 0, 1),
+], ids=["blas-unpinned", "blas-four-threads", "openblas-over-omp",
+        "one-cpu", "pinned", "omp-pinned", "capped-at-batches", "no-batches"])
+def test_predict_threads_rule(env, cpus, batches, want, monkeypatch):
+    _pin_blas(monkeypatch, env, cpus)
+    assert train._predict_threads(batches) == want
+
+
+def _record_forecast_outputs(monkeypatch):
+    """Weak references to the data of every `fc.forecast` output, as made."""
+    outputs = []
+    forecast = fc.forecast
+
+    def recording(*args):
+        preds = forecast(*args)
+        outputs.append(weakref.ref(preds.data))
+        return preds
+
+    monkeypatch.setattr(fc, "forecast", recording)
+    return outputs
+
+
+def test_no_training_tape_alive_during_finetune_validation(setup,
+                                                          monkeypatch):
+    config, _, target = setup
+    outputs = _record_forecast_outputs(monkeypatch)
+    validations = []
+    predict_windows = train.predict_windows
+
+    def checking(*args):
+        validations.append(len(outputs))
+        assert outputs and all(ref() is None for ref in outputs)
+        return predict_windows(*args)
+
+    monkeypatch.setattr(train, "predict_windows", checking)
+    finetune(None, target, config, variant="target_only")
+    assert len(validations) == config.finetune_max_epochs
+
+
+@pytest.mark.parametrize("variant", ["full", "wo_da"])
+def test_previous_pretrain_step_tape_dead_at_next_forward(variant, setup,
+                                                          monkeypatch):
+    config, sources, target = setup
+    outputs = _record_forecast_outputs(monkeypatch)
+    stepped, forwards = [], []
+    update, forward = train._update, gin.SpatialEncoder.forward
+
+    def recording(params, loss, *rest):
+        update(params, loss, *rest)
+        stepped.append(weakref.ref(loss.data))
+        stepped.extend(outputs)
+        outputs.clear()
+
+    def checking(self, *args):
+        forwards.append(len(stepped))
+        assert all(ref() is None for ref in stepped)
+        return forward(self, *args)
+
+    monkeypatch.setattr(train, "_update", recording)
+    monkeypatch.setattr(gin.SpatialEncoder, "forward", checking)
+    pretrain(config, sources, target, variant=variant)
+    steps = config.pretrain_epochs * config.pretrain_batches_per_epoch * 2
+    assert len(stepped) == 2 * steps
+    assert forwards[-1] == 2 * (steps - 1)
 
 
 # -- fused model units on the pretrain tape -----------------------------------
