@@ -26,6 +26,7 @@ from . import metrics as mx
 from . import node2vec as n2v
 from .config import VARIANTS, ExperimentConfig, variant_uses
 from .graph import load_graph, save_graph
+from .parallel import for_each, shared_empty
 from .textio import atomic_open
 from .train import DomainData, ReplayLog, finetune, pretrain
 
@@ -127,17 +128,25 @@ def cmd_synth(args):
 
 
 def cmd_embed(args):
+    """node2vec features of every city, into NAME.features.csv. The cities
+    are independent, so ``parallel.for_each`` spreads them over worker
+    processes, into shared arrays, and no file is written before every city
+    is done: a failure leaves the data directory as it was."""
     cfg = _load_config(args)
     names = list(cfg.source_domains) + [cfg.target_domain]
     paths = [_domain_paths(args.data, name) for name in names]
-    # every edge list read before any features are written
     graphs = [load_graph(_existing(edges, "edge list")) for edges, _, _ in paths]
-    for graph, (_, _, feats_path) in zip(graphs, paths):
-        feats = n2v.raw_features(
-            graph, cfg.embed_dim, cfg.walks_per_node, cfg.walk_length,
+    feats = [shared_empty((graph.n_nodes, cfg.embed_dim)) for graph in graphs]
+
+    def embed(i):
+        feats[i][:] = n2v.raw_features(
+            graphs[i], cfg.embed_dim, cfg.walks_per_node, cfg.walk_length,
             cfg.walk_p, cfg.walk_q, cfg.skipgram_window, cfg.skipgram_negatives,
             cfg.skipgram_epochs, cfg.skipgram_lr, cfg.seed)
-        n2v.save_features(feats, feats_path)
+
+    for_each(embed, range(len(graphs)))
+    for city_feats, (_, _, feats_path) in zip(feats, paths):
+        n2v.save_features(city_feats, feats_path)
     print(f"embedded {len(names)} cities")
     return 0
 

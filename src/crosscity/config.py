@@ -43,13 +43,14 @@ _RANGES = {
     **dict.fromkeys(
         ("history", "horizon", "n_features", "embed_dim", "hidden_dim",
          "gin_layers", "classifier_hidden", "walks_per_node", "walk_length",
-         "skipgram_epochs", "batch_size", "pretrain_epochs",
+         "skipgram_window", "skipgram_epochs", "batch_size", "pretrain_epochs",
          "pretrain_batches_per_epoch", "finetune_max_epochs",
          "finetune_batches_per_epoch", "source_train_days",
          "target_train_days"),
         ("at least 1", lambda v: v >= 1)),
-    "learning_rate": ("a value above 0", lambda v: v > 0),
-    "skipgram_lr": ("a value above 0", lambda v: v > 0),
+    "skipgram_negatives": ("at least 0", lambda v: v >= 0),
+    **dict.fromkeys(("walk_p", "walk_q", "learning_rate", "skipgram_lr"),
+                    ("a value above 0", lambda v: v > 0)),
     "momentum": ("a value in [0, 1)", lambda v: 0 <= v < 1),
     "split_ratios": ("three positive ratios summing to 1",
                      lambda v: len(v) == 3 and all(r > 0 for r in v)
@@ -108,8 +109,9 @@ class ExperimentConfig:
     def from_dict(cls, d):
         """The config of a JSON object. Each value must have its field's
         kind and lie in its range (``_RANGES``), and is kept as it is, so
-        the hash sees what the JSON said. The source domains must be
-        distinct and exclude the target."""
+        the hash sees what the JSON said. The domain names must not be
+        empty, and the source domains must be distinct and exclude the
+        target."""
         if not isinstance(d, dict):
             raise ValueError(f"a config is a JSON object, got {d!r}")
         unknown = set(d) - set(cls.__dataclass_fields__)
@@ -125,6 +127,12 @@ class ExperimentConfig:
         cfg.split_ratios = tuple(cfg.split_ratios)
         cfg.source_domains = list(cfg.source_domains)
         sources = cfg.source_domains
+        if not cfg.target_domain:
+            raise ValueError("config key 'target_domain': expected a "
+                             "non-empty name, got ''")
+        if "" in sources:
+            raise ValueError(f"config key 'source_domains': expected "
+                             f"non-empty names, got {sources}")
         if len(set(sources)) < len(sources) or cfg.target_domain in sources:
             raise ValueError(
                 f"config keys 'source_domains' {sources} and 'target_domain' "

@@ -13,8 +13,8 @@ writes each step into one block of preallocated buffers rather than
 concatenating arrays, and keeps every matrix product and every sum as the
 per-step composition of autodiff ops had it. That composition is kept in
 the test suite as the reference both must equal bit for bit. ``predict``
-reads the parameters and writes only its own block, so several threads may
-run it at once on different batches.
+reads the parameters and writes only buffers of its own, so each worker
+process of ``train.predict_windows`` runs it on its own batches.
 """
 
 from __future__ import annotations

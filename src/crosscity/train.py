@@ -13,8 +13,6 @@ it); only the target graph topology and raw node features participate.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +26,7 @@ from .config import variant_uses
 from .data import NormalizationStats, chrono_split, make_windows, normalize
 from .gin import SpatialEncoder, glorot
 from .forecaster import ForecasterParams
+from .parallel import for_each, shared_empty
 from .textio import atomic_open
 
 
@@ -219,43 +218,21 @@ def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx):
 _PREDICT_BATCH = 512  # windows per tape-free forward call
 
 
-def _predict_threads(batches):
-    """Threads to spread `batches` tape-free forward batches over: the CPUs
-    this process may run on, at most one per batch, when BLAS runs each call
-    on one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1); else
-    1, as BLAS's own threads would contend with ours for the same cores."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    if blas != "1":
-        return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(cpus, batches))
-
-
 def predict_windows(forecaster, embeddings, dataset):
     """Forecasts for every window of dataset, in order, as one (N, H, N_f)
     array. Each batch of 512 windows is a slice of the dataset run through
-    the tape-free forward, so its values do not depend on the threads:
-    batch k goes to thread k mod T, the caller being thread 0 and T - 1
-    helpers started for this call alone (T from ``_predict_threads``).
-    Helpers run only ``forecaster.predict`` and write their batches into
-    the shared output."""
+    the tape-free forward, so its values do not depend on the workers that
+    ``parallel.for_each`` spreads the batches over: the caller and
+    processes forked for this call alone. Each worker writes its batches
+    into the output, which is shared memory and returned as it is."""
     emb, n = embeddings.data, _PREDICT_BATCH
-    out = np.empty((len(dataset), forecaster.horizon, forecaster.n_features))
-    starts = range(0, len(dataset), n)
-    threads = _predict_threads(len(starts))
+    out = shared_empty((len(dataset), forecaster.horizon, forecaster.n_features))
 
-    def run(first):
-        for lo in starts[first::threads]:
-            out[lo:lo + n] = fc.predict(forecaster, dataset.inputs[lo:lo + n],
-                                        emb[dataset.node_ids[lo:lo + n]])
+    def predict_batch(lo):
+        out[lo:lo + n] = fc.predict(forecaster, dataset.inputs[lo:lo + n],
+                                    emb[dataset.node_ids[lo:lo + n]])
 
-    # a pool that is never submitted to starts no thread
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        helpers = [pool.submit(run, k) for k in range(1, threads)]
-        run(0)
-        for helper in helpers:
-            helper.result()
+    for_each(predict_batch, range(0, len(dataset), n))
     return out
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,9 @@ def assert_grads_close(loss_fn, params, rel_tol=1e-4, h=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def assert_no_child_left():
+    """Every child process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -10,6 +10,8 @@ from crosscity import node2vec as n2v
 from crosscity.cli import EXIT_BAD_ARGS, main
 from crosscity.config import ExperimentConfig
 
+from conftest import assert_no_child_left
+
 
 SPEC_A = """\
 name = alpha
@@ -413,12 +415,47 @@ class TestErrors:
             with open(os.path.join(data, f"{name}.features.csv"), "rb") as fh:
                 assert fh.read() == text
 
+    @pytest.mark.parametrize("blas", ["1", None], ids=["forked", "serial"])
+    def test_embed_failing_city_leaves_every_features_file(
+            self, synthed, capsys, monkeypatch, blas):
+        data, cfg_path, _, _ = synthed
+        assert main(["embed", "--config", cfg_path, "--data", data]) == 0
+        paths = [os.path.join(data, f"{name}.features.csv")
+                 for name in ("alpha", "beta", "tee")]
+        before = {}
+        for path in paths:
+            with open(path, "rb") as fh:
+                before[path] = fh.read()
+        raw_features = n2v.raw_features
+
+        def failing_on_beta(graph, *args):
+            if graph.n_nodes == 9:  # beta, the second city
+                raise ValueError("beta cannot be embedded")
+            return raw_features(graph, *args)
+
+        monkeypatch.setattr(n2v, "raw_features", failing_on_beta)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if blas:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        capsys.readouterr()
+        assert main(["embed", "--config", cfg_path, "--data", data,
+                     "--seed", "5"]) == 1
+        assert capsys.readouterr().err == "error: beta cannot be embedded\n"
+        for path in paths:
+            with open(path, "rb") as fh:
+                assert fh.read() == before[path]
+        assert_no_child_left()
+
     @pytest.mark.parametrize("key, value", [
         ("horizon", "3"), ("embed_dim", True), ("learning_rate", False),
         ("source_domains", ["alpha", "alpha"]),
         ("source_domains", ["alpha", "tee"]), ("target_train_days", 0),
+        ("skipgram_negatives", -1), ("skipgram_window", 0),
+        ("target_domain", ""), ("source_domains", ["alpha", ""]),
     ], ids=["str-int", "bool-int", "bool-float", "repeated-source",
-            "target-as-source", "no-train-days"])
+            "target-as-source", "no-train-days", "negative-negatives",
+            "no-window", "empty-target", "empty-source"])
     def test_config_value_refused_before_any_stage(self, synthed, capsys,
                                                    key, value):
         data, cfg_path, cfg, tmp_path = synthed

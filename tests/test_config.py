@@ -70,6 +70,8 @@ class TestRanges:
         ("momentum", 1.0), ("momentum", -0.1),
         ("split_ratios", [0.5, 0.5, 0.5]), ("split_ratios", [1.2, -0.1, -0.1]),
         ("split_ratios", [0.0, 0.5, 0.5]), ("split_ratios", [0.5, 0.5]),
+        ("skipgram_window", 0), ("skipgram_negatives", -1), ("walk_p", 0.0),
+        ("walk_q", -1.0), ("target_domain", ""), ("source_domains", ["a", ""]),
     ])
     def test_value_out_of_range_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -88,6 +90,8 @@ class TestRanges:
         ("target_train_days", None), ("target_train_days", 1),
         ("horizon", 1), ("momentum", 0.0), ("momentum", 0.99),
         ("learning_rate", 1e-9), ("split_ratios", [0.6, 0.2, 0.2]),
+        ("skipgram_window", 1), ("skipgram_negatives", 0), ("walk_q", 1e-9),
+        ("source_domains", []),
     ])
     def test_value_at_the_edge_of_its_range_kept(self, key, value):
         cfg = ExperimentConfig.from_dict({key: value})

@@ -1,3 +1,5 @@
+import contextlib
+import os
 import sys
 import threading
 import weakref
@@ -7,6 +9,7 @@ import pytest
 
 from crosscity import forecaster as fc
 from crosscity import gin
+from crosscity import parallel
 from crosscity import train
 from crosscity.autodiff import Tensor
 from crosscity.config import VARIANTS, ExperimentConfig, variant_uses
@@ -17,6 +20,7 @@ from crosscity.train import (DomainData, FinetuneModel, PretrainModel,
                              collect_grads, finetune, pretrain)
 
 import composed
+from conftest import assert_no_child_left
 
 
 # -- optimizer --------------------------------------------------------------
@@ -373,20 +377,35 @@ def test_predict_windows_equals_per_batch_composed_forecast(rng):
 
 
 def _pin_blas(monkeypatch, env, cpus):
-    """The environment and CPU affinity `train._predict_threads` reads."""
+    """The environment and CPU affinity `parallel.worker_count` reads."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(cpus),
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
                         raising=False)
+
+
+def _count_forks(monkeypatch):
+    """The pids of the children `os.fork` starts from now on."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
 
 
 @pytest.mark.parametrize("windows", [300, 1024, 1300, 2048, 2100],
                          ids=["one-partial-batch", "two-batches",
                               "three-batches-partial-last", "four-batches",
                               "five-batches-partial-last"])
-def test_predict_windows_on_two_threads_equals_one_bit_for_bit(
+def test_predict_windows_forked_equals_serial_bit_for_bit(
         windows, rng, monkeypatch):
     n_nodes = 4
     dataset = make_windows(rng.standard_normal((windows // n_nodes + 14, n_nodes)),
@@ -398,61 +417,93 @@ def test_predict_windows_on_two_threads_equals_one_bit_for_bit(
         [fc.predict(p, dataset.inputs[lo:lo + 512],
                     emb.data[dataset.node_ids[lo:lo + 512]])
          for lo in range(0, windows, 512)], axis=0)
-    callers = []
-    predict = fc.predict
-
-    def recording(*args):
-        callers.append(threading.get_ident())
-        return predict(*args)
-
-    monkeypatch.setattr(fc, "predict", recording)
+    forks = _count_forks(monkeypatch)
     _pin_blas(monkeypatch, {}, range(2))
     serial = train.predict_windows(p, emb, dataset)
-    assert set(callers) == {threading.get_ident()}
-    callers.clear()
+    assert forks == []
     _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(2))
     split = train.predict_windows(p, emb, dataset)
-    batches = -(-windows // 512)
-    assert len(callers) == batches
-    assert len(set(callers)) == min(2, batches)
+    assert len(forks) == min(2, -(-windows // 512)) - 1
+    assert_no_child_left()
     assert split.shape == serial.shape == (windows, 3, 1)
     assert np.array_equal(split, serial)
     assert np.array_equal(serial, per_batch)
 
 
 def test_predict_windows_with_more_threads_than_cores(rng, monkeypatch):
-    # eight threads on nine batches, switching as often as the interpreter
-    # allows: a batch written to the wrong slice or lost would show
+    # eight workers, likely more than the CPUs, on nine batches: a batch
+    # written to the wrong slice or lost would show
     dataset = make_windows(rng.standard_normal((600, 7)), 12, 3)
     assert -(-len(dataset) // 512) == 9
     p = fc.ForecasterParams(1, 8, 4, 3, rng)
     emb = Tensor(rng.standard_normal((7, 4)))
     _pin_blas(monkeypatch, {}, range(8))
     serial = train.predict_windows(p, emb, dataset)
+    forks = _count_forks(monkeypatch)
     _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(8))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        split = train.predict_windows(p, emb, dataset)
-    finally:
-        sys.setswitchinterval(interval)
+    split = train.predict_windows(p, emb, dataset)
+    assert len(forks) == 7
+    assert_no_child_left()
     assert np.array_equal(split, serial)
 
 
-@pytest.mark.parametrize("env, cpus, batches, want", [
-    ({}, range(4), 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "4"}, range(4), 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, range(4), 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, [0], 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 8, 4),
-    ({"OMP_NUM_THREADS": "1"}, range(4), 8, 4),
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, range(4), 3, 3),
-    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 0, 1),
+def test_predict_windows_raises_a_failed_workers_exception(rng, monkeypatch):
+    dataset = make_windows(rng.standard_normal((114, 7)), 12, 3)
+    assert -(-len(dataset) // 512) == 2  # the child's batch is the second
+    p = fc.ForecasterParams(1, 8, 4, 3, rng)
+    emb = Tensor(rng.standard_normal((7, 4)))
+    predict, calls = fc.predict, []
+
+    def failing_after_first_batch(params, inputs, f_v):
+        if not np.shares_memory(inputs, dataset.inputs[:1]):
+            raise ValueError("no forecast past the first batch")
+        calls.append(len(inputs))
+        return predict(params, inputs, f_v)
+
+    monkeypatch.setattr(fc, "predict", failing_after_first_batch)
+    forks = _count_forks(monkeypatch)
+    _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(2))
+    with pytest.raises(ValueError, match="^no forecast past the first batch$"):
+        train.predict_windows(p, emb, dataset)
+    assert len(forks) == 1 and calls == [512]  # the caller's batch ran
+    assert_no_child_left()
+
+
+@contextlib.contextmanager
+def _another_thread():
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        other.join()
+
+
+@pytest.mark.parametrize("env, cpus, batches, want, context", [
+    ({}, range(4), 8, 1, None),
+    ({"OPENBLAS_NUM_THREADS": "4"}, range(4), 8, 1, None),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, range(4), 8, 1,
+     None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, [0], 8, 1, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 8, 4, None),
+    ({"OMP_NUM_THREADS": "1"}, range(4), 8, 4, None),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, range(4), 3, 3,
+     None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 0, 1, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 8, 1, "another-thread"),
+    ({"OPENBLAS_NUM_THREADS": "1"}, range(4), 8, 1, "darwin"),
 ], ids=["blas-unpinned", "blas-four-threads", "openblas-over-omp",
-        "one-cpu", "pinned", "omp-pinned", "capped-at-batches", "no-batches"])
-def test_predict_threads_rule(env, cpus, batches, want, monkeypatch):
+        "one-cpu", "pinned", "omp-pinned", "capped-at-batches", "no-batches",
+        "another-thread-alive", "not-linux"])
+def test_predict_threads_rule(env, cpus, batches, want, context, monkeypatch):
     _pin_blas(monkeypatch, env, cpus)
-    assert train._predict_threads(batches) == want
+    if context == "darwin":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    with (_another_thread() if context == "another-thread"
+          else contextlib.nullcontext()):
+        assert parallel.worker_count(batches) == want
 
 
 def _record_forecast_outputs(monkeypatch):
