@@ -3,12 +3,12 @@
 Every op records a backward closure on the implicit tape (the graph of
 ``Tensor`` objects); ``backward()`` runs reverse accumulation in topological
 order. Gradients sum when a node feeds multiple consumers. Each model unit
-(GRU window, GIN layer, domain head) is one fused node built on
-``Tensor._result`` with a hand-written backward; the ops here glue those
-together (combiner, row gather, L1 loss), plus ``tsum`` for benchmarks and
-tests. No broadcasting except scalar-with-tensor and the row-bias add.
-``matmul`` skips the gradient product for a constant operand (see
-``needs_grad``).
+(GRU window, GIN layer, domain head, combiner, L1 loss) is one fused node
+built on ``Tensor._result`` with a hand-written backward. Beside them
+there are three ops: ``gather_rows`` picks a batch's embedding rows,
+``add`` sums the forecast and domain losses, and ``tsum`` reduces an output
+for benchmarks and tests. The generic ops the fused units are composed of
+are kept in the test suite (tests/composed.py) as their exact references.
 """
 
 from __future__ import annotations
@@ -90,63 +90,14 @@ def needs_grad(t):
     return t.requires_grad or bool(t._parents)
 
 
-def _is_scalar(t):
-    return t.data.size == 1
-
-
-def _check_same_shape(op, a, b):
-    if a.shape != b.shape and not (_is_scalar(a) or _is_scalar(b)):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-# -- binary elementwise -----------------------------------------------------
-
 def add(a, b):
-    _check_same_shape("add", a, b)
-    def bwd(g):
-        a._accum(g if not _is_scalar(a) or a.shape == g.shape else g.sum())
-        b._accum(g if not _is_scalar(b) or b.shape == g.shape else g.sum())
-    return Tensor._result(a.data + b.data, (a, b), bwd)
-
-
-def sub(a, b):
-    _check_same_shape("sub", a, b)
-    def bwd(g):
-        a._accum(g if not _is_scalar(a) or a.shape == g.shape else g.sum())
-        b._accum(-g if not _is_scalar(b) or b.shape == g.shape else -g.sum())
-    return Tensor._result(a.data - b.data, (a, b), bwd)
-
-
-# -- unary elementwise ------------------------------------------------------
-
-def absolute(a):
-    sign = np.sign(a.data)  # subgradient 0 at ties
-    def bwd(g):
-        a._accum(g * sign)
-    return Tensor._result(np.abs(a.data), (a,), bwd)
-
-
-# -- structured ops ---------------------------------------------------------
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    def bwd(g):
-        if needs_grad(a):
-            a._accum(g @ b.data.T)
-        if needs_grad(b):
-            b._accum(a.data.T @ g)
-    return Tensor._result(a.data @ b.data, (a, b), bwd)
-
-
-def add_rowvec(a, bias):
-    """Add a (n,) vector to every row of an (m, n) matrix."""
-    if a.data.ndim != 2 or bias.data.ndim != 1 or a.shape[1] != bias.shape[0]:
-        raise ShapeError(f"add_rowvec: shapes {a.shape} and {bias.shape}")
+    """a + b for two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     def bwd(g):
         a._accum(g)
-        bias._accum(g.sum(axis=0))
-    return Tensor._result(a.data + bias.data[None, :], (a, bias), bwd)
+        b._accum(g)
+    return Tensor._result(a.data + b.data, (a, b), bwd)
 
 
 def gather_rows(a, idx):
@@ -161,16 +112,7 @@ def gather_rows(a, idx):
     return Tensor._result(a.data[idx], (a,), bwd)
 
 
-# -- reductions -------------------------------------------------------------
-
 def tsum(a):
     def bwd(g):
         a._accum(np.full_like(a.data, float(g)))
     return Tensor._result(np.asarray(a.data.sum()), (a,), bwd)
-
-
-def tmean(a):
-    n = a.data.size
-    def bwd(g):
-        a._accum(np.full_like(a.data, float(g) / n))
-    return Tensor._result(np.asarray(a.data.mean()), (a,), bwd)

@@ -8,7 +8,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
-from .textio import check_fields, parse_fields
+from .textio import check_fields, check_ranges, parse_fields
 
 
 class VariantUses(NamedTuple):
@@ -41,20 +41,25 @@ def variant_uses(variant):
 # and its test; a null train-days value means every day
 _RANGES = {
     **dict.fromkeys(
-        ("history", "horizon", "n_features", "embed_dim", "hidden_dim",
-         "gin_layers", "classifier_hidden", "walks_per_node", "walk_length",
+        ("history", "horizon", "embed_dim", "hidden_dim", "gin_layers",
+         "classifier_hidden", "walks_per_node", "walk_length",
          "skipgram_window", "skipgram_epochs", "batch_size", "pretrain_epochs",
          "pretrain_batches_per_epoch", "finetune_max_epochs",
          "finetune_batches_per_epoch", "source_train_days",
          "target_train_days"),
         ("at least 1", lambda v: v >= 1)),
-    "skipgram_negatives": ("at least 0", lambda v: v >= 0),
+    # the forecaster reads one traffic value per node and step
+    "n_features": ("exactly 1", lambda v: v == 1),
+    **dict.fromkeys(("skipgram_negatives", "eta"),
+                    ("at least 0", lambda v: v >= 0)),
     **dict.fromkeys(("walk_p", "walk_q", "learning_rate", "skipgram_lr"),
                     ("a value above 0", lambda v: v > 0)),
     "momentum": ("a value in [0, 1)", lambda v: 0 <= v < 1),
     "split_ratios": ("three positive ratios summing to 1",
                      lambda v: len(v) == 3 and all(r > 0 for r in v)
                      and abs(sum(v) - 1.0) <= 1e-9),
+    "target_domain": ("a non-empty name", lambda v: v != ""),
+    "source_domains": ("non-empty names", lambda v: "" not in v),
 }
 
 
@@ -108,9 +113,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         """The config of a JSON object. Each value must have its field's
-        kind and lie in its range (``_RANGES``), and is kept as it is, so
-        the hash sees what the JSON said. The domain names must not be
-        empty, and the source domains must be distinct and exclude the
+        kind and lie in its range (``_RANGES``, which also refuses empty
+        domain names), and is kept as it is, so the hash sees what the JSON
+        said. The source domains must be distinct and exclude the
         target."""
         if not isinstance(d, dict):
             raise ValueError(f"a config is a JSON object, got {d!r}")
@@ -118,21 +123,11 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         check_fields(d, cls(), "config")
-        for key, value in d.items():
-            rule = _RANGES.get(key)
-            if rule is not None and value is not None and not rule[1](value):
-                raise ValueError(f"config key {key!r}: expected {rule[0]}, "
-                                 f"got {value!r}")
+        check_ranges(d, _RANGES, "config")
         cfg = cls(**d)
         cfg.split_ratios = tuple(cfg.split_ratios)
         cfg.source_domains = list(cfg.source_domains)
         sources = cfg.source_domains
-        if not cfg.target_domain:
-            raise ValueError("config key 'target_domain': expected a "
-                             "non-empty name, got ''")
-        if "" in sources:
-            raise ValueError(f"config key 'source_domains': expected "
-                             f"non-empty names, got {sources}")
         if len(set(sources)) < len(sources) or cfg.target_domain in sources:
             raise ValueError(
                 f"config keys 'source_domains' {sources} and 'target_domain' "

@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import RoadGraph
-from .textio import (DataError, content_lines, parse_fields, read_table,
-                     write_table)
+from .textio import (DataError, check_ranges, content_lines, parse_fields,
+                     read_table, write_table)
 
 
 class TrafficSeries:
@@ -153,6 +153,14 @@ def save_series(series, path):
 
 # -- synthetic generator ----------------------------------------------------
 
+# the range of each bounded spec key: what it expects and its test
+_SPEC_RANGES = {
+    **dict.fromkeys(("days", "interval_minutes"),
+                    ("at least 1", lambda v: v >= 1)),
+    "peak_width_hours": ("a value above 0", lambda v: v > 0),
+}
+
+
 @dataclass
 class SyntheticCitySpec:
     name: str = "city"
@@ -172,7 +180,9 @@ class SyntheticCitySpec:
 
     @classmethod
     def from_kv(cls, kv):
-        return cls(**parse_fields(kv, cls(), "synthetic spec"))
+        fields = parse_fields(kv, cls(), "synthetic spec")
+        check_ranges(fields, _SPEC_RANGES, "synthetic spec")
+        return cls(**fields)
 
 
 def load_spec(path):

@@ -15,6 +15,7 @@ per-step composition of autodiff ops had it. That composition is kept in
 the test suite as the reference both must equal bit for bit. ``predict``
 reads the parameters and writes only buffers of its own, so each worker
 process of ``train.predict_windows`` runs it on its own batches.
+``source_loss``, the L1 training loss, is one tape node too.
 """
 
 from __future__ import annotations
@@ -273,9 +274,17 @@ def _sigmoid(g):
 
 def source_loss(predictions, targets):
     """Mean absolute error over horizon steps and batch entries (Eq.-style
-    L1 average); differentiable with subgradient 0 at exact ties."""
-    t = targets if isinstance(targets, Tensor) else Tensor(targets)
+    L1 average) of a prediction Tensor against constant targets; one tape
+    node, with subgradient 0 at exact ties."""
+    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     if predictions.shape != t.shape:
         raise ad.ShapeError(
             f"source_loss: shapes {predictions.shape} vs {t.shape}")
-    return ad.tmean(ad.absolute(ad.sub(predictions, t)))
+    diff = predictions.data - t
+
+    def backward(g):
+        predictions._accum(np.full_like(diff, float(g) / diff.size)
+                           * np.sign(diff))
+
+    return Tensor._result(np.asarray(np.abs(diff).mean()), (predictions,),
+                          backward)

@@ -135,3 +135,13 @@ def check_fields(d, defaults, what):
         name, _, accepts = _KINDS[type(getattr(defaults, key))]
         if not accepts(value):
             raise DataError(f"{what} key {key!r}: expected {name}, got {value!r}")
+
+
+def check_ranges(d, ranges, what):
+    """DataError naming the first `what` key of d whose non-null value fails
+    its range in `ranges`, a dict of key -> (what it expects, its test)."""
+    for key, value in d.items():
+        rule = ranges.get(key)
+        if rule is not None and value is not None and not rule[1](value):
+            raise DataError(f"{what} key {key!r}: expected {rule[0]}, "
+                            f"got {value!r}")

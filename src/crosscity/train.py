@@ -47,7 +47,6 @@ class DomainData:
 @dataclass
 class ReplayLog:
     steps: list = field(default_factory=list)
-    target_embedding_uses_per_epoch: list = field(default_factory=list)
 
     def record(self, **kw):
         self.steps.append(kw)
@@ -133,9 +132,27 @@ class CombinerParams:
         self.cmb_w, self.cmb_b = affine()
 
     def combine(self, shared, private):
-        a = ad.add_rowvec(ad.matmul(shared, self.pre_w), self.pre_b)
-        b = ad.add_rowvec(ad.matmul(private, self.pri_w), self.pri_b)
-        return ad.add_rowvec(ad.matmul(ad.add(a, b), self.cmb_w), self.cmb_b)
+        """cmb(pre(shared) + pri(private)) for the affine maps pre, pri and
+        cmb, as one tape node; shared and private are encoder outputs, and
+        each gets its gradient. Forward and backward run the products and
+        sums of the maps composed from generic ops, so values and gradients
+        equal that composition bit for bit."""
+        mixed = ((shared.data @ self.pre_w.data + self.pre_b.data[None, :])
+                 + (private.data @ self.pri_w.data + self.pri_b.data[None, :]))
+
+        def backward(g):
+            self.cmb_b._accum(g.sum(axis=0))
+            self.cmb_w._accum(mixed.T @ g)
+            dmixed = g @ self.cmb_w.data.T
+            for x, w, b in ((shared, self.pre_w, self.pre_b),
+                            (private, self.pri_w, self.pri_b)):
+                b._accum(dmixed.sum(axis=0))
+                w._accum(x.data.T @ dmixed)
+                x._accum(dmixed @ w.data.T)
+
+        return Tensor._result(
+            mixed @ self.cmb_w.data + self.cmb_b.data[None, :],
+            (shared, private, *self.params().values()), backward)
 
     def params(self):
         return {
@@ -304,13 +321,11 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
 
     step = 0
     for epoch in range(config.pretrain_epochs):
-        target_uses = 0
         for _ in range(config.pretrain_batches_per_epoch):
             for src in sources:
                 factor = adaptation_factor(step / total_steps, config.eta) if use_da else 0.0
                 loss_src, loss_adv = step_losses(
                     src, factor, f"pretrain step {step}, domain {src.name}")
-                target_uses += use_da
                 if replay_log is not None:
                     replay_log.record(
                         step=step, epoch=epoch, domain=src.name,
@@ -318,8 +333,6 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
                         loss_src=loss_src, loss_adv=loss_adv,
                         classifier_updated=int(use_da))
                 step += 1
-        if replay_log is not None:
-            replay_log.target_embedding_uses_per_epoch.append(target_uses)
 
     if target.series is not None and target.series.read_count != guard_reads:
         raise ProtocolError("target-domain signals were read during pre-training")

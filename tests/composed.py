@@ -1,10 +1,15 @@
 """Reference implementations the library's faster code must equal bit for bit.
 
-- The elementwise and reduction ops the library's fused nodes replaced:
-  ``mul``, ``scale``, ``relu``, ``log``, ``clamp_min``, ``softmax_rows``,
-  ``grad_reverse``, ``sigmoid``, ``tanh``, ``transpose`` and ``concat``,
-  each with its own textbook backward rule. The tests in test_autodiff.py
-  check them like any other op.
+- The generic ops the library's fused nodes replaced: ``sub``, ``mul``,
+  ``scale``, ``absolute``, ``relu``, ``log``, ``clamp_min``,
+  ``softmax_rows``, ``grad_reverse``, ``sigmoid``, ``tanh``, ``matmul``,
+  ``add_rowvec``, ``transpose``, ``concat`` and ``tmean``, each with its own
+  textbook backward rule; ``sub`` and ``mul`` broadcast a scalar operand.
+  The tests in test_autodiff.py check them like any other op.
+- ``source_loss``: the L1 loss as sub, absolute and mean, the reference for
+  ``forecaster.source_loss``.
+- ``combine``: the combiner as three affine maps of matmul and add_rowvec,
+  the reference for ``train.CombinerParams.combine``.
 - The GRU forecaster composed from per-step autodiff ops: about 25 tape
   nodes per recurrent step, the reference for ``forecaster.forecast``
   (values and gradients) and for ``forecaster.predict`` and
@@ -39,14 +44,67 @@ from crosscity.data import DataError, WindowedDataset
 from crosscity.graph import RoadGraph
 
 
+def _is_scalar(t):
+    return t.data.size == 1
+
+
+def _check_same_shape(op, a, b):
+    if a.shape != b.shape and not (_is_scalar(a) or _is_scalar(b)):
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
+def sub(a, b):
+    _check_same_shape("sub", a, b)
+    def bwd(g):
+        a._accum(g if not _is_scalar(a) or a.shape == g.shape else g.sum())
+        b._accum(-g if not _is_scalar(b) or b.shape == g.shape else -g.sum())
+    return Tensor._result(a.data - b.data, (a, b), bwd)
+
+
 def mul(a, b):
-    ad._check_same_shape("mul", a, b)
+    _check_same_shape("mul", a, b)
     def bwd(g):
         ga = g * b.data
         gb = g * a.data
         a._accum(ga if ga.shape == a.shape else ga.sum())
         b._accum(gb if gb.shape == b.shape else gb.sum())
     return Tensor._result(a.data * b.data, (a, b), bwd)
+
+
+def absolute(a):
+    sign = np.sign(a.data)  # subgradient 0 at ties
+    def bwd(g):
+        a._accum(g * sign)
+    return Tensor._result(np.abs(a.data), (a,), bwd)
+
+
+def matmul(a, b):
+    """a @ b; no gradient product for a constant operand."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    def bwd(g):
+        if ad.needs_grad(a):
+            a._accum(g @ b.data.T)
+        if ad.needs_grad(b):
+            b._accum(a.data.T @ g)
+    return Tensor._result(a.data @ b.data, (a, b), bwd)
+
+
+def add_rowvec(a, bias):
+    """Add a (n,) vector to every row of an (m, n) matrix."""
+    if a.data.ndim != 2 or bias.data.ndim != 1 or a.shape[1] != bias.shape[0]:
+        raise ShapeError(f"add_rowvec: shapes {a.shape} and {bias.shape}")
+    def bwd(g):
+        a._accum(g)
+        bias._accum(g.sum(axis=0))
+    return Tensor._result(a.data + bias.data[None, :], (a, bias), bwd)
+
+
+def tmean(a):
+    n = a.data.size
+    def bwd(g):
+        a._accum(np.full_like(a.data, float(g) / n))
+    return Tensor._result(np.asarray(a.data.mean()), (a,), bwd)
 
 
 def relu(a):
@@ -157,14 +215,14 @@ def gru_step(params, x_t, h_prev, f_v):
     """One recurrent update on a batch: x_t (B, N_f), h_prev (B, hidden),
     f_v (B, D_f); returns (B, hidden)."""
     xh = concat(x_t, h_prev, axis=1)
-    u = sigmoid(ad.add_rowvec(ad.matmul(xh, transpose(params.theta_u)), params.b_u))
-    r = sigmoid(ad.add_rowvec(ad.matmul(xh, transpose(params.theta_r)), params.b_r))
+    u = sigmoid(add_rowvec(matmul(xh, transpose(params.theta_u)), params.b_u))
+    r = sigmoid(add_rowvec(matmul(xh, transpose(params.theta_r)), params.b_r))
     xrh = concat(x_t, mul(r, h_prev), axis=1)
-    c = tanh(ad.add_rowvec(ad.matmul(xrh, transpose(params.theta_c)), params.b_c))
+    c = tanh(add_rowvec(matmul(xrh, transpose(params.theta_c)), params.b_c))
     blended = ad.add(mul(u, h_prev),
-                     mul(ad.sub(Tensor(1.0), u), c))
+                     mul(sub(Tensor(1.0), u), c))
     fe = concat(f_v, blended, axis=1)
-    return ad.add_rowvec(ad.matmul(fe, params.mix_w), params.mix_b)
+    return add_rowvec(matmul(fe, params.mix_w), params.mix_b)
 
 
 def forecast(params, inputs, f_v):
@@ -175,7 +233,7 @@ def forecast(params, inputs, f_v):
     h = Tensor(np.zeros((batch, params.hidden_dim)))
     for t in range(hist):
         h = gru_step(params, _slice_time(x, t), h, fv)
-    out = ad.add_rowvec(ad.matmul(h, params.head_w), params.head_b)
+    out = add_rowvec(matmul(h, params.head_w), params.head_b)
     return _reshape_pred(out, batch, params.horizon, params.n_features)
 
 
@@ -194,12 +252,27 @@ def _reshape_pred(out, batch, horizon, n_features):
     return Tensor._result(out.data.reshape(batch, horizon, n_features), (out,), bwd)
 
 
+def source_loss(predictions, targets):
+    """Same contract as ``forecaster.source_loss``: subtract, absolute value,
+    mean."""
+    t = targets if isinstance(targets, Tensor) else Tensor(targets)
+    return tmean(absolute(sub(predictions, t)))
+
+
+def combine(combiner, shared, private):
+    """Same contract as ``train.CombinerParams.combine``: three affine maps
+    of matmul and add_rowvec, the first two added."""
+    a = add_rowvec(matmul(shared, combiner.pre_w), combiner.pre_b)
+    b = add_rowvec(matmul(private, combiner.pri_w), combiner.pri_b)
+    return add_rowvec(matmul(ad.add(a, b), combiner.cmb_w), combiner.cmb_b)
+
+
 def gin_layer(layer, x, agg_matrix):
     """Same contract as ``gin.GinLayer.forward``, nine ops."""
     own = mul(x, ad.add(layer.eps, Tensor(1.0)))
-    mixed = ad.add(own, ad.matmul(agg_matrix, x))
-    h = relu(ad.add_rowvec(ad.matmul(mixed, layer.w1), layer.b1))
-    return ad.add_rowvec(ad.matmul(h, layer.w2), layer.b2)
+    mixed = ad.add(own, matmul(agg_matrix, x))
+    h = relu(add_rowvec(matmul(mixed, layer.w1), layer.b1))
+    return add_rowvec(matmul(h, layer.w2), layer.b2)
 
 
 def spatial_encoder(encoder, features, graph):
@@ -213,8 +286,8 @@ def spatial_encoder(encoder, features, graph):
 
 def classifier_logits(classifier, f_v):
     x = f_v if isinstance(f_v, Tensor) else Tensor(f_v)
-    h = relu(ad.add_rowvec(ad.matmul(x, classifier.w1), classifier.b1))
-    return ad.add_rowvec(ad.matmul(h, classifier.w2), classifier.b2)
+    h = relu(add_rowvec(matmul(x, classifier.w1), classifier.b1))
+    return add_rowvec(matmul(h, classifier.w2), classifier.b2)
 
 
 def classify(classifier, f_v):

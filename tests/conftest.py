@@ -50,3 +50,12 @@ def assert_no_child_left():
     """Every child process this one started has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def target_uses_per_epoch(log):
+    """Per pretrain epoch of a replay log, the steps whose domain loss took
+    in the target embeddings: the steps that updated the classifier."""
+    uses = {}
+    for rec in log.steps:
+        uses[rec["epoch"]] = uses.get(rec["epoch"], 0) + rec["classifier_updated"]
+    return list(uses.values())

@@ -25,7 +25,7 @@ from crosscity.train import (DomainData, PretrainModel, ReplayLog, finetune,
                              pretrain)
 
 import composed
-from conftest import analytic_grads, finite_diff
+from conftest import analytic_grads, finite_diff, target_uses_per_epoch
 
 
 # -- 1: full-loss gradient fidelity -----------------------------------------
@@ -238,7 +238,7 @@ def test_pretraining_never_reads_target_signals(transfer_results):
     log = transfer_results["logs"][0]
     # the guard inside pretrain() raises if the counter moved; re-assert on
     # the recorded per-epoch adversarial usage of the target embeddings
-    uses = log.target_embedding_uses_per_epoch
+    uses = target_uses_per_epoch(log)
     assert len(uses) > 0 and all(n >= 1 for n in uses)
     cfg = transfer_config(0)
     sources, target = build_domains(cfg)

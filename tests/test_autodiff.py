@@ -14,15 +14,15 @@ class TestForward:
     def test_matmul_identity(self):
         a = Tensor(np.eye(2))
         b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(ad.matmul(a, b).data, b.data)
+        assert np.array_equal(composed.matmul(a, b).data, b.data)
 
     def test_matmul_hand_value(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = composed.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.data.tolist() == [[11.0]]
 
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            composed.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_sigmoid_at_zero(self):
         assert composed.sigmoid(Tensor(0.0)).data == 0.5
@@ -53,7 +53,7 @@ class TestForward:
     def test_finite_outputs_on_finite_inputs(self, rng):
         x = Tensor(rng.standard_normal((4, 4)) * 50)
         for op in (composed.sigmoid, composed.tanh, composed.relu,
-                   composed.softmax_rows, ad.absolute):
+                   composed.softmax_rows, composed.absolute):
             assert np.isfinite(op(x).data).all()
 
 
@@ -106,7 +106,7 @@ class TestGradReverse:
 
         def grads(with_reversal):
             w.grad = None
-            h = ad.matmul(x, w)
+            h = composed.matmul(x, w)
             if with_reversal:
                 h = composed.grad_reverse(h, factor)
             ad.tsum(composed.sigmoid(h)).backward()
@@ -123,7 +123,7 @@ class TestBackward:
 
     def test_mean(self):
         x = Tensor([1.0, 5.0], requires_grad=True)
-        ad.tmean(x).backward()
+        composed.tmean(x).backward()
         assert x.grad.tolist() == [0.5, 0.5]
 
     def test_non_scalar_loss_rejected(self):
@@ -139,7 +139,7 @@ class TestBackward:
     def test_matmul_constant_operand_gets_no_grad(self, rng):
         agg = Tensor(rng.standard_normal((3, 3)))
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        ad.tsum(ad.matmul(agg, x)).backward()
+        ad.tsum(composed.matmul(agg, x)).backward()
         assert agg.grad is None
         assert np.array_equal(x.grad, agg.data.T @ np.ones((3, 2)))
 
@@ -158,7 +158,7 @@ class TestBackward:
     def test_matmul_grad_vs_finite_diff(self, rng):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        assert_grads_close(lambda: ad.tsum(ad.matmul(a, b)), {"a": a, "b": b},
+        assert_grads_close(lambda: ad.tsum(composed.matmul(a, b)), {"a": a, "b": b},
                            rel_tol=1e-6)
 
     def test_sigmoid_derivative_at_zero(self):
@@ -168,13 +168,13 @@ class TestBackward:
         assert_grads_close(lambda: composed.sigmoid(x), {"x": x})
 
     @pytest.mark.parametrize("op", [composed.sigmoid, composed.tanh,
-                                    composed.relu, ad.absolute,
+                                    composed.relu, composed.absolute,
                                     composed.softmax_rows])
     def test_elementwise_grads_vs_finite_diff(self, op, rng):
         # 10 random points per op, rel err < 1e-4 against central differences
         for _ in range(10):
             x = Tensor(rng.standard_normal(6) + 0.05, requires_grad=True)
-            assert_grads_close(lambda: ad.tmean(op(x)), {"x": x})
+            assert_grads_close(lambda: composed.tmean(op(x)), {"x": x})
 
     def test_log_and_clamp_grads(self, rng):
         x = Tensor(rng.random(5) + 0.5, requires_grad=True)
@@ -186,8 +186,8 @@ class TestBackward:
         b = Tensor(rng.standard_normal(3), requires_grad=True)
 
         def loss():
-            h = ad.add_rowvec(composed.transpose(composed.transpose(w)), b)
-            return ad.tmean(ad.gather_rows(h, [0, 2, 2, 1]))
+            h = composed.add_rowvec(composed.transpose(composed.transpose(w)), b)
+            return composed.tmean(ad.gather_rows(h, [0, 2, 2, 1]))
 
         assert_grads_close(loss, {"w": w, "b": b})
 
@@ -200,7 +200,7 @@ class TestDeterminism:
         def run():
             w = Tensor(w_init.copy(), requires_grad=True)
             x = Tensor(x_init.copy())
-            loss = ad.tmean(composed.tanh(ad.matmul(x, w)))
+            loss = composed.tmean(composed.tanh(composed.matmul(x, w)))
             loss.backward()
             return float(loss.data), w.grad.copy()
 
@@ -228,7 +228,7 @@ def test_grad_reverse_scaling_property(seed, factor):
 
     def grad(rev):
         w.grad = None
-        h = ad.matmul(x, w)
+        h = composed.matmul(x, w)
         h = composed.grad_reverse(h, factor) if rev else h
         ad.tsum(composed.tanh(h)).backward()
         return w.grad.copy()

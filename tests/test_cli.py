@@ -146,6 +146,27 @@ class TestSynth:
         assert "'hamlet'" in err and "n_nodes = 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, why", [
+        ("interval_minutes", "0", "expected at least 1, got 0"),
+        ("days", "0", "expected at least 1, got 0"),
+        ("days", "-2", "expected at least 1, got -2"),
+        ("peak_width_hours", "0", "expected a value above 0, got 0.0"),
+        ("peak_width_hours", "-1.5", "expected a value above 0, got -1.5"),
+    ], ids=["no-interval", "no-days", "negative-days", "no-peak-width",
+            "negative-peak-width"])
+    def test_spec_value_out_of_range_writes_no_city(self, tmp_path, capsys,
+                                                    key, value, why):
+        # the good spec comes first; nothing of it may reach --out
+        good = write_specs(tmp_path)[0]
+        bad = tmp_path / "town.spec"
+        bad.write_text(f"name = town\nn_nodes = 6\ntopology = ring\n"
+                       f"{key} = {value}\n")
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), good, str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: synthetic spec key {key!r}: {why}\n")
+        assert not out.exists()
+
     def test_bad_spec_value_names_file_and_key(self, tmp_path, capsys):
         bad = tmp_path / "town.spec"
         bad.write_text("name = town\nn_nodes = ten\n")
@@ -453,9 +474,11 @@ class TestErrors:
         ("source_domains", ["alpha", "tee"]), ("target_train_days", 0),
         ("skipgram_negatives", -1), ("skipgram_window", 0),
         ("target_domain", ""), ("source_domains", ["alpha", ""]),
+        ("eta", -1.0), ("n_features", 2),
     ], ids=["str-int", "bool-int", "bool-float", "repeated-source",
             "target-as-source", "no-train-days", "negative-negatives",
-            "no-window", "empty-target", "empty-source"])
+            "no-window", "empty-target", "empty-source", "negative-eta",
+            "two-features"])
     def test_config_value_refused_before_any_stage(self, synthed, capsys,
                                                    key, value):
         data, cfg_path, cfg, tmp_path = synthed

@@ -72,6 +72,7 @@ class TestRanges:
         ("split_ratios", [0.0, 0.5, 0.5]), ("split_ratios", [0.5, 0.5]),
         ("skipgram_window", 0), ("skipgram_negatives", -1), ("walk_p", 0.0),
         ("walk_q", -1.0), ("target_domain", ""), ("source_domains", ["a", ""]),
+        ("eta", -1.0), ("eta", -1e-9), ("n_features", 2), ("n_features", 0),
     ])
     def test_value_out_of_range_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -80,7 +81,7 @@ class TestRanges:
     @pytest.mark.parametrize("key, raw", [
         ("target_train_days", "0"), ("horizon", "0"), ("batch_size", "0"),
         ("learning_rate", "-1.0"), ("momentum", "1.5"),
-        ("split_ratios", "0.5;0.5;0.5"),
+        ("split_ratios", "0.5;0.5;0.5"), ("eta", "-1"), ("n_features", "2"),
     ])
     def test_override_out_of_range_refused(self, key, raw):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -91,7 +92,7 @@ class TestRanges:
         ("horizon", 1), ("momentum", 0.0), ("momentum", 0.99),
         ("learning_rate", 1e-9), ("split_ratios", [0.6, 0.2, 0.2]),
         ("skipgram_window", 1), ("skipgram_negatives", 0), ("walk_q", 1e-9),
-        ("source_domains", []),
+        ("source_domains", []), ("eta", 0.0), ("eta", 0), ("n_features", 1),
     ])
     def test_value_at_the_edge_of_its_range_kept(self, key, value):
         cfg = ExperimentConfig.from_dict({key: value})

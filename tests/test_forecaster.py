@@ -100,6 +100,21 @@ def test_source_loss_nonnegative_and_zero_iff_equal(rng):
     assert float(fc.source_loss(Tensor(p), p).data) == 0.0
 
 
+def test_source_loss_equals_composed_exactly(rng):
+    preds = rng.standard_normal((5, 3, 2))
+    targets = rng.standard_normal((5, 3, 2))
+    targets[0] = preds[0]  # exact ties take subgradient 0
+    runs = []
+    for source_loss in (fc.source_loss, composed.source_loss):
+        p = Tensor(preds.copy(), requires_grad=True)
+        loss = source_loss(p, targets)
+        loss.backward()
+        runs.append((loss.data, p.grad))
+    (got, got_grad), (want, want_grad) = runs
+    assert np.array_equal(got, want) and np.array_equal(got_grad, want_grad)
+    assert not got_grad[0].any() and got_grad[1:].all()
+
+
 def test_shape_mismatch_rejected(rng):
     with pytest.raises(ad.ShapeError):
         fc.source_loss(Tensor(np.zeros((2, 2, 1))), np.zeros((2, 3, 1)))

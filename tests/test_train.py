@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from crosscity import autodiff as ad
 from crosscity import forecaster as fc
 from crosscity import gin
 from crosscity import parallel
@@ -20,7 +21,8 @@ from crosscity.train import (DomainData, FinetuneModel, PretrainModel,
                              collect_grads, finetune, pretrain)
 
 import composed
-from conftest import assert_no_child_left
+from conftest import (assert_grads_close, assert_no_child_left,
+                      target_uses_per_epoch)
 
 
 # -- optimizer --------------------------------------------------------------
@@ -171,8 +173,9 @@ class TestPretrain:
         config, sources, target = setup
         log = ReplayLog()
         pretrain(config, sources, target, replay_log=log)
-        assert len(log.target_embedding_uses_per_epoch) == config.pretrain_epochs
-        assert all(n >= 1 for n in log.target_embedding_uses_per_epoch)
+        uses = target_uses_per_epoch(log)
+        assert len(uses) == config.pretrain_epochs
+        assert all(n >= 1 for n in uses)
 
     def test_wo_da_freezes_classifier_and_target_encoder(self, setup):
         config, sources, target = setup
@@ -564,10 +567,11 @@ def test_previous_pretrain_step_tape_dead_at_next_forward(variant, setup,
     assert forwards[-1] == 2 * (steps - 1)
 
 
-# -- fused model units on the pretrain tape -----------------------------------
+# -- fused model units on the training tapes -----------------------------------
 
-def _pretrain_step_grads(monkeypatch, config, sources, target):
-    """Every parameter's gradient, before clipping, at each pretrain step."""
+def _step_grads(monkeypatch, run):
+    """Every parameter's gradient, before clipping, at each step of run(),
+    and the checkpoint run() returns."""
     steps = []
 
     def recording(params):
@@ -576,8 +580,15 @@ def _pretrain_step_grads(monkeypatch, config, sources, target):
         return grads
 
     monkeypatch.setattr(train, "collect_grads", recording)
-    ckpt = pretrain(config, sources, target)
-    return steps, ckpt
+    return steps, run()
+
+
+def _assert_same_steps(got, want, n_steps):
+    assert len(got) == len(want) == n_steps
+    for step, (g, w) in enumerate(zip(got, want)):
+        assert g.keys() == w.keys()
+        for k in w:
+            assert np.array_equal(g[k], w[k]), f"step {step}: {k}"
 
 
 @pytest.mark.parametrize("gin_layers", [1, 2])
@@ -588,17 +599,54 @@ def test_pretrain_step_gradients_equal_composed_exactly(gin_layers, setup,
     config, sources, target = setup
     config.gin_layers = gin_layers
     config.pretrain_epochs, config.pretrain_batches_per_epoch = 1, 2
-    got, got_ckpt = _pretrain_step_grads(monkeypatch, config, sources, target)
+
+    def run():
+        return pretrain(config, sources, target)
+
+    got, got_ckpt = _step_grads(monkeypatch, run)
     with monkeypatch.context() as m:
         m.setattr(train, "adversarial_loss", composed.adversarial_loss)
         m.setattr(gin.GinLayer, "forward", composed.gin_layer)
-        want, want_ckpt = _pretrain_step_grads(m, config, sources, target)
-    assert len(got) == len(want) == 4
-    for step, (g, w) in enumerate(zip(got, want)):
-        assert g.keys() == w.keys()
-        for k in w:
-            assert np.array_equal(g[k], w[k]), f"step {step}: {k}"
+        m.setattr(fc, "source_loss", composed.source_loss)
+        want, want_ckpt = _step_grads(m, run)
+    _assert_same_steps(got, want, 4)
     assert got_ckpt == want_ckpt
+
+
+@pytest.mark.parametrize("gin_layers", [1, 2])
+def test_finetune_step_gradients_equal_composed_exactly(gin_layers, setup,
+                                                        monkeypatch):
+    # variant full: the shared and the private encoder both feed the
+    # combiner, so its backward reaches both encoders' parameters
+    config, sources, target = setup
+    config.gin_layers = gin_layers
+    pre = pretrain(config, sources, target)
+
+    def run():
+        return finetune(pre, target, config, variant="full")
+
+    got, got_ckpt = _step_grads(monkeypatch, run)
+    with monkeypatch.context() as m:
+        m.setattr(train.CombinerParams, "combine", composed.combine)
+        m.setattr(fc, "source_loss", composed.source_loss)
+        want, want_ckpt = _step_grads(m, run)
+    steps = config.finetune_max_epochs * config.finetune_batches_per_epoch
+    _assert_same_steps(got, want, steps)
+    assert any(k.startswith("combiner.") for k in got[0])
+    assert got_ckpt == want_ckpt
+
+
+def test_combine_gradient_vs_finite_diff(rng):
+    combiner = train.CombinerParams(4, rng)
+    for p in combiner.params().values():  # biases off zero, as after a step
+        p.data = p.data + 0.1 * rng.standard_normal(p.shape)
+    shared = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    private = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((5, 4)))
+    params = {**combiner.params(), "shared": shared, "private": private}
+    assert_grads_close(
+        lambda: ad.tsum(composed.mul(combiner.combine(shared, private),
+                                     weights)), params)
 
 
 def _op_nodes(loss):
@@ -614,15 +662,8 @@ def _op_nodes(loss):
     return ops
 
 
-@pytest.mark.parametrize("gin_layers", [1, 2])
-def test_pretrain_step_tape_holds_one_node_per_unit(gin_layers, setup,
-                                                    monkeypatch):
-    # per step: one node per GIN layer of the three encoders, the domain
-    # head, the row gather, the GRU window, the L1 loss's sub, absolute and
-    # mean, and the sum of the two losses
-    config, sources, target = setup
-    config.gin_layers = gin_layers
-    config.pretrain_epochs, config.pretrain_batches_per_epoch = 1, 1
+def _count_update_tapes(monkeypatch):
+    """The op-node count of every loss `train._update` steps on."""
     counts = []
     update = train._update
 
@@ -631,5 +672,33 @@ def test_pretrain_step_tape_holds_one_node_per_unit(gin_layers, setup,
         return update(params, loss, *rest)
 
     monkeypatch.setattr(train, "_update", counting)
+    return counts
+
+
+@pytest.mark.parametrize("gin_layers", [1, 2])
+def test_pretrain_step_tape_holds_one_node_per_unit(gin_layers, setup,
+                                                    monkeypatch):
+    # per step: one node per GIN layer of the three encoders, the domain
+    # head, the row gather, the GRU window, the L1 loss, and the sum of the
+    # two losses
+    config, sources, target = setup
+    config.gin_layers = gin_layers
+    config.pretrain_epochs, config.pretrain_batches_per_epoch = 1, 1
+    counts = _count_update_tapes(monkeypatch)
     pretrain(config, sources, target)
-    assert counts == [3 * gin_layers + 7] * len(sources)
+    assert counts == [3 * gin_layers + 5] * len(sources)
+
+
+@pytest.mark.parametrize("gin_layers", [1, 2])
+def test_finetune_step_tape_holds_one_node_per_unit(gin_layers, setup,
+                                                    monkeypatch):
+    # per step of variant full: one node per GIN layer of the shared and
+    # the private encoder, the combiner, the row gather, the GRU window and
+    # the L1 loss
+    config, sources, target = setup
+    config.gin_layers = gin_layers
+    pre = pretrain(config, sources, target)
+    config.finetune_max_epochs = 1
+    counts = _count_update_tapes(monkeypatch)
+    finetune(pre, target, config, variant="full")
+    assert counts == [2 * gin_layers + 4] * config.finetune_batches_per_epoch
