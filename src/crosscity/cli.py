@@ -1,9 +1,12 @@
 """Command-line entry point orchestrating the experimental protocol.
 
 Subcommands: synth, embed, pretrain, finetune, evaluate, compare,
-export-embeddings, pipeline. A run directory always receives the effective
-config, the seed, and a version string, which is enough to reproduce the
-run exactly.
+export-embeddings, pipeline. ``COMMANDS`` is the table of the commands that
+run under an experiment config; the parser is built from it, and each such
+command loads its config once and hands it to its run. `pipeline` runs the
+stages ``config.variant_stages`` names for its variant through the same
+table. A run directory always receives the effective config, the seed, and
+a version string, which is enough to reproduce the run exactly.
 
 Data layout inside a directory, per city NAME:
     NAME.edges          edge list ("u,v" per line)
@@ -17,14 +20,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import checkpoint as ck
 from . import data as dio
 from . import metrics as mx
 from . import node2vec as n2v
-from .config import VARIANTS, ExperimentConfig, variant_uses
+from .config import VARIANTS, ExperimentConfig, variant_stages
 from .graph import load_graph, save_graph
 from .parallel import for_each, shared_empty
 from .textio import atomic_open
@@ -82,19 +83,33 @@ def _existing(path, what):
     return path
 
 
-def _load_city(data_dir, name, series):
+def _load_city(cfg, args, name, series):
     """City `name`'s graph and node2vec features, and its traffic series
-    only when `series` is true."""
-    edges, csv, feats = _domain_paths(data_dir, name)
+    only when `series` is true. The features must be `embed_dim` wide, one
+    row per node of the edge list."""
+    edges, csv, feats = _domain_paths(args.data, name)
     graph = load_graph(_existing(edges, "edge list"))
     traffic = (dio.load_series(_existing(csv, "series file"), graph)
                if series else None)
     features = n2v.load_features(
         _existing(feats, "features file `embed` writes"))
+    if features.shape[1] != cfg.embed_dim:
+        raise CliError(f"{feats}: {features.shape[1]} features per node, but "
+                       f"embed_dim is {cfg.embed_dim}; run `embed` again")
+    if len(features) != graph.n_nodes:
+        raise CliError(f"{feats}: {len(features)} rows, but the edge list "
+                       f"{edges} has {graph.n_nodes} nodes; run `embed` again")
     return DomainData(name, graph, features, traffic)
 
 
-# -- subcommands ------------------------------------------------------------
+def _load_checkpoint(cfg, args, stage):
+    """The run directory's `stage` checkpoint, written under this config."""
+    path = _existing(os.path.join(args.out, f"{stage}.ckpt"),
+                     f"{stage} checkpoint")
+    return ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
+
+
+# -- commands without a config ----------------------------------------------
 
 def cmd_synth(args):
     missing = [p for p in args.specs if not os.path.exists(p)]
@@ -124,15 +139,27 @@ def cmd_synth(args):
         for name, edges, csv in manifest:
             fh.write(f"{name} {edges} {csv}\n")
     print(f"wrote {len(manifest)} cities to {args.out}")
-    return 0
 
 
-def cmd_embed(args):
+def cmd_compare(args):
+    files = [os.path.join(args.reports, f) for f in sorted(os.listdir(args.reports))
+             if f.startswith("report_") and f.endswith(".txt")]
+    if len(files) < 2:
+        raise CliError(f"need at least two reports in {args.reports}", EXIT_BAD_ARGS)
+    reports = [mx.MetricReport.read(f) for f in files]
+    rows = mx.compare_variants(reports, args.reference)
+    out_csv = os.path.join(args.reports, "comparison.csv")
+    mx.write_comparison_csv(rows, out_csv)
+    print(f"wrote {out_csv}")
+
+
+# -- commands under a config: each run(cfg, args) gets it loaded ------------
+
+def _embed(cfg, args):
     """node2vec features of every city, into NAME.features.csv. The cities
     are independent, so ``parallel.for_each`` spreads them over worker
     processes, into shared arrays, and no file is written before every city
     is done: a failure leaves the data directory as it was."""
-    cfg = _load_config(args)
     names = list(cfg.source_domains) + [cfg.target_domain]
     paths = [_domain_paths(args.data, name) for name in names]
     graphs = [load_graph(_existing(edges, "edge list")) for edges, _, _ in paths]
@@ -148,106 +175,86 @@ def cmd_embed(args):
     for city_feats, (_, _, feats_path) in zip(feats, paths):
         n2v.save_features(city_feats, feats_path)
     print(f"embedded {len(names)} cities")
-    return 0
 
 
-def _load_run_checkpoint(args, cfg, stage):
-    """The run directory's `stage` checkpoint, written under this config."""
-    path = os.path.join(args.out, f"{stage}.ckpt")
-    if not os.path.exists(path):
-        raise CliError(f"missing {stage} checkpoint {path}", EXIT_BAD_ARGS)
-    return ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
-
-
-def cmd_pretrain(args):
-    cfg = _load_config(args)
-    sources = [_load_city(args.data, n, series=True) for n in cfg.source_domains]
-    target = _load_city(args.data, cfg.target_domain, series=False)
+def _train(cfg, args, command, fit):
+    """The step `pretrain` and `finetune` share: echo the config, train
+    with `fit(replay_log)`, then write its checkpoint and, with
+    --replay-log, the log."""
     _echo_config(cfg, args.out)
     log = ReplayLog() if args.replay_log else None
-    ckpt = pretrain(cfg, sources, target, variant=args.variant, replay_log=log)
-    ck.save_checkpoint(ckpt, os.path.join(args.out, "pretrained.ckpt"))
+    ckpt = fit(log)
+    ck.save_checkpoint(ckpt, os.path.join(args.out, f"{ckpt.stage}.ckpt"))
     if log is not None:
-        log.write(os.path.join(args.out, "replay_pretrain.log"))
-    print("pretraining complete")
-    return 0
+        log.write(os.path.join(args.out, f"replay_{command}.log"))
+    print(f"{command} complete")
 
 
-def cmd_finetune(args):
-    cfg = _load_config(args)
-    target = _load_city(args.data, cfg.target_domain, series=True)
-    pre = (_load_run_checkpoint(args, cfg, "pretrained")
-           if variant_uses(args.variant).pretrain else None)
-    _echo_config(cfg, args.out)
-    log = ReplayLog() if args.replay_log else None
-    fin = finetune(pre, target, cfg, variant=args.variant, replay_log=log)
-    ck.save_checkpoint(fin, os.path.join(args.out, "finetuned.ckpt"))
-    if log is not None:
-        log.write(os.path.join(args.out, "replay_finetune.log"))
-    print("finetuning complete")
-    return 0
+def _pretrain(cfg, args):
+    sources = [_load_city(cfg, args, n, series=True)
+               for n in cfg.source_domains]
+    target = _load_city(cfg, args, cfg.target_domain, series=False)
+    _train(cfg, args, "pretrain", lambda log: pretrain(
+        cfg, sources, target, variant=args.variant, replay_log=log))
 
 
-def cmd_evaluate(args):
-    cfg = _load_config(args)
-    fin = _load_run_checkpoint(args, cfg, "finetuned")
-    target = _load_city(args.data, cfg.target_domain, series=True)
+def _finetune(cfg, args):
+    target = _load_city(cfg, args, cfg.target_domain, series=True)
+    pre = (_load_checkpoint(cfg, args, "pretrained")
+           if "pretrain" in variant_stages(args.variant) else None)
+    _train(cfg, args, "finetune", lambda log: finetune(
+        pre, target, cfg, variant=args.variant, replay_log=log))
+
+
+def _evaluate(cfg, args):
+    fin = _load_checkpoint(cfg, args, "finetuned")
+    target = _load_city(cfg, args, cfg.target_domain, series=True)
     horizons = tuple(h for h in (3, 6, 12) if h <= cfg.horizon)
     reports = mx.evaluate(fin, cfg, target, horizons, variant=args.variant)
     reports += mx.evaluate_ha(cfg, target, horizons)
     for rep in reports:
         rep.write(os.path.join(
             args.out, f"report_{rep.variant}_h{rep.horizon}_s{rep.seed}.txt"))
-    for rep in reports:
         print(f"{rep.variant} h={rep.horizon} MAE={rep.mae:.3f} "
               f"RMSE={rep.rmse:.3f} MAPE={100 * rep.mape:.2f}%")
-    return 0
 
 
-def cmd_compare(args):
-    files = [os.path.join(args.reports, f) for f in sorted(os.listdir(args.reports))
-             if f.startswith("report_") and f.endswith(".txt")]
-    if len(files) < 2:
-        raise CliError(f"need at least two reports in {args.reports}", EXIT_BAD_ARGS)
-    reports = [mx.MetricReport.read(f) for f in files]
-    rows = mx.compare_variants(reports, args.reference)
-    out_csv = os.path.join(args.reports, "comparison.csv")
-    mx.write_comparison_csv(rows, out_csv)
-    print(f"wrote {out_csv}")
-    return 0
-
-
-def cmd_export_embeddings(args):
-    cfg = _load_config(args)
-    pre = _load_run_checkpoint(args, cfg, "pretrained")
-    cities = [_load_city(args.data, n, series=False)
+def _export_embeddings(cfg, args):
+    pre = _load_checkpoint(cfg, args, "pretrained")
+    cities = [_load_city(cfg, args, n, series=False)
               for n in cfg.source_domains + [cfg.target_domain]]
     out_csv = os.path.join(args.out, "embeddings.csv")
     mx.export_embeddings(pre, cfg, cities, out_csv)
     print(f"wrote {out_csv}")
-    return 0
 
 
-def cmd_pipeline(args):
-    _load_config(args)  # a refused config leaves no run directory behind
+def _pipeline(cfg, args):
+    """Run the variant's stages in order, naming the one running in
+    RUN/stage.txt; a refused config never gets here, so leaves no RUN."""
     os.makedirs(args.out, exist_ok=True)
-    stages = ["embed", "finetune", "evaluate"]
-    if variant_uses(args.variant).pretrain:
-        stages.insert(1, "pretrain")
+    stages = variant_stages(args.variant)
     marker = os.path.join(args.out, "stage.txt")
     for stage in stages:
         with atomic_open(marker) as fh:
             fh.write(stage + "\n")
-        code = {"embed": cmd_embed, "pretrain": cmd_pretrain,
-                "finetune": cmd_finetune, "evaluate": cmd_evaluate}[stage](args)
-        if code != 0:
-            return code
+        _, run, _ = COMMANDS[stage]
+        run(cfg, args)
     with atomic_open(os.path.join(args.out, "manifest.txt")) as fh:
-        fh.write("stages=" + ",".join(stages) + "\n")
-        fh.write(f"variant={args.variant}\n")
+        fh.write(f"stages={','.join(stages)}\nvariant={args.variant}\n")
     with atomic_open(marker) as fh:
         fh.write("done\n")
-    return 0
+
+
+# name -> (help, run(cfg, args), whether it trains and so takes --replay-log)
+COMMANDS = {
+    "embed": ("compute node2vec raw features for every city", _embed, False),
+    "pretrain": ("stage-1 adversarial pre-training", _pretrain, True),
+    "finetune": ("stage-2 fine-tuning on the target", _finetune, True),
+    "evaluate": ("metrics on the target test split", _evaluate, False),
+    "export-embeddings": ("dump raw and shared embeddings as CSV",
+                          _export_embeddings, False),
+    "pipeline": ("embed -> pretrain -> finetune -> evaluate", _pipeline, True),
+}
 
 
 def build_parser():
@@ -256,19 +263,6 @@ def build_parser():
         description="Adversarial cross-city traffic forecasting experiments")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key")
-        p.add_argument("--out", default="runs/run0", help="run/output directory")
-        p.add_argument("--seed", type=int, help="root random seed override")
-        p.add_argument("--variant", default="full", choices=VARIANTS,
-                       help="model variant")
-        p.add_argument("--replay-log", action="store_true",
-                       help="write one line per optimizer step")
-        p.add_argument("--data", default="runs/data",
-                       help="directory with NAME.edges / NAME.csv files")
 
     p = sub.add_parser("synth", help="generate synthetic cities from spec files")
     p.add_argument("--out", default="runs/data",
@@ -279,18 +273,21 @@ def build_parser():
     p.add_argument("specs", nargs="+", help="key=value synthetic city spec files")
     p.set_defaults(func=cmd_synth)
 
-    for name, fn, hlp in [
-        ("embed", cmd_embed, "compute node2vec raw features for every city"),
-        ("pretrain", cmd_pretrain, "stage-1 adversarial pre-training"),
-        ("finetune", cmd_finetune, "stage-2 fine-tuning on the target"),
-        ("evaluate", cmd_evaluate, "metrics on the target test split"),
-        ("export-embeddings", cmd_export_embeddings,
-         "dump raw and shared embeddings as CSV"),
-        ("pipeline", cmd_pipeline, "embed -> pretrain -> finetune -> evaluate"),
-    ]:
+    for name, (hlp, run, trains) in COMMANDS.items():
         p = sub.add_parser(name, help=hlp)
-        common(p)
-        p.set_defaults(func=fn)
+        p.add_argument("--config", help="JSON experiment config")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key")
+        p.add_argument("--out", default="runs/run0", help="run/output directory")
+        p.add_argument("--seed", type=int, help="root random seed override")
+        p.add_argument("--variant", default="full", choices=VARIANTS,
+                       help="model variant")
+        if trains:
+            p.add_argument("--replay-log", action="store_true",
+                           help="write one line per optimizer step")
+        p.add_argument("--data", default="runs/data",
+                       help="directory with NAME.edges / NAME.csv files")
+        p.set_defaults(func=lambda args, run=run: run(_load_config(args), args))
 
     p = sub.add_parser("compare", help="improvement table over a reference variant")
     p.add_argument("reports", help="directory containing report_*.txt files")
@@ -301,16 +298,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        args.func(args)
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.code if isinstance(exc, CliError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,6 +37,13 @@ def variant_uses(variant):
         raise ValueError(f"unknown variant {variant!r}") from None
 
 
+def variant_stages(variant):
+    """The pipeline stages `variant` runs, in order; the one place that
+    list is decided."""
+    pretrain = ("pretrain",) if variant_uses(variant).pretrain else ()
+    return ("embed", *pretrain, "finetune", "evaluate")
+
+
 # the range of each bounded key, checked once its kind is: what it expects
 # and its test; a null train-days value means every day
 _RANGES = {
@@ -45,14 +52,15 @@ _RANGES = {
          "classifier_hidden", "walks_per_node", "walk_length",
          "skipgram_window", "skipgram_epochs", "batch_size", "pretrain_epochs",
          "pretrain_batches_per_epoch", "finetune_max_epochs",
-         "finetune_batches_per_epoch", "source_train_days",
-         "target_train_days"),
+         "finetune_batches_per_epoch", "early_stop_patience",
+         "source_train_days", "target_train_days"),
         ("at least 1", lambda v: v >= 1)),
     # the forecaster reads one traffic value per node and step
     "n_features": ("exactly 1", lambda v: v == 1),
     **dict.fromkeys(("skipgram_negatives", "eta"),
                     ("at least 0", lambda v: v >= 0)),
-    **dict.fromkeys(("walk_p", "walk_q", "learning_rate", "skipgram_lr"),
+    **dict.fromkeys(("walk_p", "walk_q", "learning_rate", "skipgram_lr",
+                     "grad_clip_norm"),
                     ("a value above 0", lambda v: v > 0)),
     "momentum": ("a value in [0, 1)", lambda v: 0 <= v < 1),
     "split_ratios": ("three positive ratios summing to 1",

@@ -122,9 +122,9 @@ def chrono_split(series, ratios, history, horizon, train_days):
 def load_series(path, graph):
     """Parse a 'timestamp,node0,...' CSV, one value column per graph node.
 
-    The first two timestamps fix the interval, a positive whole number of
-    minutes, and every later step must equal it. DataError names the path
-    and line (and column, for a cell) of whatever it refuses.
+    The first two timestamps fix the interval, a whole number of minutes
+    from 1 to 1440 (a day), and every later step must equal it. DataError
+    names the path and line (and column, for a cell) of whatever it refuses.
     """
     stamps, rows = read_table(path, datetime.fromisoformat, graph.n_nodes + 1)
     if len(rows) < 2:
@@ -132,6 +132,8 @@ def load_series(path, graph):
     step, minute = stamps[1] - stamps[0], timedelta(minutes=1)
     if step > timedelta(0) and step % minute:
         raise DataError(f"{path}, line 3: interval {step} is not whole minutes")
+    if step > timedelta(days=1):
+        raise DataError(f"{path}, line 3: interval {step} is longer than a day")
     for i in range(1, len(stamps)):
         delta = stamps[i] - stamps[i - 1]
         if delta <= timedelta(0):
@@ -153,12 +155,14 @@ def save_series(series, path):
 
 # -- synthetic generator ----------------------------------------------------
 
-# the range of each bounded spec key: what it expects and its test
+# the range of each bounded spec key: what it expects and its test; an
+# interval is also at most a day, as a day holds 24 * 60 // interval steps
 _SPEC_RANGES = {
     **dict.fromkeys(("days", "interval_minutes"),
                     ("at least 1", lambda v: v >= 1)),
     "peak_width_hours": ("a value above 0", lambda v: v > 0),
 }
+_SPEC_CEILINGS = {"interval_minutes": ("at most 1440", lambda v: v <= 24 * 60)}
 
 
 @dataclass
@@ -182,6 +186,7 @@ class SyntheticCitySpec:
     def from_kv(cls, kv):
         fields = parse_fields(kv, cls(), "synthetic spec")
         check_ranges(fields, _SPEC_RANGES, "synthetic spec")
+        check_ranges(fields, _SPEC_CEILINGS, "synthetic spec")
         return cls(**fields)
 
 

@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from crosscity import checkpoint as ck
 from crosscity import cli
 from crosscity import data as dio
 from crosscity import node2vec as n2v
 from crosscity.cli import EXIT_BAD_ARGS, main
-from crosscity.config import ExperimentConfig
+from crosscity.config import VARIANTS, ExperimentConfig, variant_stages
 
 from conftest import assert_no_child_left
 
@@ -152,8 +153,9 @@ class TestSynth:
         ("days", "-2", "expected at least 1, got -2"),
         ("peak_width_hours", "0", "expected a value above 0, got 0.0"),
         ("peak_width_hours", "-1.5", "expected a value above 0, got -1.5"),
+        ("interval_minutes", "2000", "expected at most 1440, got 2000"),
     ], ids=["no-interval", "no-days", "negative-days", "no-peak-width",
-            "negative-peak-width"])
+            "negative-peak-width", "interval-over-a-day"])
     def test_spec_value_out_of_range_writes_no_city(self, tmp_path, capsys,
                                                     key, value, why):
         # the good spec comes first; nothing of it may reach --out
@@ -290,7 +292,104 @@ class TestStageInputs:
         assert main(["pretrain", *common, "--variant", "full"]) == 1
 
 
+class TestStageInputsOfEachVariant:
+    @pytest.mark.parametrize("variant, command, expected", [
+        ("full", "finetune", TARGET_FILES + ["pretrained.ckpt"]),
+        ("target_only", "finetune", TARGET_FILES),
+        ("temporal_forecaster", "finetune", TARGET_FILES),
+        ("target_only", "evaluate", TARGET_FILES + ["finetuned.ckpt"]),
+        ("temporal_forecaster", "evaluate", TARGET_FILES + ["finetuned.ckpt"]),
+    ])
+    def test_reads_the_target_and_only_the_checkpoints_of_its_stages(
+            self, synthed, monkeypatch, variant, command, expected):
+        data, cfg_path, _, tmp_path = synthed
+        common = ["--config", cfg_path, "--data", data,
+                  "--out", str(tmp_path / "o"), "--variant", variant]
+        assert main(["pipeline", *common]) == 0
+        opened = []
+        for module, name in ((cli, "load_graph"), (dio, "load_series"),
+                             (n2v, "load_features"), (ck, "load_checkpoint")):
+            def wrapper(path, *args, _load=getattr(module, name), **kw):
+                opened.append(os.path.basename(path))
+                return _load(path, *args, **kw)
+            monkeypatch.setattr(module, name, wrapper)
+        assert main([command, *common]) == 0
+        assert sorted(opened) == sorted(expected)
+
+
+class TestRunner:
+    def test_pipeline_parses_its_config_once(self, synthed, monkeypatch):
+        data, cfg_path, _, tmp_path = synthed
+        texts = []
+        from_json = ExperimentConfig.from_json
+
+        def counting(text):
+            texts.append(text)
+            return from_json(text)
+        monkeypatch.setattr(ExperimentConfig, "from_json", counting)
+        assert main(["pipeline", "--config", cfg_path, "--data", data,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_manifest_lists_the_variant_stages(self, synthed, variant):
+        data, cfg_path, _, tmp_path = synthed
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", cfg_path, "--data", data,
+                     "--out", str(out), "--variant", variant]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines == ["stages=" + ",".join(variant_stages(variant)),
+                         f"variant={variant}"]
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "pipeline"])
+    def test_training_commands_take_replay_log(self, command):
+        assert cli.build_parser().parse_args([command, "--replay-log"]).replay_log
+
+    @pytest.mark.parametrize("command", ["embed", "evaluate",
+                                         "export-embeddings"])
+    def test_other_commands_refuse_replay_log(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--replay-log", "--data", str(tmp_path),
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_BAD_ARGS
+        assert "unrecognized arguments: --replay-log" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestErrors:
+    def test_features_of_another_embed_dim_refused_before_any_write(
+            self, synthed, capsys):
+        data, cfg_path, _, tmp_path = synthed
+        assert main(["embed", "--config", cfg_path, "--data", data]) == 0
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["pretrain", "--config", cfg_path, "--data", data,
+                     "--out", str(out), "--set", "embed_dim=16"]) == 1
+        path = os.path.join(data, "alpha.features.csv")
+        assert capsys.readouterr().err == (
+            f"error: {path}: 8 features per node, but embed_dim is 16; "
+            f"run `embed` again\n")
+        assert not out.exists()
+
+    def test_features_not_one_row_per_node_refused_before_any_write(
+            self, synthed, capsys):
+        data, cfg_path, _, tmp_path = synthed
+        assert main(["embed", "--config", cfg_path, "--data", data]) == 0
+        path = os.path.join(data, "tee.features.csv")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines(lines[:-1])  # node 6 of 7 gone
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg_path, "--data", data,
+                     "--out", str(out), "--variant", "target_only"]) == 1
+        edges = os.path.join(data, "tee.edges")
+        assert capsys.readouterr().err == (
+            f"error: {path}: 6 rows, but the edge list {edges} has 7 nodes; "
+            f"run `embed` again\n")
+        assert not out.exists()
+
     def test_missing_data_dir(self, tmp_path):
         cfg_path, _ = tiny_config_file(tmp_path)
         code = main(["pretrain", "--config", cfg_path,
@@ -474,11 +573,14 @@ class TestErrors:
         ("source_domains", ["alpha", "tee"]), ("target_train_days", 0),
         ("skipgram_negatives", -1), ("skipgram_window", 0),
         ("target_domain", ""), ("source_domains", ["alpha", ""]),
-        ("eta", -1.0), ("n_features", 2),
+        ("eta", -1.0), ("n_features", 2), ("grad_clip_norm", -1.0),
+        ("grad_clip_norm", 0.0), ("early_stop_patience", -5),
+        ("early_stop_patience", 0),
     ], ids=["str-int", "bool-int", "bool-float", "repeated-source",
             "target-as-source", "no-train-days", "negative-negatives",
             "no-window", "empty-target", "empty-source", "negative-eta",
-            "two-features"])
+            "two-features", "negative-clip", "no-clip", "negative-patience",
+            "no-patience"])
     def test_config_value_refused_before_any_stage(self, synthed, capsys,
                                                    key, value):
         data, cfg_path, cfg, tmp_path = synthed

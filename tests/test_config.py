@@ -1,6 +1,7 @@
 import pytest
 
-from crosscity.config import VARIANTS, ExperimentConfig, variant_uses
+from crosscity.config import (VARIANTS, ExperimentConfig, variant_stages,
+                              variant_uses)
 
 
 class TestSerialization:
@@ -73,6 +74,8 @@ class TestRanges:
         ("skipgram_window", 0), ("skipgram_negatives", -1), ("walk_p", 0.0),
         ("walk_q", -1.0), ("target_domain", ""), ("source_domains", ["a", ""]),
         ("eta", -1.0), ("eta", -1e-9), ("n_features", 2), ("n_features", 0),
+        ("grad_clip_norm", 0.0), ("grad_clip_norm", -1.0),
+        ("early_stop_patience", 0), ("early_stop_patience", -5),
     ])
     def test_value_out_of_range_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -82,6 +85,7 @@ class TestRanges:
         ("target_train_days", "0"), ("horizon", "0"), ("batch_size", "0"),
         ("learning_rate", "-1.0"), ("momentum", "1.5"),
         ("split_ratios", "0.5;0.5;0.5"), ("eta", "-1"), ("n_features", "2"),
+        ("grad_clip_norm", "-1"), ("early_stop_patience", "-5"),
     ])
     def test_override_out_of_range_refused(self, key, raw):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -93,6 +97,7 @@ class TestRanges:
         ("learning_rate", 1e-9), ("split_ratios", [0.6, 0.2, 0.2]),
         ("skipgram_window", 1), ("skipgram_negatives", 0), ("walk_q", 1e-9),
         ("source_domains", []), ("eta", 0.0), ("eta", 0), ("n_features", 1),
+        ("grad_clip_norm", 1e-9), ("early_stop_patience", 1),
     ])
     def test_value_at_the_edge_of_its_range_kept(self, key, value):
         cfg = ExperimentConfig.from_dict({key: value})
@@ -142,3 +147,15 @@ def test_variant_uses():
         "wo_pri", "temporal_forecaster"]
     with pytest.raises(ValueError, match="unknown variant 'nope'"):
         variant_uses("nope")
+
+
+def test_variant_stages():
+    assert {v: variant_stages(v) for v in VARIANTS} == {
+        "full": ("embed", "pretrain", "finetune", "evaluate"),
+        "wo_da": ("embed", "pretrain", "finetune", "evaluate"),
+        "wo_pri": ("embed", "pretrain", "finetune", "evaluate"),
+        "target_only": ("embed", "finetune", "evaluate"),
+        "temporal_forecaster": ("embed", "finetune", "evaluate"),
+    }
+    with pytest.raises(ValueError, match="unknown variant 'nope'"):
+        variant_stages("nope")

@@ -209,6 +209,24 @@ class TestCsv:
         with pytest.raises(DataError, match=match):
             load_series(path, RoadGraph(1, []))
 
+    def test_rejects_an_interval_longer_than_a_day(self, tmp_path):
+        # a day would hold 24 * 60 // 2000 == 0 steps, and a train-day
+        # count would keep every train row
+        path = tmp_path / "slow.csv"
+        path.write_text("timestamp,node0\n" + "".join(
+            f"2024-01-0{d}T{t},1.0\n"
+            for d, t in ((1, "00:00:00"), (2, "09:20:00"), (3, "18:40:00"))))
+        with pytest.raises(DataError) as exc:
+            load_series(path, RoadGraph(1, []))
+        assert str(exc.value) == (f"{path}, line 3: interval 1 day, 9:20:00 "
+                                  f"is longer than a day")
+
+    def test_keeps_an_interval_of_a_day(self, tmp_path):
+        path = tmp_path / "daily.csv"
+        path.write_text("timestamp,node0\n" + "".join(
+            f"2024-01-0{d}T00:00:00,1.0\n" for d in (1, 2, 3)))
+        assert load_series(path, RoadGraph(1, [])).interval_minutes == 24 * 60
+
     @pytest.mark.parametrize("row, column", [("2024-01-01T00:05:00,1.0,abc", "node1"),
                                              ("2024-01-01T00:05:00,,2.0", "node0"),
                                              ("noon,1.0,2.0", "timestamp")])
