@@ -25,7 +25,7 @@ from . import checkpoint as ck
 from . import data as dio
 from . import metrics as mx
 from . import node2vec as n2v
-from .config import VARIANTS, ExperimentConfig, variant_stages
+from .config import _RANGES, VARIANTS, ExperimentConfig, variant_stages
 from .graph import load_graph, save_graph
 from .parallel import for_each, shared_empty
 from .textio import atomic_open
@@ -40,7 +40,17 @@ class CliError(RuntimeError):
         self.code = code
 
 
+def _seed_flag(args):
+    """The --seed override, or None; held to the range of a config's seed
+    key, which a spec's seed key shares."""
+    expects, ok = _RANGES["seed"]
+    if args.seed is not None and not ok(args.seed):
+        raise CliError(f"--seed: expected {expects}, got {args.seed}")
+    return args.seed
+
+
 def _load_config(args):
+    seed = _seed_flag(args)
     if args.config:
         if not os.path.exists(args.config):
             raise CliError(f"config file not found: {args.config}", EXIT_BAD_ARGS)
@@ -56,8 +66,8 @@ def _load_config(args):
         if "=" not in kv:
             raise CliError(f"--set {kv!r}: expected KEY=VALUE")
     cfg = cfg.with_overrides(dict(kv.split("=", 1) for kv in items))
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if seed is not None:
+        cfg.seed = seed
     return cfg
 
 
@@ -112,14 +122,15 @@ def _load_checkpoint(cfg, args, stage):
 # -- commands without a config ----------------------------------------------
 
 def cmd_synth(args):
+    seed = _seed_flag(args)
     missing = [p for p in args.specs if not os.path.exists(p)]
     if missing:
         raise CliError(f"spec file not found: {missing[0]}", EXIT_BAD_ARGS)
     cities = []
     for spec_path in args.specs:
         spec = dio.load_spec(spec_path)
-        if args.seed is not None:
-            spec.seed = args.seed
+        if seed is not None:
+            spec.seed = seed
         graph, series = dio.synth_generate(spec)
         if not graph.neighbors[-1]:
             # an edge list records its node count as the highest id it names

@@ -57,7 +57,7 @@ _RANGES = {
         ("at least 1", lambda v: v >= 1)),
     # the forecaster reads one traffic value per node and step
     "n_features": ("exactly 1", lambda v: v == 1),
-    **dict.fromkeys(("skipgram_negatives", "eta"),
+    **dict.fromkeys(("skipgram_negatives", "eta", "seed"),
                     ("at least 0", lambda v: v >= 0)),
     **dict.fromkeys(("walk_p", "walk_q", "learning_rate", "skipgram_lr",
                      "grad_clip_norm"),

@@ -123,7 +123,7 @@ def load_series(path, graph):
     """Parse a 'timestamp,node0,...' CSV, one value column per graph node.
 
     The first two timestamps fix the interval, a whole number of minutes
-    from 1 to 1440 (a day), and every later step must equal it. DataError
+    that divides a day, and every later step must equal it. DataError
     names the path and line (and column, for a cell) of whatever it refuses.
     """
     stamps, rows = read_table(path, datetime.fromisoformat, graph.n_nodes + 1)
@@ -134,6 +134,8 @@ def load_series(path, graph):
         raise DataError(f"{path}, line 3: interval {step} is not whole minutes")
     if step > timedelta(days=1):
         raise DataError(f"{path}, line 3: interval {step} is longer than a day")
+    if step > timedelta(0) and timedelta(days=1) % step:
+        raise DataError(f"{path}, line 3: interval {step} does not divide a day")
     for i in range(1, len(stamps)):
         delta = stamps[i] - stamps[i - 1]
         if delta <= timedelta(0):
@@ -156,13 +158,17 @@ def save_series(series, path):
 # -- synthetic generator ----------------------------------------------------
 
 # the range of each bounded spec key: what it expects and its test; an
-# interval is also at most a day, as a day holds 24 * 60 // interval steps
+# interval is also at most a day, and then a whole fraction of one, as a day
+# holds 24 * 60 // interval steps
 _SPEC_RANGES = {
     **dict.fromkeys(("days", "interval_minutes"),
                     ("at least 1", lambda v: v >= 1)),
     "peak_width_hours": ("a value above 0", lambda v: v > 0),
+    "seed": ("at least 0", lambda v: v >= 0),
 }
 _SPEC_CEILINGS = {"interval_minutes": ("at most 1440", lambda v: v <= 24 * 60)}
+_SPEC_DIVISORS = {"interval_minutes": ("a divisor of 1440",
+                                       lambda v: 24 * 60 % v == 0)}
 
 
 @dataclass
@@ -187,6 +193,7 @@ class SyntheticCitySpec:
         fields = parse_fields(kv, cls(), "synthetic spec")
         check_ranges(fields, _SPEC_RANGES, "synthetic spec")
         check_ranges(fields, _SPEC_CEILINGS, "synthetic spec")
+        check_ranges(fields, _SPEC_DIVISORS, "synthetic spec")
         return cls(**fields)
 
 

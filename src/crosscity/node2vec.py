@@ -10,7 +10,13 @@ per ``train_skipgram`` call for the negatives) with one ``searchsorted``
 over uniform draws. That is exactly what ``Generator.choice(..., p=...)``
 does, without rebuilding and checking the CDF on every call, so the random
 streams, corpora and features are the same as sampling with ``choice``.
-The skip-gram update itself is sequential SGD, one context pair at a time.
+
+The skip-gram update is sequential SGD over the permuted context pairs. A
+pair reads and writes its center's ``w_in`` row and its targets' ``w_out``
+rows alone, so consecutive pairs that share no row commute: ``_runs`` cuts
+the pairs into maximal runs of such pairs, and each run of several pairs is
+updated as one stack, through the same float operations and BLAS routines
+as one pair at a time, so the features are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ import numpy as np
 
 from .textio import DataError, read_table, write_table
 
-# Context pairs whose negatives are drawn in one piece, bounding the memory
-# of a large corpus; the draws are the same for any block size.
-_NEGATIVE_BLOCK = 1 << 16
+# Context pairs whose negatives are drawn and runs found in one piece,
+# bounding the memory of a large corpus; the draws and features are the
+# same for any block size.
+_NEGATIVE_BLOCK = 1 << 12
 
 
 def _inverse_cdf(weights):
@@ -104,6 +111,31 @@ def _context_pairs(corpus, window):
     return nodes, np.stack([centers, nodes[ctx[valid]]], axis=1)
 
 
+def _runs(centers, targets):
+    """Bounds [0, ..., P] of the maximal runs of consecutive pairs that
+    share no row: pair j, with w_in row centers[j] and w_out rows
+    targets[j], starts a new run when a row of it belongs to an earlier pair
+    of the current run. Repeated targets of one pair are no conflict."""
+    n, width = targets.shape[0], targets.shape[1] + 1
+    # w_in row r is key 2r and w_out row r key 2r + 1, one entry per row a
+    # pair touches, in pair order; sorting key * size + entry sorts the
+    # entries by key, each key's entries in pair order
+    keys = np.concatenate([2 * centers[:, None], 2 * targets + 1], axis=1)
+    size = keys.size
+    key, entry = np.divmod(np.sort(keys.ravel() * size + np.arange(size)), size)
+    pair = entry // width
+    # for each entry, the pair of the previous entry of its key, if another
+    prev = np.full(size, -1)
+    prev[entry[1:]] = np.where((key[1:] == key[:-1]) & (pair[1:] != pair[:-1]),
+                               pair[:-1], -1)
+    bounds = [0]
+    for j, last in enumerate(prev.reshape(n, width).max(axis=1).tolist()):
+        if last >= bounds[-1]:
+            bounds.append(j)
+    bounds.append(n)
+    return bounds
+
+
 def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
                    lr=0.025, seed=0):
     """Skip-gram with negative sampling over walk windows.
@@ -135,21 +167,42 @@ def train_skipgram(corpus, n_nodes, dim, window=3, negatives=5, epochs=5,
         order = rng.permutation(n_pairs)
         for lo in range(0, n_pairs, _NEGATIVE_BLOCK):
             block = order[lo:lo + _NEGATIVE_BLOCK]
+            centers = pairs[block, 0]
             targets = np.empty((len(block), negatives + 1), dtype=np.intp)
             targets[:, 0] = pairs[block, 1]
             targets[:, 1:] = noise_cdf.searchsorted(
                 rng.random((len(block), negatives)), side="right")
-            for center, tgt in zip(pairs[block, 0].tolist(), targets):
-                cur_lr = lr * max(1e-4, 1.0 - step / total)
-                step += 1
-                vin = w_in[center]
-                vout = w_out.take(tgt, axis=0)
-                scores = 1.0 / (1.0 + np.exp(-vout @ vin))
-                err = scores - labels
-                grad_in = err @ vout
-                vout -= np.multiply.outer(cur_lr * err, vin)
-                w_out[tgt] = vout
-                w_in[center] -= cur_lr * grad_in
+            # lr * max(1e-4, 1.0 - step / total) for each pair's step, in
+            # the same IEEE operations
+            rates = lr * np.maximum(
+                1e-4, 1.0 - np.arange(step, step + len(block)) / total)
+            step += len(block)
+            bounds = _runs(centers, targets)
+            center_ids, rate_of = centers.tolist(), rates.tolist()
+            for s, e in zip(bounds, bounds[1:]):
+                if e - s == 1:
+                    center, tgt, cur_lr = center_ids[s], targets[s], rate_of[s]
+                    vin = w_in[center]
+                    vout = w_out.take(tgt, axis=0)
+                    scores = 1.0 / (1.0 + np.exp(-vout @ vin))
+                    err = scores - labels
+                    grad_in = err @ vout
+                    vout -= np.multiply.outer(cur_lr * err, vin)
+                    w_out[tgt] = vout
+                    w_in[center] -= cur_lr * grad_in
+                else:
+                    # the same operations on (k, K, d) and (k, d) stacks;
+                    # each slice of a matmul has its pair's operand shapes,
+                    # so goes through the same BLAS routine
+                    run, tgt, cur_lr = centers[s:e], targets[s:e], rates[s:e, None]
+                    vin = w_in.take(run, axis=0)
+                    vout = w_out.take(tgt, axis=0)
+                    scores = 1.0 / (1.0 + np.exp((-vout @ vin[:, :, None])[:, :, 0]))
+                    err = scores - labels
+                    grad_in = (err[:, None, :] @ vout)[:, 0]
+                    vout -= (cur_lr * err)[:, :, None] * vin[:, None, :]
+                    w_out[tgt] = vout
+                    w_in[run] = vin - cur_lr * grad_in
     return w_in
 
 

@@ -20,6 +20,10 @@ import threading
 
 import numpy as np
 
+# true while this process runs work of a fork_join of several workers: in
+# the caller's own work(0), and in every child, which inherits it
+_joining = False
+
 
 def worker_count(tasks):
     """Workers to spread `tasks` independent tasks over: the CPUs this
@@ -28,9 +32,12 @@ def worker_count(tasks):
     not fork-safe) from a process that runs one thread (forking a
     multi-threaded process can deadlock the child). It pays when BLAS runs
     each call on one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
-    1), as BLAS's own threads would contend with the workers for the cores."""
+    1), as BLAS's own threads would contend with the workers for the cores,
+    and when this process is not a worker of a fork_join already, as the
+    other workers hold the other cores."""
     blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    if blas != "1" or sys.platform != "linux" or threading.active_count() != 1:
+    if (_joining or blas != "1" or sys.platform != "linux"
+            or threading.active_count() != 1):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), tasks))
 
@@ -60,12 +67,15 @@ def fork_join(work, workers):
     other k in a child forked for it. Returns once every child has ended.
     An exception of the caller's own work(0) propagates; otherwise the
     first child's exception is raised again here, with its own type."""
+    global _joining
     children = []
+    joining, _joining = _joining, _joining or workers > 1
     try:
         for k in range(1, workers):
             children.append(_fork(work, k))
         work(0)
     finally:
+        _joining = joining
         errors = [_reap(pid, fd) for pid, fd in children]
     for error in errors:
         if error is not None:

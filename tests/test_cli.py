@@ -649,3 +649,42 @@ class TestDeterminism:
         c1 = open(os.path.join(o1, "pretrained.ckpt")).read()
         c2 = open(os.path.join(o2, "pretrained.ckpt")).read()
         assert c1 == c2
+
+
+class TestSeedAndInterval:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_negative_seed_flag_refused_before_any_write(self, synthed, capsys,
+                                                         command):
+        data, cfg_path, _, tmp_path = synthed
+        before = sorted(os.listdir(data))
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg_path, "--data", data,
+                     "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --seed: expected at least 0, got -1\n")
+        assert not out.exists() and sorted(os.listdir(data)) == before
+
+    def test_synth_refuses_a_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--seed", "-2",
+                     *write_specs(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --seed: expected at least 0, got -2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("interval_minutes", "7", "expected a divisor of 1440, got 7"),
+        ("interval_minutes", "1000", "expected a divisor of 1440, got 1000"),
+        ("seed", "-1", "expected at least 0, got -1"),
+    ], ids=["seven-minutes", "not-a-whole-day", "negative-seed"])
+    def test_spec_refused_writes_no_city(self, tmp_path, capsys, key, value,
+                                         why):
+        good = write_specs(tmp_path)[0]
+        bad = tmp_path / "town.spec"
+        bad.write_text(f"name = town\nn_nodes = 6\ntopology = ring\n"
+                       f"{key} = {value}\n")
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), good, str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: synthetic spec key {key!r}: {why}\n")
+        assert not out.exists()

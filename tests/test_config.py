@@ -159,3 +159,12 @@ def test_variant_stages():
     }
     with pytest.raises(ValueError, match="unknown variant 'nope'"):
         variant_stages("nope")
+
+
+def test_negative_seed_refused():
+    with pytest.raises(ValueError, match="^config key 'seed': expected at "
+                                         "least 0, got -1$"):
+        ExperimentConfig.from_dict({"seed": -1})
+    with pytest.raises(ValueError, match="^config key 'seed': expected"):
+        ExperimentConfig().with_overrides({"seed": "-3"})
+    assert ExperimentConfig.from_dict({"seed": 0}).seed == 0

@@ -401,3 +401,36 @@ def test_random_geometric_city_equals_the_pairwise_norm_loop():
     want = composed.random_geometric_edges(
         70, np.random.default_rng([11, 0xC17F]))
     assert g.edges == RoadGraph(70, want).edges
+
+
+def _series_with_stamps(path, stamps):
+    path.write_text("timestamp,node0\n" + "".join(
+        f"2024-01-01T{t},1.0\n" for t in stamps))
+    return path
+
+
+def test_load_series_refuses_an_interval_that_does_not_divide_a_day(tmp_path):
+    # 7 minutes would put 205 steps, and a leftover 5 minutes, in a "day"
+    path = _series_with_stamps(tmp_path / "odd.csv",
+                               ("00:00:00", "00:07:00", "00:14:00"))
+    with pytest.raises(DataError) as exc:
+        load_series(path, RoadGraph(1, []))
+    assert str(exc.value) == (f"{path}, line 3: interval 0:07:00 does not "
+                              f"divide a day")
+    path = _series_with_stamps(tmp_path / "even.csv",
+                               ("00:00:00", "00:45:00", "01:30:00"))
+    assert load_series(path, RoadGraph(1, [])).interval_minutes == 45
+
+
+@pytest.mark.parametrize("raw, refused", [("7", True), ("1000", True),
+                                          ("45", False), ("1440", False),
+                                          ("1", False)])
+def test_spec_interval_is_a_whole_fraction_of_a_day(raw, refused):
+    kv = {"interval_minutes": raw}
+    if refused:
+        with pytest.raises(DataError, match=(
+                f"^synthetic spec key 'interval_minutes': expected a divisor "
+                f"of 1440, got {raw}$")):
+            SyntheticCitySpec.from_kv(kv)
+    else:
+        assert SyntheticCitySpec.from_kv(kv).interval_minutes == int(raw)

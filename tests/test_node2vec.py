@@ -242,3 +242,90 @@ def test_feature_csv_rejects_a_file_without_rows(tmp_path):
         path.write_text(text)
         with pytest.raises(DataError, match="no feature rows"):
             n2v.load_features(path)
+
+
+def _recording_runs(monkeypatch):
+    """The length of every run ``train_skipgram`` updates from now on."""
+    lengths = []
+    runs = n2v._runs
+
+    def recording(centers, targets):
+        bounds = runs(centers, targets)
+        lengths.extend(np.diff(bounds).tolist())
+        return bounds
+
+    monkeypatch.setattr(n2v, "_runs", recording)
+    return lengths
+
+
+class TestBatchedRuns:
+    """Runs of pairs that share no row are updated as one stack, with the
+    same float operations as one pair at a time."""
+
+    @pytest.fixture(scope="class")
+    def city(self):
+        spec = SyntheticCitySpec(n_nodes=200, topology="random-geometric",
+                                 days=1, seed=5)
+        graph, _ = synth_generate(spec)
+        return graph, n2v.build_corpus(graph, 1, 5, 0.5, 2.0, seed=7)
+
+    @pytest.mark.parametrize("negatives", [0, 1, 5])
+    def test_city_equals_the_reference(self, city, negatives, monkeypatch):
+        graph, corpus = city
+        lengths = _recording_runs(monkeypatch)
+        for dim in (1, 8, 64):
+            for window in (1, 3):
+                got, want = skipgram_both(corpus, graph.n_nodes, dim=dim,
+                                          window=window, negatives=negatives,
+                                          epochs=2, seed=dim + window)
+                assert np.array_equal(got, want), (dim, window)
+        assert 1 in lengths and max(lengths) > 1
+
+    def test_blocks_that_cut_runs(self, monkeypatch):
+        # a 60-node ring's corpus of more than 4,096 pairs: a block boundary
+        # cuts the run it falls in, which must not change the features
+        ring = RoadGraph(60, [(i, (i + 1) % 60) for i in range(60)])
+        corpus = n2v.build_corpus(ring, 12, 8, seed=3)
+        assert len(n2v._context_pairs(corpus, 1)[1]) > 4096
+        want = composed.train_skipgram(corpus, 60, dim=4, window=1,
+                                       negatives=1, epochs=2, seed=3)
+        lengths = _recording_runs(monkeypatch)
+        for block in (4096, 1000, 1 << 16):
+            monkeypatch.setattr(n2v, "_NEGATIVE_BLOCK", block)
+            assert np.array_equal(
+                n2v.train_skipgram(corpus, 60, dim=4, window=1, negatives=1,
+                                   epochs=2, seed=3), want), block
+        assert max(lengths) > 1
+
+
+@st.composite
+def pair_blocks(draw):
+    """(centers, targets) of a block of pairs over a few rows."""
+    rows = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 4))
+    flat = draw(st.lists(st.integers(0, rows - 1), min_size=n * (width + 1),
+                         max_size=n * (width + 1)))
+    block = np.array(flat, dtype=np.intp).reshape(n, width + 1)
+    return block[:, 0], block[:, 1:]
+
+
+def _conflict(centers, targets, i, j):
+    return (centers[i] == centers[j]
+            or bool(np.intersect1d(targets[i], targets[j]).size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=pair_blocks())
+def test_runs_are_maximal_and_share_no_row(block):
+    centers, targets = block
+    bounds = n2v._runs(centers, targets)
+    assert bounds[0] == 0 and bounds[-1] == len(centers)
+    assert all(s < e for s, e in zip(bounds, bounds[1:]))
+    for s, e in zip(bounds, bounds[1:]):
+        for j in range(s + 1, e):
+            for i in range(s, j):
+                assert not _conflict(centers, targets, i, j), (i, j)
+    for r, s in enumerate(bounds[1:-1], start=1):
+        assert any(_conflict(centers, targets, i, s)
+                   for i in range(bounds[r - 1], s)), s

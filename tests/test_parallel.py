@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -56,3 +57,23 @@ def test_an_exception_that_does_not_unpickle_is_named():
     with pytest.raises(ChildProcessError, match="^Unloadable: 1 and 2$"):
         parallel.fork_join(work, 2)
     assert_no_child_left()
+
+
+def test_no_worker_forks_again(monkeypatch):
+    # forking is safe and pays here, so only being a worker gives 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+    seen = parallel.shared_empty((3,))
+
+    def work(k):
+        seen[k] = parallel.worker_count(8)
+
+    parallel.fork_join(work, 3)
+    assert_no_child_left()
+    assert seen.tolist() == [1, 1, 1]
+    # a join of one worker starts no process, and a finished join none
+    parallel.fork_join(work, 1)
+    assert seen[0] == 4
+    assert parallel.worker_count(8) == 4
