@@ -25,10 +25,10 @@ from . import checkpoint as ck
 from . import data as dio
 from . import metrics as mx
 from . import node2vec as n2v
-from .config import _RANGES, VARIANTS, ExperimentConfig, variant_stages
+from .config import VARIANTS, ExperimentConfig, variant_stages
 from .graph import load_graph, save_graph
 from .parallel import for_each, shared_empty
-from .textio import atomic_open
+from .textio import AT_LEAST_0, atomic_open
 from .train import DomainData, ReplayLog, finetune, pretrain
 
 EXIT_BAD_ARGS = 2
@@ -41,9 +41,9 @@ class CliError(RuntimeError):
 
 
 def _seed_flag(args):
-    """The --seed override, or None; held to the range of a config's seed
-    key, which a spec's seed key shares."""
-    expects, ok = _RANGES["seed"]
+    """The --seed override, or None; held to the rule of a config's and a
+    spec's seed key."""
+    expects, ok = AT_LEAST_0
     if args.seed is not None and not ok(args.seed):
         raise CliError(f"--seed: expected {expects}, got {args.seed}")
     return args.seed
@@ -68,6 +68,10 @@ def _load_config(args):
     cfg = cfg.with_overrides(dict(kv.split("=", 1) for kv in items))
     if seed is not None:
         cfg.seed = seed
+    if (args.command in ("pretrain", "pipeline") and not cfg.source_domains
+            and "pretrain" in variant_stages(args.variant)):
+        raise CliError(f"config key 'source_domains' is empty, but variant "
+                       f"{args.variant!r} pre-trains on the source cities")
     return cfg
 
 

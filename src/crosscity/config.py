@@ -8,7 +8,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
-from .textio import check_fields, check_ranges, parse_fields
+from .textio import ABOVE_0, AT_LEAST_0, AT_LEAST_1, check_fields, parse_fields
 
 
 class VariantUses(NamedTuple):
@@ -44,30 +44,27 @@ def variant_stages(variant):
     return ("embed", *pretrain, "finetune", "evaluate")
 
 
-# the range of each bounded key, checked once its kind is: what it expects
-# and its test; a null train-days value means every day
-_RANGES = {
+# the rules of each bounded key, checked in order once its kind is; a null
+# train-days value means every day
+_RULES = {
     **dict.fromkeys(
         ("history", "horizon", "embed_dim", "hidden_dim", "gin_layers",
          "classifier_hidden", "walks_per_node", "walk_length",
          "skipgram_window", "skipgram_epochs", "batch_size", "pretrain_epochs",
          "pretrain_batches_per_epoch", "finetune_max_epochs",
          "finetune_batches_per_epoch", "early_stop_patience",
-         "source_train_days", "target_train_days"),
-        ("at least 1", lambda v: v >= 1)),
+         "source_train_days", "target_train_days"), (AT_LEAST_1,)),
     # the forecaster reads one traffic value per node and step
-    "n_features": ("exactly 1", lambda v: v == 1),
-    **dict.fromkeys(("skipgram_negatives", "eta", "seed"),
-                    ("at least 0", lambda v: v >= 0)),
+    "n_features": (("exactly 1", lambda v: v == 1),),
+    **dict.fromkeys(("skipgram_negatives", "eta", "seed"), (AT_LEAST_0,)),
     **dict.fromkeys(("walk_p", "walk_q", "learning_rate", "skipgram_lr",
-                     "grad_clip_norm"),
-                    ("a value above 0", lambda v: v > 0)),
-    "momentum": ("a value in [0, 1)", lambda v: 0 <= v < 1),
-    "split_ratios": ("three positive ratios summing to 1",
-                     lambda v: len(v) == 3 and all(r > 0 for r in v)
-                     and abs(sum(v) - 1.0) <= 1e-9),
-    "target_domain": ("a non-empty name", lambda v: v != ""),
-    "source_domains": ("non-empty names", lambda v: "" not in v),
+                     "grad_clip_norm"), (ABOVE_0,)),
+    "momentum": (("a value in [0, 1)", lambda v: 0 <= v < 1),),
+    "split_ratios": (("three positive ratios summing to 1",
+                      lambda v: len(v) == 3 and all(r > 0 for r in v)
+                      and abs(sum(v) - 1.0) <= 1e-9),),
+    "target_domain": (("a non-empty name", lambda v: v != ""),),
+    "source_domains": (("non-empty names", lambda v: "" not in v),),
 }
 
 
@@ -121,7 +118,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         """The config of a JSON object. Each value must have its field's
-        kind and lie in its range (``_RANGES``, which also refuses empty
+        kind and pass its key's rules (``_RULES``, which also refuse empty
         domain names), and is kept as it is, so the hash sees what the JSON
         said. The source domains must be distinct and exclude the
         target."""
@@ -130,8 +127,7 @@ class ExperimentConfig:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        check_fields(d, cls(), "config")
-        check_ranges(d, _RANGES, "config")
+        check_fields(d, cls(), _RULES, "config")
         cfg = cls(**d)
         cfg.split_ratios = tuple(cfg.split_ratios)
         cfg.source_domains = list(cfg.source_domains)

@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import RoadGraph
-from .textio import (DataError, check_ranges, content_lines, parse_fields,
-                     read_table, write_table)
+from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, DataError, check_fields,
+                     content_lines, parse_fields, read_table, write_table)
 
 
 class TrafficSeries:
@@ -157,18 +157,16 @@ def save_series(series, path):
 
 # -- synthetic generator ----------------------------------------------------
 
-# the range of each bounded spec key: what it expects and its test; an
-# interval is also at most a day, and then a whole fraction of one, as a day
-# holds 24 * 60 // interval steps
-_SPEC_RANGES = {
-    **dict.fromkeys(("days", "interval_minutes"),
-                    ("at least 1", lambda v: v >= 1)),
-    "peak_width_hours": ("a value above 0", lambda v: v > 0),
-    "seed": ("at least 0", lambda v: v >= 0),
+# the rules of each bounded spec key, checked in order; an interval is at
+# most a day, and then a whole fraction of one, as a day holds
+# 24 * 60 // interval steps
+_SPEC_RULES = {
+    **dict.fromkeys(("n_nodes", "days"), (AT_LEAST_1,)),
+    "interval_minutes": (AT_LEAST_1, ("at most 1440", lambda v: v <= 24 * 60),
+                         ("a divisor of 1440", lambda v: 24 * 60 % v == 0)),
+    "peak_width_hours": (ABOVE_0,),
+    "seed": (AT_LEAST_0,),
 }
-_SPEC_CEILINGS = {"interval_minutes": ("at most 1440", lambda v: v <= 24 * 60)}
-_SPEC_DIVISORS = {"interval_minutes": ("a divisor of 1440",
-                                       lambda v: 24 * 60 % v == 0)}
 
 
 @dataclass
@@ -191,10 +189,14 @@ class SyntheticCitySpec:
     @classmethod
     def from_kv(cls, kv):
         fields = parse_fields(kv, cls(), "synthetic spec")
-        check_ranges(fields, _SPEC_RANGES, "synthetic spec")
-        check_ranges(fields, _SPEC_CEILINGS, "synthetic spec")
-        check_ranges(fields, _SPEC_DIVISORS, "synthetic spec")
-        return cls(**fields)
+        check_fields(fields, cls(), _SPEC_RULES, "synthetic spec")
+        spec = cls(**fields)
+        amps, hours = list(spec.peak_amplitudes), list(spec.peak_hours)
+        if len(amps) != len(hours):
+            raise DataError(f"synthetic spec keys 'peak_amplitudes' {amps} and "
+                            f"'peak_hours' {hours}: expected one hour per "
+                            f"amplitude")
+        return spec
 
 
 def load_spec(path):
@@ -269,7 +271,7 @@ def synth_generate(spec):
     hours = (np.arange(t_len) % steps_per_day) * spec.interval_minutes / 60.0
 
     profile = np.full(t_len, spec.base_flow)
-    for amp, peak in zip(spec.peak_amplitudes, spec.peak_hours):
+    for amp, peak in zip(spec.peak_amplitudes, spec.peak_hours, strict=True):
         centered = hours - peak - spec.phase_shift_hours
         centered = (centered + 12.0) % 24.0 - 12.0  # wrap to [-12, 12)
         profile = profile + amp * np.exp(-0.5 * (centered / spec.peak_width_hours) ** 2)

@@ -128,20 +128,24 @@ def parse_fields(kv, defaults, what):
     return fields
 
 
-def check_fields(d, defaults, what):
-    """DataError unless every JSON value of d has the kind of the same-named
-    field of `defaults`; an int counts as a float, a bool as neither."""
+# shared range rules: what a value is expected to be, and its test
+AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
+AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+ABOVE_0 = ("a value above 0", lambda v: v > 0)
+
+
+def check_fields(d, defaults, rules, what):
+    """DataError unless every value of d has the kind of the same-named
+    field of `defaults` (an int counts as a float, a bool as neither) and
+    then every non-null one passes its key's rules in `rules`, a dict of
+    key -> ordered (what it expects, its test) pairs; the error names the
+    first `what` key that fails and its first failing rule."""
     for key, value in d.items():
         name, _, accepts = _KINDS[type(getattr(defaults, key))]
         if not accepts(value):
             raise DataError(f"{what} key {key!r}: expected {name}, got {value!r}")
-
-
-def check_ranges(d, ranges, what):
-    """DataError naming the first `what` key of d whose non-null value fails
-    its range in `ranges`, a dict of key -> (what it expects, its test)."""
     for key, value in d.items():
-        rule = ranges.get(key)
-        if rule is not None and value is not None and not rule[1](value):
-            raise DataError(f"{what} key {key!r}: expected {rule[0]}, "
-                            f"got {value!r}")
+        for expects, test in rules.get(key, ()):
+            if value is not None and not test(value):
+                raise DataError(f"{what} key {key!r}: expected {expects}, "
+                                f"got {value!r}")

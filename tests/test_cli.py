@@ -110,7 +110,8 @@ class TestSynth:
         ("name = hamlet\nn_nodes = 1\ntopology = ring\ndays = 1\n", 1),
         (None, EXIT_BAD_ARGS),
         ("name = hamlet\nn_nodes = ten\ndays = 1\n", 1),
-    ], ids=["one-node-ring", "missing", "bad-value"])
+        ("name = hamlet\npeak_amplitudes = 300;250;400\npeak_hours = 8\n", 1),
+    ], ids=["one-node-ring", "missing", "bad-value", "unpaired-peaks"])
     def test_failing_spec_writes_no_city(self, tmp_path, capsys, bad_text, code):
         # the good spec comes first; nothing of it may reach --out
         good = write_specs(tmp_path)[0]
@@ -154,8 +155,11 @@ class TestSynth:
         ("peak_width_hours", "0", "expected a value above 0, got 0.0"),
         ("peak_width_hours", "-1.5", "expected a value above 0, got -1.5"),
         ("interval_minutes", "2000", "expected at most 1440, got 2000"),
+        ("n_nodes", "-3", "expected at least 1, got -3"),
+        ("n_nodes", "0", "expected at least 1, got 0"),
     ], ids=["no-interval", "no-days", "negative-days", "no-peak-width",
-            "negative-peak-width", "interval-over-a-day"])
+            "negative-peak-width", "interval-over-a-day", "negative-nodes",
+            "no-nodes"])
     def test_spec_value_out_of_range_writes_no_city(self, tmp_path, capsys,
                                                     key, value, why):
         # the good spec comes first; nothing of it may reach --out
@@ -688,3 +692,33 @@ class TestSeedAndInterval:
         assert capsys.readouterr().err == (
             f"error: {bad}: synthetic spec key {key!r}: {why}\n")
         assert not out.exists()
+
+
+class TestEmptySources:
+    @pytest.mark.parametrize("command, variant", [
+        *(("pipeline", v) for v in VARIANTS
+          if "pretrain" in variant_stages(v)), ("pretrain", "wo_da")])
+    def test_refused_before_any_write_when_the_variant_pretrains(
+            self, synthed, capsys, command, variant):
+        data, _, cfg, tmp_path = synthed
+        config = tmp_path / "solo.json"
+        config.write_text(json.dumps({**cfg.to_dict(), "source_domains": []}))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config), "--data", data,
+                     "--out", str(out), "--variant", variant]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'source_domains'" in err and repr(variant) in err
+        assert not out.exists()
+        assert not os.path.exists(os.path.join(data, "tee.features.csv"))
+
+    @pytest.mark.parametrize("variant", [
+        v for v in VARIANTS if "pretrain" not in variant_stages(v)])
+    def test_kept_when_the_variant_does_not_pretrain(self, synthed, variant):
+        data, _, cfg, tmp_path = synthed
+        config = tmp_path / "solo.json"
+        config.write_text(json.dumps({**cfg.to_dict(), "source_domains": []}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--data", data,
+                     "--out", str(out), "--variant", variant]) == 0
+        assert open(out / "stage.txt").read() == "done\n"

@@ -1,5 +1,6 @@
 import pytest
 
+from crosscity import config, data
 from crosscity.config import (VARIANTS, ExperimentConfig, variant_stages,
                               variant_uses)
 
@@ -103,6 +104,15 @@ class TestRanges:
         cfg = ExperimentConfig.from_dict({key: value})
         assert getattr(cfg, key) == (tuple(value) if key == "split_ratios"
                                      else value)
+
+
+    @pytest.mark.parametrize("rules, record", [
+        (config._RULES, ExperimentConfig),
+        (data._SPEC_RULES, data.SyntheticCitySpec),
+    ], ids=["config", "spec"])
+    def test_every_rule_key_is_a_field(self, rules, record):
+        # a misspelled key would silently check nothing
+        assert set(rules) <= set(record.__dataclass_fields__)
 
 
 class TestOverrides:

@@ -306,6 +306,27 @@ class TestSpec:
         assert msg.startswith(f"{path}: ")
         assert "'n_nodes'" in msg and "'ten'" in msg
 
+    def test_peaks_of_different_lengths_refused(self, tmp_path):
+        path = tmp_path / "c.spec"
+        path.write_text("name = ville\npeak_amplitudes = 300;250;400\n"
+                        "peak_hours = 8\n")
+        with pytest.raises(DataError) as exc:
+            load_spec(path)
+        assert str(exc.value) == (
+            f"{path}: synthetic spec keys 'peak_amplitudes' [300.0, 250.0, "
+            f"400.0] and 'peak_hours' [8.0]: expected one hour per amplitude")
+        with pytest.raises(ValueError):
+            synth_generate(SyntheticCitySpec(n_nodes=6, days=1,
+                                             peak_amplitudes=(300.0, 250.0),
+                                             peak_hours=(8.0,)))
+
+    def test_rules_of_one_key_come_before_the_next_key(self):
+        # an interval failing its later rules is reported before a later
+        # key failing its first
+        with pytest.raises(DataError, match="^synthetic spec key "
+                           "'interval_minutes': expected a divisor of 1440"):
+            SyntheticCitySpec.from_kv({"interval_minutes": "7", "days": "0"})
+
 
 class TestSynth:
     def test_deterministic(self):
