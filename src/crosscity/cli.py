@@ -68,10 +68,16 @@ def _load_config(args):
     cfg = cfg.with_overrides(dict(kv.split("=", 1) for kv in items))
     if seed is not None:
         cfg.seed = seed
-    if (args.command in ("pretrain", "pipeline") and not cfg.source_domains
-            and "pretrain" in variant_stages(args.variant)):
-        raise CliError(f"config key 'source_domains' is empty, but variant "
-                       f"{args.variant!r} pre-trains on the source cities")
+    if args.command in ("pretrain", "pipeline"):
+        stages = variant_stages(args.variant)
+        pretrains = "pretrain" in stages
+        if args.command == "pretrain" and not pretrains:
+            raise CliError(f"pretrain does not apply to variant "
+                           f"{args.variant!r}, whose stages are "
+                           f"{', '.join(stages)}")
+        if pretrains and not cfg.source_domains:
+            raise CliError(f"config key 'source_domains' is empty, but variant "
+                           f"{args.variant!r} pre-trains on the source cities")
     return cfg
 
 

@@ -157,11 +157,15 @@ def save_series(series, path):
 
 # -- synthetic generator ----------------------------------------------------
 
+TOPOLOGIES = ("ring", "grid", "random-geometric")
+
 # the rules of each bounded spec key, checked in order; an interval is at
 # most a day, and then a whole fraction of one, as a day holds
 # 24 * 60 // interval steps
 _SPEC_RULES = {
     **dict.fromkeys(("n_nodes", "days"), (AT_LEAST_1,)),
+    "topology": ((f"one of {', '.join(TOPOLOGIES)}",
+                  lambda v: v in TOPOLOGIES),),
     "interval_minutes": (AT_LEAST_1, ("at most 1440", lambda v: v <= 24 * 60),
                          ("a divisor of 1440", lambda v: 24 * 60 % v == 0)),
     "peak_width_hours": (ABOVE_0,),
@@ -173,7 +177,7 @@ _SPEC_RULES = {
 class SyntheticCitySpec:
     name: str = "city"
     n_nodes: int = 20
-    topology: str = "random-geometric"  # ring | grid | random-geometric
+    topology: str = "random-geometric"  # one of TOPOLOGIES
     base_flow: float = 200.0
     peak_amplitudes: tuple = (300.0, 250.0)
     peak_hours: tuple = (8.0, 18.0)
@@ -263,7 +267,9 @@ def _random_geometric_edges(n, rng):
 def synth_generate(spec):
     """Deterministic city: diurnal gaussian-bump profile per node with
     per-node amplitude jitter, one-hop spatial smoothing, additive noise,
-    and a nonnegative clamp."""
+    and a nonnegative clamp. Smoothing, noise and clamp work in place, so
+    the peak holds two T x N arrays and, for the smoothing product alone,
+    the graph's N x N aggregation matrix."""
     rng = np.random.default_rng([spec.seed, 0xC17F])
     graph = _make_topology(spec, rng)
     steps_per_day = 24 * 60 // spec.interval_minutes
@@ -278,8 +284,13 @@ def synth_generate(spec):
 
     node_scale = 1.0 + spec.node_scale_spread * (rng.random(spec.n_nodes) - 0.5) * 2
     x = profile[:, None] * node_scale[None, :]
-    agg = graph.mean_aggregation_matrix()
-    x = (1.0 - spec.smoothing) * x + spec.smoothing * (x @ agg.T)
-    x = x + spec.noise_level * rng.standard_normal(x.shape)
-    x = np.maximum(x, 0.0)
+    # one T x N buffer beside x: the neighbor means, then the noise
+    buf = x @ graph.mean_aggregation_matrix().T
+    x *= 1.0 - spec.smoothing
+    buf *= spec.smoothing
+    x += buf
+    rng.standard_normal(out=buf)
+    buf *= spec.noise_level
+    x += buf
+    np.maximum(x, 0.0, out=x)
     return graph, TrafficSeries(x, spec.interval_minutes)

@@ -6,6 +6,12 @@ per-source encoders, the target encoder, and the fine-tuning private encoder.
 Each layer is one autodiff node with a hand-written backward pass that
 equals the composed ops bit for bit (the test suite keeps them as the
 reference).
+
+The mean over neighbors is the graph's dense aggregation matrix times the
+layer input. The first layer's input, a city's raw features, does not
+change, so an encoder takes that product once per graph and keeps it while
+the features hold the same bits; it keeps the matrix itself only when a
+later layer, or a gradient to the features, needs it.
 """
 
 from __future__ import annotations
@@ -29,13 +35,18 @@ class GinLayer:
         self.w2 = Tensor(glorot(rng, out_dim, out_dim), requires_grad=True)
         self.b2 = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def forward(self, x, agg_matrix):
+    def forward(self, x, agg_matrix, x_agg=None):
         """x: (N, in_dim) tensor; agg_matrix: constant (N, N) mean aggregator.
-        Returns the (N, out_dim) output as one tape node."""
-        agg, xd = agg_matrix.data, x.data
+        x_agg, if given, is agg_matrix.data @ x.data taken beforehand; the
+        matrix is then read only to pass a gradient to x, and may be None
+        for an x that needs none. Returns the (N, out_dim) output as one
+        tape node."""
+        xd = x.data
+        if x_agg is None:
+            x_agg = agg_matrix.data @ xd
         w1, w2 = self.w1.data, self.w2.data
         scale = self.eps.data + 1.0
-        mixed = xd * scale + agg @ xd
+        mixed = xd * scale + x_agg
         pre = mixed @ w1 + self.b1.data[None, :]
         mask = pre > 0
         h = pre * mask
@@ -50,7 +61,7 @@ class GinLayer:
             dmixed = dpre @ w1.T
             self.eps._accum((dmixed * xd).sum())
             if ad.needs_grad(x):
-                x._accum(dmixed * scale + agg.T @ dmixed)
+                x._accum(dmixed * scale + agg_matrix.data.T @ dmixed)
 
         return Tensor._result(out, (x, self.eps, self.w1, self.b1, self.w2, self.b2),
                               backward)
@@ -74,6 +85,8 @@ class SpatialEncoder:
         for _ in range(n_layers):
             self.layers.append(GinLayer(d, out_dim, rng=rng))
             d = out_dim
+        self._matrices = {}  # graph -> its aggregation matrix as a Tensor
+        self._aggregates = {}  # graph -> (features, their bytes, matrix @ them)
 
     def forward(self, features, graph):
         """features: (N, D_e) Tensor or ndarray; returns (N, D_f) Tensor."""
@@ -81,10 +94,31 @@ class SpatialEncoder:
         if x.shape[0] != graph.n_nodes:
             raise ad.ShapeError(
                 f"features have {x.shape[0]} rows for a {graph.n_nodes}-node graph")
-        agg = Tensor(graph.mean_aggregation_matrix())
-        for layer in self.layers:
+        first, *rest = self.layers
+        agg = self._matrix(graph) if rest or ad.needs_grad(x) else None
+        x = first.forward(x, agg, self._first_aggregate(graph, x.data, agg))
+        for layer in rest:
             x = layer.forward(x, agg)
         return x
+
+    def _matrix(self, graph):
+        """graph's aggregation matrix as a constant Tensor, built on the
+        first call with graph."""
+        if graph not in self._matrices:
+            self._matrices[graph] = Tensor(graph.mean_aggregation_matrix())
+        return self._matrices[graph]
+
+    def _first_aggregate(self, graph, xd, agg):
+        """graph.mean_aggregation_matrix() @ xd, read-only; agg is that
+        matrix as a Tensor, or None. It is taken again only when xd is not
+        the array of the last call with graph, or its bits changed since."""
+        hit, bits = self._aggregates.get(graph), xd.tobytes()
+        if hit is None or hit[0] is not xd or hit[1] != bits:
+            matrix = graph.mean_aggregation_matrix() if agg is None else agg.data
+            product = matrix @ xd
+            product.flags.writeable = False
+            hit = self._aggregates[graph] = (xd, bits, product)
+        return hit[2]
 
     def params(self, prefix):
         out = {}

@@ -1,4 +1,4 @@
-"""Road-network topology: undirected binary adjacency plus neighbor lists."""
+"""Road-network topology: undirected edges plus neighbor lists."""
 
 from __future__ import annotations
 
@@ -12,13 +12,14 @@ class GraphError(ValueError):
 
 
 class RoadGraph:
-    """Undirected graph over nodes 0..n-1 with binary symmetric adjacency."""
+    """Undirected graph over nodes 0..n-1. It keeps its sorted edge list and
+    each node's sorted neighbor list, memory linear in the edges; the dense
+    matrices below are built on demand and kept by no graph."""
 
     def __init__(self, n_nodes, edges):
         if n_nodes <= 0:
             raise GraphError("node count must be positive")
         self.n_nodes = int(n_nodes)
-        adj = np.zeros((n_nodes, n_nodes), dtype=np.float64)
         dedup = set()
         for u, v in edges:
             u, v = int(u), int(v)
@@ -27,26 +28,30 @@ class RoadGraph:
             if not (0 <= u < n_nodes and 0 <= v < n_nodes):
                 raise GraphError(f"edge ({u},{v}) out of range for {n_nodes} nodes")
             dedup.add((min(u, v), max(u, v)))
-        for u, v in dedup:
-            adj[u, v] = 1.0
-            adj[v, u] = 1.0
         self.edges = sorted(dedup)
-        self.neighbors = [sorted(np.flatnonzero(adj[i]).tolist()) for i in range(n_nodes)]
-        deg = adj.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._mean_agg = np.where(deg > 0, adj / deg, 0.0)
-        self._mean_agg.flags.writeable = False
+        self.neighbors = [[] for _ in range(self.n_nodes)]
+        for u, v in self.edges:
+            self.neighbors[u].append(v)
+            self.neighbors[v].append(u)
+        for nbrs in self.neighbors:
+            nbrs.sort()
 
     @property
     def adjacency(self):
-        """Binary adjacency, rebuilt from the mean-aggregation matrix: that is
-        the one dense N x N array a graph keeps."""
-        return (self._mean_agg > 0).astype(np.float64)
+        """Binary symmetric N x N adjacency, derived from a fresh
+        mean-aggregation matrix."""
+        return (self.mean_aggregation_matrix() > 0).astype(np.float64)
 
     def mean_aggregation_matrix(self):
-        """Row-normalized adjacency, rows of isolated nodes all-zero; built
-        with the graph, so every call returns the same read-only array."""
-        return self._mean_agg
+        """A new read-only N x N matrix: row v holds 1 / deg(v) at v's
+        neighbors, and an isolated node's row is all zero. Every call builds
+        the same values; a caller that needs it often keeps it."""
+        m = np.zeros((self.n_nodes, self.n_nodes))
+        for v, nbrs in enumerate(self.neighbors):
+            if nbrs:
+                m[v, nbrs] = 1.0 / len(nbrs)
+        m.flags.writeable = False
+        return m
 
 
 def load_graph(path):

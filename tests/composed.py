@@ -14,8 +14,11 @@
   nodes per recurrent step, the reference for ``forecaster.forecast``
   (values and gradients) and for ``forecaster.predict`` and
   ``train.predict_windows`` (values).
+- ``mean_aggregation_matrix``: the dense 0/1 adjacency divided by its row
+  sums, the reference for ``graph.RoadGraph.mean_aggregation_matrix``.
 - ``gin_layer`` and ``spatial_encoder``: the GIN layer as nine ops, the
-  reference for ``gin.GinLayer.forward`` and ``gin.SpatialEncoder.forward``.
+  reference for ``gin.GinLayer.forward`` and ``gin.SpatialEncoder.forward``;
+  the encoder takes every layer's neighbor mean afresh.
 - ``classifier_logits``, ``classify`` and ``adversarial_loss``: the domain
   head as a chain of ops per group (reversal, MLP, softmax, clamp, log,
   one-hot mask, sum, scale), added left to right over the groups, the
@@ -27,6 +30,8 @@
   sampled node, the reference for ``crosscity.node2vec``.
 - ``random_geometric_edges``: the pairwise ``np.linalg.norm`` loop that
   ``data._make_topology`` must reproduce edge for edge.
+- ``synth_generate``: the synthetic city with each step a new array, the
+  reference for ``data.synth_generate``'s in-place steps.
 - ``permuted_graph``: a graph with its nodes relabeled, for the encoder's
   permutation-equivariance checks.
 """
@@ -40,7 +45,7 @@ import numpy as np
 from crosscity import autodiff as ad
 from crosscity.adversary import LOG_FLOOR
 from crosscity.autodiff import ShapeError, Tensor
-from crosscity.data import DataError, WindowedDataset
+from crosscity.data import DataError, WindowedDataset, _make_topology
 from crosscity.graph import RoadGraph
 
 
@@ -267,10 +272,23 @@ def combine(combiner, shared, private):
     return add_rowvec(matmul(ad.add(a, b), combiner.cmb_w), combiner.cmb_b)
 
 
-def gin_layer(layer, x, agg_matrix):
-    """Same contract as ``gin.GinLayer.forward``, nine ops."""
+def mean_aggregation_matrix(graph):
+    """The 0/1 adjacency of graph's edges divided by its row sums; the row
+    of an isolated node is zero."""
+    adj = np.zeros((graph.n_nodes, graph.n_nodes))
+    for u, v in graph.edges:
+        adj[u, v] = adj[v, u] = 1.0
+    deg = adj.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(deg > 0, adj / deg, 0.0)
+
+
+def gin_layer(layer, x, agg_matrix, x_agg=None):
+    """Same contract as ``gin.GinLayer.forward``, nine ops; the neighbor
+    mean is the matmul whenever agg_matrix is given, x_agg only if not."""
     own = mul(x, ad.add(layer.eps, Tensor(1.0)))
-    mixed = ad.add(own, matmul(agg_matrix, x))
+    neighbors = Tensor(x_agg) if agg_matrix is None else matmul(agg_matrix, x)
+    mixed = ad.add(own, neighbors)
     h = relu(add_rowvec(matmul(mixed, layer.w1), layer.b1))
     return add_rowvec(matmul(h, layer.w2), layer.b2)
 
@@ -278,7 +296,7 @@ def gin_layer(layer, x, agg_matrix):
 def spatial_encoder(encoder, features, graph):
     """Same contract as ``gin.SpatialEncoder.forward``, layer by layer."""
     x = features if isinstance(features, Tensor) else Tensor(features)
-    agg = Tensor(graph.mean_aggregation_matrix())
+    agg = Tensor(mean_aggregation_matrix(graph))
     for layer in encoder.layers:
         x = gin_layer(layer, x, agg)
     return x
@@ -457,3 +475,26 @@ def permuted_graph(graph, perm):
     """graph with node i relabeled as perm[i]."""
     perm = np.asarray(perm)
     return RoadGraph(graph.n_nodes, [(perm[u], perm[v]) for u, v in graph.edges])
+
+
+def synth_generate(spec):
+    """Same contract as ``data.synth_generate``, each step a new array and
+    the graph's matrix from ``mean_aggregation_matrix``; returns the graph
+    and the T x N values."""
+    rng = np.random.default_rng([spec.seed, 0xC17F])
+    graph = _make_topology(spec, rng)
+    steps_per_day = 24 * 60 // spec.interval_minutes
+    t_len = spec.days * steps_per_day
+    hours = (np.arange(t_len) % steps_per_day) * spec.interval_minutes / 60.0
+    profile = np.full(t_len, spec.base_flow)
+    for amp, peak in zip(spec.peak_amplitudes, spec.peak_hours, strict=True):
+        centered = hours - peak - spec.phase_shift_hours
+        centered = (centered + 12.0) % 24.0 - 12.0
+        profile = profile + amp * np.exp(
+            -0.5 * (centered / spec.peak_width_hours) ** 2)
+    node_scale = 1.0 + spec.node_scale_spread * (rng.random(spec.n_nodes) - 0.5) * 2
+    x = profile[:, None] * node_scale[None, :]
+    agg = mean_aggregation_matrix(graph)
+    x = (1.0 - spec.smoothing) * x + spec.smoothing * (x @ agg.T)
+    x = x + spec.noise_level * rng.standard_normal(x.shape)
+    return graph, np.maximum(x, 0.0)

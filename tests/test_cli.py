@@ -111,7 +111,9 @@ class TestSynth:
         (None, EXIT_BAD_ARGS),
         ("name = hamlet\nn_nodes = ten\ndays = 1\n", 1),
         ("name = hamlet\npeak_amplitudes = 300;250;400\npeak_hours = 8\n", 1),
-    ], ids=["one-node-ring", "missing", "bad-value", "unpaired-peaks"])
+        ("name = hamlet\ntopology = star\ndays = 1\n", 1),
+    ], ids=["one-node-ring", "missing", "bad-value", "unpaired-peaks",
+            "unknown-topology"])
     def test_failing_spec_writes_no_city(self, tmp_path, capsys, bad_text, code):
         # the good spec comes first; nothing of it may reach --out
         good = write_specs(tmp_path)[0]
@@ -157,9 +159,11 @@ class TestSynth:
         ("interval_minutes", "2000", "expected at most 1440, got 2000"),
         ("n_nodes", "-3", "expected at least 1, got -3"),
         ("n_nodes", "0", "expected at least 1, got 0"),
+        ("topology", "star",
+         "expected one of ring, grid, random-geometric, got 'star'"),
     ], ids=["no-interval", "no-days", "negative-days", "no-peak-width",
             "negative-peak-width", "interval-over-a-day", "negative-nodes",
-            "no-nodes"])
+            "no-nodes", "unknown-topology"])
     def test_spec_value_out_of_range_writes_no_city(self, tmp_path, capsys,
                                                     key, value, why):
         # the good spec comes first; nothing of it may reach --out
@@ -722,3 +726,20 @@ class TestEmptySources:
         assert main(["pipeline", "--config", str(config), "--data", data,
                      "--out", str(out), "--variant", variant]) == 0
         assert open(out / "stage.txt").read() == "done\n"
+
+
+class TestPretrainVariant:
+    @pytest.mark.parametrize("variant", [
+        v for v in VARIANTS if "pretrain" not in variant_stages(v)])
+    def test_refused_before_any_write_when_the_variant_does_not_pretrain(
+            self, synthed, capsys, variant):
+        data, cfg_path, _, tmp_path = synthed
+        assert main(["embed", "--config", cfg_path, "--data", data]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", cfg_path, "--data", data,
+                     "--out", str(out), "--variant", variant]) == 1
+        assert capsys.readouterr().err == (
+            f"error: pretrain does not apply to variant {variant!r}, whose "
+            f"stages are {', '.join(variant_stages(variant))}\n")
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,18 @@ class TestSpec:
                                              peak_amplitudes=(300.0, 250.0),
                                              peak_hours=(8.0,)))
 
+    def test_unknown_topology_refused_with_file_and_key(self, tmp_path):
+        path = tmp_path / "c.spec"
+        path.write_text("name = ville\ntopology = star\n")
+        with pytest.raises(DataError) as exc:
+            load_spec(path)
+        assert str(exc.value) == (
+            f"{path}: synthetic spec key 'topology': expected one of ring, "
+            f"grid, random-geometric, got 'star'")
+        for topology in dio.TOPOLOGIES:
+            path.write_text(f"name = ville\ntopology = {topology}\n")
+            assert load_spec(path).topology == topology
+
     def test_rules_of_one_key_come_before_the_next_key(self):
         # an interval failing its later rules is reported before a later
         # key failing its first
@@ -422,6 +435,37 @@ def test_random_geometric_city_equals_the_pairwise_norm_loop():
     want = composed.random_geometric_edges(
         70, np.random.default_rng([11, 0xC17F]))
     assert g.edges == RoadGraph(70, want).edges
+
+
+@pytest.mark.parametrize("topology, n_nodes, seed", [
+    ("ring", 12, 0), ("grid", 10, 4), ("grid", 1, 2),
+    ("random-geometric", 40, 5), ("random-geometric", 90, 9)])
+def test_synth_generate_equals_the_reference(topology, n_nodes, seed):
+    # noise this loud drives some values below zero, so the clamp acts
+    spec = SyntheticCitySpec(n_nodes=n_nodes, topology=topology, days=2,
+                             seed=seed, smoothing=0.45, noise_level=300.0)
+    g, series = synth_generate(spec)
+    want_g, want = composed.synth_generate(spec)
+    assert g.edges == want_g.edges
+    assert np.array_equal(series.signal(), want)
+    assert (want == 0.0).any()
+
+
+def test_synth_generate_peak_holds_two_series_and_one_matrix():
+    # 1,000 nodes over a day: T x N = 2.3 MB beside an 8 MB N x N matrix;
+    # one more T x N or N x N temporary breaks the bound
+    spec = SyntheticCitySpec(n_nodes=1000, topology="ring", days=1, seed=1)
+    t_len = 24 * 60 // spec.interval_minutes
+    series_bytes = t_len * spec.n_nodes * 8
+    # a small city first, so that no first-use allocation is counted
+    synth_generate(SyntheticCitySpec(n_nodes=5, topology="ring", days=1))
+    tracemalloc.start()
+    try:
+        synth_generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * series_bytes + spec.n_nodes ** 2 * 8 + series_bytes // 2
 
 
 def _series_with_stamps(path, stamps):

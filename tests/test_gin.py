@@ -140,3 +140,65 @@ def test_fused_layer_equals_composed_exactly(n_layers, x_grad, rng):
     for k in want_g:
         assert np.array_equal(got_g[k], want_g[k]), k
 
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_encoder_equals_composed_on_repeated_and_changed_features(n_layers,
+                                                                   rng):
+    # the first layer's aggregate is taken once per graph and kept; it must
+    # be taken again once the features change in place
+    graph = RoadGraph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    enc = SpatialEncoder(5, 6, n_layers, rng)
+    for layer in enc.layers:
+        layer.b1.data = rng.standard_normal(6) * 0.5
+    feats = rng.standard_normal((7, 5))
+    for step in range(6):
+        if step == 3:
+            feats[1, 2] += 1.0
+        elif step == 5:
+            feats[:] = rng.standard_normal((7, 5))
+        got = enc.forward(feats, graph).data
+        want = composed.spatial_encoder(enc, feats, graph).data
+        assert np.array_equal(got, want), step
+    # another array of equal values gives the same output
+    got = enc.forward(feats.copy(), graph).data
+    assert np.array_equal(got, want)
+
+
+def _counting_builds(monkeypatch):
+    """graph id -> number of mean_aggregation_matrix calls from now on."""
+    counts = {}
+    build = RoadGraph.mean_aggregation_matrix
+
+    def counted(graph):
+        counts[id(graph)] = counts.get(id(graph), 0) + 1
+        return build(graph)
+
+    monkeypatch.setattr(RoadGraph, "mean_aggregation_matrix", counted)
+    return counts
+
+
+def test_two_layer_encoder_builds_its_matrix_once_per_graph(monkeypatch, rng):
+    counts = _counting_builds(monkeypatch)
+    graphs = [RoadGraph(5, [(0, 1), (1, 2), (3, 4)]),
+              RoadGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])]
+    feats = [rng.standard_normal((g.n_nodes, 3)) for g in graphs]
+    enc = SpatialEncoder(3, 3, 2, rng)
+    for _ in range(4):
+        for g, f in zip(graphs, feats):
+            enc.forward(f, g)
+    assert counts == {id(g): 1 for g in graphs}
+
+
+def test_one_layer_encoder_takes_its_aggregate_once_per_features(
+        monkeypatch, rng):
+    counts = _counting_builds(monkeypatch)
+    g = RoadGraph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    feats = rng.standard_normal((6, 4))
+    enc = SpatialEncoder(4, 4, 1, rng)
+    for _ in range(3):
+        enc.forward(feats, g)
+    assert counts == {id(g): 1}
+    feats[0, 0] = 9.0
+    enc.forward(feats, g)
+    enc.forward(feats, g)
+    assert counts == {id(g): 2}

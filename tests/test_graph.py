@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscity.graph import GraphError, RoadGraph, load_graph, save_graph
+
+import composed
 
 
 def test_single_edge_adjacency():
@@ -44,6 +48,17 @@ def test_isolated_nodes_allowed():
     assert g.mean_aggregation_matrix()[2].tolist() == [0.0] * 4
 
 
+def test_mean_aggregation_equals_the_dense_reference(rng):
+    for n in (1, 2, 5, 9, 40):
+        for _ in range(4):
+            pairs = rng.integers(0, n, (int(rng.integers(0, 3 * n + 1)), 2))
+            g = RoadGraph(n, [(int(a), int(b)) for a, b in pairs if a != b])
+            m = g.mean_aggregation_matrix()
+            want = composed.mean_aggregation_matrix(g)
+            assert m.tobytes() == want.tobytes()
+            assert np.array_equal(g.adjacency, want > 0)
+
+
 def test_mean_aggregation_rows_sum_to_degree_indicator():
     g = RoadGraph(3, [(0, 1), (1, 2)])
     m = g.mean_aggregation_matrix()
@@ -51,14 +66,25 @@ def test_mean_aggregation_rows_sum_to_degree_indicator():
     assert m[1, 0] == 0.5 and m[1, 2] == 0.5
 
 
-def test_mean_aggregation_built_once_and_read_only():
-    g = RoadGraph(3, [(0, 1), (1, 2)])
+def test_graph_holds_no_dense_matrix_and_builds_it_read_only():
+    # on a 2,000-node ring any array of N^2 entries, even of bools, takes
+    # 4 MB; the edges and neighbor lists take a small part of that
+    n = 2000
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    RoadGraph(3, [(0, 1)])  # no first-use allocation is counted below
+    tracemalloc.start()
+    try:
+        g = RoadGraph(n, edges)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 2 and held < n * n // 2
     m = g.mean_aggregation_matrix()
-    before = m.copy()
-    assert g.mean_aggregation_matrix() is m
     with pytest.raises(ValueError):
         m[0, 1] = 7.0
-    assert np.array_equal(g.mean_aggregation_matrix(), before)
+    again = g.mean_aggregation_matrix()
+    assert again is not m and not again.flags.writeable
+    assert np.array_equal(again, m)
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -92,7 +118,7 @@ def test_every_error_names_the_path(tmp_path, text):
     assert str(exc.value).startswith((f"{path}: ", f"{path}, line "))
 
 
-# edge lines with ids up to 64 (the graph is a dense N x N array), mixed
+# edge lines with ids up to 64 (`adjacency` is a dense N x N array), mixed
 # with separators, comments and junk that holds no digits
 EDGE_LINE = st.one_of(
     st.builds("{},{}".format, st.integers(-2, 64), st.integers(-2, 64)),
