@@ -36,11 +36,8 @@ class Checkpoint:
             and self.seed == other.seed
             and self.stats == other.stats
             and self.tensors.keys() == other.tensors.keys()
-            and all(
-                self.tensors[k].shape == other.tensors[k].shape
-                and np.array_equal(self.tensors[k], other.tensors[k])
-                for k in self.tensors
-            )
+            and all(np.array_equal(self.tensors[k], other.tensors[k])
+                    for k in self.tensors)
         )
 
 
@@ -49,17 +46,13 @@ def _shape_token(shape):
 
 
 def _parse_shape(token):
-    if token == "-":
-        return ()
-    return tuple(int(d) for d in token.split(","))
+    return () if token == "-" else tuple(int(d) for d in token.split(","))
 
 
 def save_checkpoint(ckpt, path):
     with atomic_open(path) as fh:
-        fh.write(f"version={FORMAT_VERSION}\n")
-        fh.write(f"stage={ckpt.stage}\n")
-        fh.write(f"config_hash={ckpt.config_hash}\n")
-        fh.write(f"seed={ckpt.seed}\n")
+        fh.write(f"version={FORMAT_VERSION}\nstage={ckpt.stage}\n"
+                 f"config_hash={ckpt.config_hash}\nseed={ckpt.seed}\n")
         records = dict(ckpt.tensors)
         for domain, (mean, std) in sorted(ckpt.stats.items()):
             records[f"stats.{domain}.mean"] = np.asarray(mean)
@@ -75,10 +68,7 @@ def load_checkpoint(path, expect_config_hash=None):
         lines = fh.read().splitlines()
     if len(lines) < 4:
         raise CheckpointError("truncated checkpoint: missing header")
-    header = {}
-    for line in lines[:4]:
-        key, _, val = line.partition("=")
-        header[key] = val
+    header = dict(line.partition("=")[::2] for line in lines[:4])
     if header.get("version") != str(FORMAT_VERSION):
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('version')!r}")
@@ -116,7 +106,7 @@ def load_checkpoint(path, expect_config_hash=None):
             raise CheckpointError(f"line {ln}: {name}: {exc}") from None
         if not np.isfinite(vals).all():
             raise CheckpointError(f"line {ln}: {name} holds a non-finite value")
-        expected = int(np.prod(shape)) if shape else 1
+        expected = int(np.prod(shape))
         if vals.size != expected:
             raise CheckpointError(
                 f"line {ln}: {name} expects {expected} values, found {vals.size}")

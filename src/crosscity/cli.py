@@ -5,8 +5,8 @@ export-embeddings, pipeline. ``COMMANDS`` is the table of the commands that
 run under an experiment config; the parser is built from it, and each such
 command loads its config once and hands it to its run. `pipeline` runs the
 stages ``config.variant_stages`` names for its variant through the same
-table. A run directory always receives the effective config, the seed, and
-a version string, which is enough to reproduce the run exactly.
+table. A training stage that returns records the effective config, the
+seed and a version string in its run directory, enough to reproduce it.
 
 Data layout inside a directory, per city NAME:
     NAME.edges          edge list ("u,v" per line)
@@ -25,7 +25,7 @@ from . import checkpoint as ck
 from . import data as dio
 from . import metrics as mx
 from . import node2vec as n2v
-from .config import VARIANTS, ExperimentConfig, variant_stages
+from .config import VARIANTS, ExperimentConfig, check_pretrain, variant_stages
 from .graph import load_graph, save_graph
 from .parallel import for_each, shared_empty
 from .textio import AT_LEAST_0, atomic_open
@@ -68,21 +68,11 @@ def _load_config(args):
     cfg = cfg.with_overrides(dict(kv.split("=", 1) for kv in items))
     if seed is not None:
         cfg.seed = seed
-    if args.command in ("pretrain", "pipeline"):
-        stages = variant_stages(args.variant)
-        pretrains = "pretrain" in stages
-        if args.command == "pretrain" and not pretrains:
-            raise CliError(f"pretrain does not apply to variant "
-                           f"{args.variant!r}, whose stages are "
-                           f"{', '.join(stages)}")
-        if pretrains and not cfg.source_domains:
-            raise CliError(f"config key 'source_domains' is empty, but variant "
-                           f"{args.variant!r} pre-trains on the source cities")
     return cfg
 
 
 def _echo_config(cfg, out_dir):
-    """Record the effective config; call it only once every input check passed."""
+    """Record the effective config; call it only once its stage returned."""
     os.makedirs(out_dir, exist_ok=True)
     with atomic_open(os.path.join(out_dir, "config.json")) as fh:
         fh.write(cfg.to_json() + "\n")
@@ -199,12 +189,16 @@ def _embed(cfg, args):
 
 
 def _train(cfg, args, command, fit):
-    """The step `pretrain` and `finetune` share: echo the config, train
-    with `fit(replay_log)`, then write its checkpoint and, with
-    --replay-log, the log."""
-    _echo_config(cfg, args.out)
+    """The step `pretrain` and `finetune` share: train with
+    `fit(replay_log)`, then echo the config and write the checkpoint and,
+    with --replay-log, the log. A fit that fails writes nothing; one that
+    diverges ends in one error line."""
     log = ReplayLog() if args.replay_log else None
-    ckpt = fit(log)
+    try:
+        ckpt = fit(log)
+    except FloatingPointError as exc:
+        raise CliError(str(exc)) from None
+    _echo_config(cfg, args.out)
     ck.save_checkpoint(ckpt, os.path.join(args.out, f"{ckpt.stage}.ckpt"))
     if log is not None:
         log.write(os.path.join(args.out, f"replay_{command}.log"))
@@ -212,6 +206,7 @@ def _train(cfg, args, command, fit):
 
 
 def _pretrain(cfg, args):
+    check_pretrain(args.variant, cfg.source_domains)
     sources = [_load_city(cfg, args, n, series=True)
                for n in cfg.source_domains]
     target = _load_city(cfg, args, cfg.target_domain, series=False)
@@ -251,9 +246,11 @@ def _export_embeddings(cfg, args):
 
 def _pipeline(cfg, args):
     """Run the variant's stages in order, naming the one running in
-    RUN/stage.txt; a refused config never gets here, so leaves no RUN."""
-    os.makedirs(args.out, exist_ok=True)
+    RUN/stage.txt; a refused config or pre-training leaves no RUN."""
     stages = variant_stages(args.variant)
+    if "pretrain" in stages:
+        check_pretrain(args.variant, cfg.source_domains)
+    os.makedirs(args.out, exist_ok=True)
     marker = os.path.join(args.out, "stage.txt")
     for stage in stages:
         with atomic_open(marker) as fh:

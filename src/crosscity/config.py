@@ -44,6 +44,19 @@ def variant_stages(variant):
     return ("embed", *pretrain, "finetune", "evaluate")
 
 
+def check_pretrain(variant, sources):
+    """ValueError unless pre-training may run: `variant` has a pretrain
+    stage and `sources`, the source cities, are not empty. The one place
+    that rule is decided."""
+    stages = variant_stages(variant)
+    if "pretrain" not in stages:
+        raise ValueError(f"pretrain does not apply to variant {variant!r}, "
+                         f"whose stages are {', '.join(stages)}")
+    if not sources:
+        raise ValueError(f"config key 'source_domains' is empty, but variant "
+                         f"{variant!r} pre-trains on at least one source city")
+
+
 # the rules of each bounded key, checked in order once its kind is; a null
 # train-days value means every day
 _RULES = {

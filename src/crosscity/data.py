@@ -46,11 +46,8 @@ class NormalizationStats(NamedTuple):
     @classmethod
     def fit(cls, values):
         """Population mean/std; a constant array is guarded to std=1."""
-        mean = float(values.mean())
         std = float(values.std())
-        if std <= 0:
-            std = 1.0
-        return cls(mean, std)
+        return cls(float(values.mean()), 1.0 if std <= 0 else std)
 
 
 def normalize(values, stats):
@@ -253,11 +250,8 @@ def _random_geometric_edges(n, rng):
         edges += [(i, j) for j in (i + 1 + np.flatnonzero(near)).tolist()
                   if np.linalg.norm(pts[i] - pts[j]) < radius]
     # wire stragglers to their nearest neighbor so the graph is connected-ish
-    deg = np.zeros(n)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    for i in np.flatnonzero(deg == 0):
+    linked = {u for edge in edges for u in edge}
+    for i in sorted(set(range(n)) - linked):
         d = np.linalg.norm(pts - pts[i], axis=1)
         d[i] = np.inf
         edges.append((i, int(d.argmin())))

@@ -178,10 +178,17 @@ def evaluate_ha(config, target, horizons):
 
 def compare_variants(reports, reference):
     """Percentage improvement of every report over the named reference at
-    the same horizon. Returns rows of dicts ready for CSV."""
+    the same horizon. Returns rows of dicts ready for CSV. A variant may
+    have one report per horizon: MetricError names both seeds of a second."""
     domains = {r.domain for r in reports}
     if len(domains) > 1:
         raise MetricError(f"reports span multiple datasets: {sorted(domains)}")
+    seen = {}
+    for rep in reports:
+        first = seen.setdefault((rep.variant, rep.horizon), rep)
+        if first is not rep:
+            raise MetricError(f"two reports of variant {rep.variant!r} at horizon "
+                              f"{rep.horizon}, of seeds {first.seed} and {rep.seed}")
     refs = {r.horizon: r for r in reports if r.variant == reference}
     if not refs:
         raise MetricError(f"reference variant {reference!r} not among reports")

@@ -1,5 +1,6 @@
 """How crosscity reads and writes text: every file it writes goes through
-`atomic_open`, and each text format it reads is parsed here."""
+`atomic_open`. CSV tables, `#`-commented lines and typed fields are parsed
+here; checkpoints and metric reports in `checkpoint.py` and `metrics.py`."""
 
 import contextlib
 import math

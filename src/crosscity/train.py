@@ -22,7 +22,7 @@ from . import forecaster as fc
 from .adversary import DomainClassifier, adaptation_factor, adversarial_loss
 from .autodiff import Tensor
 from .checkpoint import Checkpoint, CheckpointError
-from .config import variant_uses
+from .config import check_pretrain, variant_uses
 from .data import NormalizationStats, chrono_split, make_windows, normalize
 from .gin import SpatialEncoder, glorot
 from .forecaster import ForecasterParams
@@ -258,18 +258,15 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
 
     sources: DomainData list with series; target: DomainData whose series,
     if attached, is never read here. variant 'wo_da' disables the domain
-    classifier path entirely.
+    classifier path entirely. ``config.check_pretrain`` refuses a variant
+    that does not pre-train and an empty sources list.
     """
-    if not sources:
-        raise ValueError("pretrain needs at least one source domain")
+    check_pretrain(variant, sources)
     names = [s.name for s in sources]
     if len(set(names)) < len(names) or target.name in names:
         raise ProtocolError(f"source domains {names} must be distinct and "
                             f"exclude the target {target.name!r}")
-    uses = variant_uses(variant)
-    if not uses.pretrain:
-        raise ValueError(f"pretrain does not apply to variant {variant!r}")
-    use_da = uses.adversary
+    use_da = variant_uses(variant).adversary
 
     if target.series is not None:
         guard_reads = target.series.read_count

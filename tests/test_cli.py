@@ -1,5 +1,9 @@
+import argparse
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -743,3 +747,75 @@ class TestPretrainVariant:
             f"error: pretrain does not apply to variant {variant!r}, whose "
             f"stages are {', '.join(variant_stages(variant))}\n")
         assert not out.exists()
+
+
+def _file_bytes(*dirs):
+    """path -> bytes of every file in the directories dirs."""
+    return {os.path.join(d, f): open(os.path.join(d, f), "rb").read()
+            for d in dirs for f in sorted(os.listdir(d))}
+
+
+class TestFailedStage:
+    @pytest.mark.parametrize("argv, why", [
+        (["pretrain", "--set", "history=300"], "train segment"),
+        (["finetune", "--variant", "target_only", "--set", "history=30"],
+         "val segment"),
+    ], ids=["pretrain", "finetune"])
+    def test_leaves_every_file_of_the_run_as_it_was(self, synthed, capsys,
+                                                    argv, why):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "run")
+        assert main(["pipeline", "--config", cfg_path, "--data", data,
+                     "--out", out, "--replay-log"]) == 0
+        before = _file_bytes(out, data)
+        capsys.readouterr()
+        assert main([*argv, "--config", cfg_path, "--data", data,
+                     "--out", out, "--replay-log"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert why in err
+        assert _file_bytes(out, data) == before
+
+    def test_load_config_knows_no_command(self):
+        args = argparse.Namespace(config=None, set=["seed=4"], seed=None)
+        assert cli._load_config(args) == ExperimentConfig(seed=4)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("variant, stage", [
+        ("full", "pretrain"), ("target_only", "finetune")])
+    def test_ends_in_one_error_line_and_writes_no_checkpoint(
+            self, synthed, variant, stage):
+        # a subprocess, where numpy's overflow warnings stay warnings
+        data, cfg_path, _, tmp_path = synthed
+        out = tmp_path / "run"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "crosscity.cli", "pipeline", "--config",
+             cfg_path, "--data", data, "--out", str(out), "--variant", variant,
+             "--set", "learning_rate=1e200"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error")]
+        assert len(errors) == 1
+        assert re.fullmatch(rf"error: {stage} step \d+, domain \w+: "
+                            rf"non-finite gradient in [\w.]+", errors[0])
+        assert sorted(os.listdir(out)) == ["stage.txt"]
+        assert (out / "stage.txt").read_text() == f"{stage}\n"
+
+
+class TestCompareSeeds:
+    def test_two_seeds_of_one_variant_refused(self, synthed, capsys):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "run")
+        for seed in ("0", "1"):
+            assert main(["pipeline", "--config", cfg_path, "--data", data,
+                         "--out", out, "--seed", seed]) == 0
+        capsys.readouterr()
+        assert main(["compare", out, "--reference", "ha"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seeds 0 and 1" in err
+        assert not os.path.exists(os.path.join(out, "comparison.csv"))

@@ -1,8 +1,8 @@
 import pytest
 
 from crosscity import config, data
-from crosscity.config import (VARIANTS, ExperimentConfig, variant_stages,
-                              variant_uses)
+from crosscity.config import (VARIANTS, ExperimentConfig, check_pretrain,
+                              variant_stages, variant_uses)
 
 
 class TestSerialization:
@@ -169,6 +169,21 @@ def test_variant_stages():
     }
     with pytest.raises(ValueError, match="unknown variant 'nope'"):
         variant_stages("nope")
+
+
+def test_check_pretrain():
+    for variant in ("full", "wo_da", "wo_pri"):
+        check_pretrain(variant, ["a"])
+        with pytest.raises(ValueError, match=(
+                f"^config key 'source_domains' is empty, but variant "
+                f"'{variant}' pre-trains on at least one source city$")):
+            check_pretrain(variant, [])
+    for variant in ("target_only", "temporal_forecaster"):
+        for sources in (["a"], []):
+            with pytest.raises(ValueError, match=(
+                    f"^pretrain does not apply to variant '{variant}', whose "
+                    f"stages are embed, finetune, evaluate$")):
+                check_pretrain(variant, sources)
 
 
 def test_negative_seed_refused():

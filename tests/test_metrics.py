@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,17 @@ class TestCompare:
             compare_variants(
                 [report("ha", 3, 1.0, domain="a"),
                  report("full", 3, 1.0, domain="b")], "ha")
+
+    def test_second_report_of_a_variant_and_horizon_refused(self):
+        again = dataclasses.replace(report("full", 3, 8.0), seed=1)
+        with pytest.raises(MetricError, match="^two reports of variant 'full' "
+                                              "at horizon 3, of seeds 0 and 1$"):
+            compare_variants([report("ha", 3, 10.0), report("full", 3, 9.0),
+                              again], "ha")
+        rows = compare_variants([report("ha", 3, 10.0), report("full", 6, 9.0),
+                                 report("ha", 6, 10.0), again], "ha")
+        assert [(r["variant"], r["horizon"]) for r in rows] == [
+            ("full", 3), ("ha", 3), ("full", 6), ("ha", 6)]
 
     def test_missing_reference(self):
         with pytest.raises(MetricError, match="reference"):

@@ -1,0 +1,257 @@
+#!/usr/bin/env python3
+"""Output fingerprints: the sha256 of every file a fixed set of runs writes.
+
+Usage, from the repository root:
+
+    python3 tools/fingerprint.py [--workload W ...] [--toy] [--against REV]
+
+Each workload runs at seed 0 in a temporary directory:
+
+- ``transfer-small``, ``city-large`` and ``cli-roundtrip`` are the
+  workloads of ``bench/workloads.py``, run stage by stage as the benchmark
+  runs them. For the two in-process ones, the tool writes each city's edge
+  list, series and node2vec features, both checkpoints and every metric
+  report; ``cli-roundtrip`` leaves its own data and run directories.
+- ``cli-variants`` runs ``crosscity pipeline --replay-log`` of every model
+  variant, then ``compare --reference ha`` in each run directory, on the
+  tiny cities and config of ``tests/test_cli.py`` (mirrored below; a test
+  keeps the two equal).
+
+The tool prints one ``<sha256>  <workload>/<file>`` line per file the run
+leaves. Lines of a file that name the run's directory, such as the paths in
+a ``synth`` manifest, are left out of its hash. ``--toy`` shrinks the
+benchmark workloads to the size of ``bench/smoke.py``.
+
+``--against REV`` checks REV out in a temporary ``git worktree``, runs the
+same workloads on its ``src/`` and ``bench/`` and on this checkout's, each in
+a fresh interpreter, and lists the files whose hashes differ. It exits 0
+whether or not files differ, and 1 after an ``error:`` line when a run or
+git fails. Both sides run on this machine with BLAS pinned to one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WORKLOADS = ("transfer-small", "city-large", "cli-roundtrip", "cli-variants")
+STAGES = ("embed", "pretrain", "finetune", "evaluate")
+
+# the three cities and the config of tests/test_cli.py
+TINY_SPECS = {
+    "a.spec": "name = alpha\nn_nodes = 8\ntopology = ring\ndays = 1\nseed = 1\n",
+    "b.spec": "name = beta\nn_nodes = 9\ntopology = grid\ndays = 1\nseed = 2\n"
+              "phase_shift_hours = 1.0\n",
+    "t.spec": "name = tee\nn_nodes = 7\ntopology = ring\ndays = 1\nseed = 3\n",
+}
+TINY_CONFIG = {
+    "source_domains": ["alpha", "beta"], "target_domain": "tee",
+    "history": 4, "horizon": 3, "embed_dim": 8, "hidden_dim": 8,
+    "walks_per_node": 4, "walk_length": 4, "skipgram_epochs": 1,
+    "pretrain_epochs": 2, "pretrain_batches_per_epoch": 2,
+    "finetune_max_epochs": 2, "finetune_batches_per_epoch": 2,
+    "early_stop_patience": 2, "batch_size": 32, "seed": 0,
+}
+
+
+class FingerprintError(RuntimeError):
+    pass
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workload", nargs="+", choices=WORKLOADS,
+                   default=list(WORKLOADS), metavar="W",
+                   help=f"workloads to run, of {', '.join(WORKLOADS)} (default: all)")
+    p.add_argument("--toy", action="store_true",
+                   help="shrink the benchmark workloads to toy size")
+    p.add_argument("--against", metavar="REV",
+                   help="list the files whose hashes differ from those of git "
+                        "revision REV")
+    p.add_argument("--root", type=Path, default=ROOT,
+                   help="checkout whose src/ and bench/ run (default: this one)")
+    return p.parse_args(argv)
+
+
+def file_hash(path, workdir):
+    """sha256 of the file's lines that do not name `workdir`."""
+    digest, mark = hashlib.sha256(), os.fsencode(workdir)
+    with open(path, "rb") as fh:
+        for line in fh:
+            if mark not in line:
+                digest.update(line)
+    return digest.hexdigest()
+
+
+def hash_tree(workload, workdir):
+    """(sha256, workload/relative path) of every file under workdir."""
+    out = []
+    for path in sorted(Path(workdir).rglob("*")):
+        if path.is_file():
+            rel = path.relative_to(workdir).as_posix()
+            out.append((file_hash(path, workdir), f"{workload}/{rel}"))
+    return out
+
+
+def _cli(cli, *argv):
+    """crosscity.cli.main(argv), its console output captured; FingerprintError
+    unless it exits 0."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise FingerprintError(f"crosscity {' '.join(argv)} exited {code}: "
+                               f"{buf.getvalue().strip()}")
+
+
+def run_bench_workload(name, toy, workdir):
+    """One pipeline of a bench workload at seed 0, its outputs in workdir."""
+    from crosscity import checkpoint as ck
+    from crosscity import data as dio
+    from crosscity import graph as gr
+    from crosscity import node2vec as n2v
+    from workloads import WORKLOADS as BENCH
+
+    wl = BENCH[name](0, toy, workdir)
+    inputs = wl.setup()
+    ctx = {"out": os.path.join(workdir, "run")}
+    for stage in STAGES:
+        wl.stage(stage, ctx, inputs)
+    if name == "cli-roundtrip":
+        return
+    out = Path(workdir)
+    for city in wl.domains(ctx, inputs):
+        gr.save_graph(city.graph, out / f"{city.name}.edges")
+        dio.save_series(city.series, out / f"{city.name}.csv")
+        n2v.save_features(city.raw_features, out / f"{city.name}.features.csv")
+    ck.save_checkpoint(ctx["pre"], out / "pretrained.ckpt")
+    ck.save_checkpoint(ctx["fin"], out / "finetuned.ckpt")
+    for rep in ctx["reports"]:
+        rep.write(out / f"report_{rep.variant}_h{rep.horizon}_s{rep.seed}.txt")
+
+
+def run_cli_variants(workdir):
+    """`pipeline` of every variant on the tiny cities, then `compare`."""
+    from crosscity import cli
+    from crosscity.config import VARIANTS
+
+    specs = []
+    for fname, text in TINY_SPECS.items():
+        specs.append(os.path.join(workdir, fname))
+        Path(specs[-1]).write_text(text)
+    config = os.path.join(workdir, "config.json")
+    Path(config).write_text(json.dumps(TINY_CONFIG, indent=2, sort_keys=True))
+    data = os.path.join(workdir, "data")
+    _cli(cli, "synth", "--out", data, *specs)
+    for variant in VARIANTS:
+        out = os.path.join(workdir, variant)
+        _cli(cli, "pipeline", "--config", config, "--data", data, "--out", out,
+             "--variant", variant, "--replay-log")
+        _cli(cli, "compare", out, "--reference", "ha")
+
+
+def fingerprints(root, workloads, toy):
+    """(sha256, name) of every output file of `workloads`, run on the
+    sources of the checkout `root`."""
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import crosscity
+    package = (root / "src" / "crosscity").resolve()
+    if Path(crosscity.__file__).resolve().parent != package:
+        raise FingerprintError(f"crosscity imported from {crosscity.__file__}, "
+                               f"not {package}")
+    out = []
+    for name in workloads:
+        with tempfile.TemporaryDirectory(prefix=f"fingerprint-{name}-") as work:
+            if name == "cli-variants":
+                run_cli_variants(work)
+            else:
+                run_bench_workload(name, toy, work)
+            out += hash_tree(name, work)
+    return out
+
+
+def fingerprints_of(root, workloads, toy):
+    """fingerprints() of the checkout `root`, run in a fresh interpreter;
+    name -> sha256."""
+    cmd = [sys.executable, __file__, "--root", str(root),
+           "--workload", *workloads] + (["--toy"] if toy else [])
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise FingerprintError(f"fingerprints of {root} failed: "
+                               f"{proc.stderr.strip() or proc.stdout.strip()}")
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in proc.stdout.splitlines())}
+
+
+def differences(ours, theirs):
+    """(kind, name) of every file whose hash differs between the name ->
+    sha256 maps, sorted by name; kind is 'differs', 'only here' or 'only
+    there'."""
+    out = []
+    for name in sorted(ours.keys() | theirs.keys()):
+        if name not in theirs:
+            out.append(("only here", name))
+        elif name not in ours:
+            out.append(("only there", name))
+        elif ours[name] != theirs[name]:
+            out.append(("differs", name))
+    return out
+
+
+def _git(*argv):
+    proc = subprocess.run(["git", "-C", str(ROOT), *argv],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise FingerprintError(f"git {' '.join(argv)}: {proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
+def against(rev, workloads, toy):
+    """Print the files whose hashes differ between REV and this checkout."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="fingerprint-rev-") as tmp:
+        tree = Path(tmp) / "tree"
+        _git("worktree", "add", "--detach", str(tree), commit)
+        try:
+            theirs = fingerprints_of(tree, workloads, toy)
+        finally:
+            _git("worktree", "remove", "--force", str(tree))
+    ours = fingerprints_of(ROOT, workloads, toy)
+    diff = differences(ours, theirs)
+    for kind, name in diff:
+        print(f"{kind:<10}  {name}")
+    total = len(ours.keys() | theirs.keys())
+    print(f"{len(diff)} of {total} files differ from {rev} ({commit[:12]})"
+          if diff else f"no file differs from {rev} ({commit[:12]}), "
+                       f"{total} files")
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    for var in BLAS_VARS:  # before numpy loads, here and in the children
+        os.environ[var] = "1"
+    try:
+        if args.against:
+            against(args.against, args.workload, args.toy)
+        else:
+            for digest, name in fingerprints(args.root.resolve(),
+                                             args.workload, args.toy):
+                print(f"{digest}  {name}")
+    except FingerprintError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
