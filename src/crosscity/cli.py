@@ -20,6 +20,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from . import checkpoint as ck
 from . import data as dio
@@ -318,7 +320,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # numpy's overflow and invalid-value warnings of a diverging run
+        # would only precede its one error line: the non-finite-gradient
+        # check is the failure that counts
+        with np.errstate(all="ignore"):
+            args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1

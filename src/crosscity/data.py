@@ -51,23 +51,60 @@ class NormalizationStats(NamedTuple):
 
 
 def normalize(values, stats):
-    return (values - stats.mean) / stats.std
+    """(values - mean) / std, in one new array."""
+    out = np.subtract(values, stats.mean)
+    out /= stats.std
+    return out
 
 
-def denormalize_values(values, stats):
-    return np.asarray(values) * stats.std + stats.mean
+def denormalize_values(values, stats, out=None):
+    """values * std + mean, into `out` when given, else one new array."""
+    out = np.multiply(values, stats.std, out=out)
+    out += stats.mean
+    return out
+
+
+class WindowNodes:
+    """The node id of every window of a start-major, node-minor dataset:
+    window i is of node i mod n_nodes. Indexing it with an int, a slice or
+    an int array gives what indexing the tiled intp array would, and only
+    that many ids are ever held."""
+
+    dtype = np.dtype(np.intp)
+
+    def __init__(self, count, n_nodes):
+        self.n_nodes = n_nodes
+        self.shape = (count * n_nodes,)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, idx):
+        size = self.shape[0]
+        if isinstance(idx, slice):
+            windows = np.arange(*idx.indices(size), dtype=np.intp)
+        else:
+            windows = np.asarray(idx)
+            if windows.dtype.kind not in "iu":
+                raise IndexError(f"window index of dtype {windows.dtype}")
+            if windows.size and (windows.min() < -size or windows.max() >= size):
+                raise IndexError(f"window index out of range for {size} windows")
+        return windows.astype(np.intp, copy=False) % self.n_nodes
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:].astype(dtype or self.dtype, copy=False)
 
 
 @dataclass
 class WindowedDataset:
     """Samples of (node id, (H', N_f) input, (H, N_f) target); inputs and
     targets are read-only views of the array they were cut from."""
-    node_ids: np.ndarray
+    node_ids: WindowNodes
     inputs: np.ndarray
     targets: np.ndarray
 
     def __len__(self):
-        return len(self.node_ids)
+        return len(self.inputs)
 
 
 def make_windows(values, history, horizon):
@@ -84,7 +121,7 @@ def make_windows(values, history, horizon):
     windows = np.lib.stride_tricks.sliding_window_view(
         x, history + horizon, axis=0).reshape(count * n_nodes, history + horizon)
     return WindowedDataset(
-        np.tile(np.arange(n_nodes, dtype=np.intp), count),
+        WindowNodes(count, n_nodes),
         windows[:, :history, None],
         windows[:, history:, None],
     )
@@ -119,13 +156,21 @@ def chrono_split(series, ratios, history, horizon, train_days):
 def load_series(path, graph):
     """Parse a 'timestamp,node0,...' CSV, one value column per graph node.
 
-    The first two timestamps fix the interval, a whole number of minutes
-    that divides a day, and every later step must equal it. DataError
-    names the path and line (and column, for a cell) of whatever it refuses.
+    The values go straight into one float64 array (``textio.read_table``).
+    Timestamps are all timezone-aware or all naive. The first two fix the
+    interval, a whole number of minutes that divides a day, and every later
+    step must equal it. DataError names the path and line (and column, for
+    a cell) of whatever it refuses.
     """
-    stamps, rows = read_table(path, datetime.fromisoformat, graph.n_nodes + 1)
-    if len(rows) < 2:
-        raise DataError(f"{path}: {len(rows)} rows, too few to fix the interval")
+    stamps, values = read_table(path, datetime.fromisoformat, graph.n_nodes + 1)
+    if len(stamps) < 2:
+        raise DataError(f"{path}: {len(stamps)} rows, too few to fix the interval")
+    aware = stamps[0].tzinfo is not None
+    for i, stamp in enumerate(stamps):
+        if (stamp.tzinfo is not None) != aware:
+            raise DataError(f"{path}, line {i + 2}: a timezone-"
+                            f"{'naive' if aware else 'aware'} timestamp after "
+                            f"timezone-{'aware' if aware else 'naive'} ones")
     step, minute = stamps[1] - stamps[0], timedelta(minutes=1)
     if step > timedelta(0) and step % minute:
         raise DataError(f"{path}, line 3: interval {step} is not whole minutes")
@@ -141,7 +186,7 @@ def load_series(path, graph):
             kind = "gap" if delta > step else "shorter step"
             raise DataError(f"{path}, line {i + 2}: {kind} of {delta}; "
                             f"the interval is {step}")
-    return TrafficSeries(np.array(rows), step // minute, stamps[0])
+    return TrafficSeries(values, step // minute, stamps[0])
 
 
 def save_series(series, path):

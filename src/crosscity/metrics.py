@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .config import variant_uses
-from .data import chrono_split, denormalize_values, make_windows, normalize
+from .data import chrono_split, denormalize_values, make_windows
 from .textio import atomic_open, write_table
 from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
 
@@ -28,32 +28,46 @@ class MetricError(ValueError):
     pass
 
 
-def _flat_pair(name, y, y_hat):
-    y, y_hat = np.asarray(y, float).reshape(-1), np.asarray(y_hat, float).reshape(-1)
+def _pair(name, y, y_hat, buf):
+    """y and y_hat as float arrays of one shape, and the first y.size
+    entries of the flat float64 array buf, or a new one, flat and in that
+    shape: the one buffer a metric's arithmetic runs in."""
+    y, y_hat = np.asarray(y, float), np.asarray(y_hat, float)
     if y.size == 0 or y.size != y_hat.size:
         raise MetricError(f"{name}: bad lengths {y.size} vs {y_hat.size}")
-    return y, y_hat
+    if y.shape != y_hat.shape:
+        y, y_hat = y.reshape(-1), y_hat.reshape(-1)
+    err = np.empty(y.size) if buf is None else buf[:y.size]
+    return y, y_hat, err, err.reshape(y.shape)
 
 
-def mae(y, y_hat):
-    y, y_hat = _flat_pair("mae", y, y_hat)
-    return float(np.abs(y - y_hat).mean())
+def mae(y, y_hat, buf=None):
+    """Mean of |y - y_hat|; buf, a flat float64 array at least as long,
+    holds the arithmetic in place of temporaries."""
+    y, y_hat, err, shaped = _pair("mae", y, y_hat, buf)
+    np.subtract(y, y_hat, out=shaped)
+    return float(np.abs(err, out=err).mean())
 
 
-def rmse(y, y_hat):
-    y, y_hat = _flat_pair("rmse", y, y_hat)
-    return float(np.sqrt(((y - y_hat) ** 2).mean()))
+def rmse(y, y_hat, buf=None):
+    """Root of the mean of (y - y_hat) ** 2, with buf as in ``mae``."""
+    y, y_hat, err, shaped = _pair("rmse", y, y_hat, buf)
+    np.subtract(y, y_hat, out=shaped)
+    return float(np.sqrt(np.square(err, out=err).mean()))
 
 
-def mape(y, y_hat):
+def mape(y, y_hat, buf=None):
     """Fractional MAPE over indices with |y| > MAPE_THRESHOLD, and the
-    number of those indices."""
-    y, y_hat = _flat_pair("mape", y, y_hat)
-    keep = np.abs(y) > MAPE_THRESHOLD
+    number of those indices; buf as in ``mae``. The kept errors are divided
+    by y and then made absolute: division rounds alike for either sign, so
+    that is |y - y_hat| / |y| bit for bit."""
+    y, y_hat, err, shaped = _pair("mape", y, y_hat, buf)
+    keep = np.abs(y, out=shaped) > MAPE_THRESHOLD
     if not keep.any():
         raise MetricError("mape: every sample fell below the inclusion threshold")
-    value = float((np.abs(y[keep] - y_hat[keep]) / np.abs(y[keep])).mean())
-    return value, int(keep.sum())
+    np.subtract(y, y_hat, out=shaped)
+    np.divide(shaped, y, out=shaped, where=keep)
+    return float(np.abs(shaped, out=shaped)[keep].mean()), int(keep.sum())
 
 
 @dataclass
@@ -100,13 +114,16 @@ class MetricReport:
 
 
 def _reports(variant, truth, preds, horizons, config, target):
-    """One MetricReport per horizon over each window's first h steps."""
+    """One MetricReport per horizon over each window's first h steps; every
+    metric's arithmetic runs in one buffer of the largest horizon's size."""
+    buf = np.empty(truth[:, :max(horizons, default=0)].size)
     reports = []
     for h in horizons:
         y, y_hat = truth[:, :h, :], preds[:, :h, :]
-        mp, included = mape(y, y_hat)
+        mp, included = mape(y, y_hat, buf)
         reports.append(MetricReport(
-            variant=variant, horizon=h, mae=mae(y, y_hat), rmse=rmse(y, y_hat),
+            variant=variant, horizon=h, mae=mae(y, y_hat, buf),
+            rmse=rmse(y, y_hat, buf),
             mape=mp, n_samples=y.size, mape_included=included,
             seed=config.seed, config_hash=config.config_hash(),
             domain=target.name))
@@ -150,11 +167,11 @@ def evaluate(checkpoint, config, target, horizons, variant):
                                   f"of a {variant!r} model")
     _load_params(params, checkpoint.tensors)
 
-    test_set = make_windows(normalize(test, st), config.history, config.horizon)
+    test_set = make_windows(test, config.history, config.horizon)
     emb = model.embeddings(target.raw_features, target.graph)
-    preds = denormalize_values(predict_windows(model.forecaster, emb, test_set), st)
-    truth = make_windows(test, config.history, config.horizon).targets
-    return _reports(variant, truth, preds, horizons, config, target)
+    preds = predict_windows(model.forecaster, emb, test_set, st)
+    denormalize_values(preds, st, out=preds)
+    return _reports(variant, test_set.targets, preds, horizons, config, target)
 
 
 _HA_CHUNK = 4096  # windows per contiguous copy in evaluate_ha

@@ -223,10 +223,11 @@ def save_features(features, path):
 def load_features(path):
     """Read a save_features CSV; node ids must be exactly 0..N-1, every row
     as wide as the header and every feature a finite number. DataError
-    names the path, and the line and column of a bad cell."""
-    nodes, rows = read_table(path, int)
-    if not rows:
+    names the path, and the line and column of a bad cell. The features
+    go straight into one float64 array (``textio.read_table``)."""
+    nodes, values = read_table(path, int)
+    if not nodes:
         raise DataError(f"{path}: no feature rows")
     if sorted(nodes) != list(range(len(nodes))):
         raise DataError(f"{path}: node ids are not exactly 0..{len(nodes) - 1}")
-    return np.array(rows)[np.argsort(nodes)]
+    return values[np.argsort(nodes)]

@@ -3,6 +3,7 @@
 here; checkpoints and metric reports in `checkpoint.py` and `metrics.py`."""
 
 import contextlib
+import itertools
 import math
 import os
 
@@ -70,10 +71,68 @@ def read_cells(parse, toks, path, ln, cols):
             raise DataError(f"{path}, line {ln}, column {col}: non-finite value {tok!r}")
 
 
+# numpy's reader strips these separators around a cell, which float() refuses
+_NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
+
+
+def parse_floats(lines, width, delimiter=","):
+    """`lines`, text rows of `width` float cells split by `delimiter`, as one
+    (rows, width) float64 array parsed in one pass by numpy's C reader; or
+    None where that array could differ from float() of each cell, all
+    finite. The two read every number alike, save that numpy alone skips an
+    empty row and strips \\x1c-\\x1f around a cell: such a row, like a
+    ValueError raised by `lines` itself, gives None."""
+    count = 0
+
+    def plain():
+        nonlocal count
+        for line in lines:
+            if not line or any(c in line for c in _NUMPY_ONLY_BLANKS):
+                raise ValueError(line)
+            count += 1
+            yield line
+
+    rows = plain()
+    try:
+        first = next(rows, None)
+        if first is None:  # numpy warns on no lines
+            return None
+        values = np.loadtxt(itertools.chain((first,), rows), dtype=np.float64,
+                            delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (count, width) or not np.isfinite(values).all():
+        return None
+    return values
+
+
 def read_table(path, parse_first, width=None):
     """The first cells, read by parse_first, and the float rest of each row
-    of the CSV file at path; every row is as wide as the header, which is
-    `width` cells wide when that is given."""
+    of the CSV file at path, as a list and a (rows, header width - 1) array;
+    every row is as wide as the header, which is `width` cells wide when
+    that is given. The rows go straight into the array by
+    ``parse_floats``; a file it refuses is read again by the per-cell scan,
+    whose DataError names the path, line and column of what it refuses."""
+    firsts = []
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+
+        def rests():
+            for line in fh:
+                first, _, rest = line.strip().partition(",")
+                firsts.append(parse_first(first))
+                yield rest
+
+        values = (parse_floats(rests(), len(header) - 1)
+                  if width in (None, len(header)) else None)
+    if values is None:
+        return _scan_table(path, parse_first, width)
+    return firsts, values
+
+
+def _scan_table(path, parse_first, width):
+    """``read_table`` cell by cell: float() of each cell, and the first
+    refused cell, row or header named."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if width is not None and len(header) != width:
@@ -86,7 +145,7 @@ def read_table(path, parse_first, width=None):
                                 f"header width {len(header)}")
             firsts += read_cells(parse_first, parts[:1], path, ln, header)
             rows.append(read_cells(float, parts[1:], path, ln, header[1:]))
-    return firsts, rows
+    return firsts, np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
 
 
 def _is_int(v):

@@ -225,20 +225,22 @@ def _load_params(params, tensors):
 
 # -- stage 1 ----------------------------------------------------------------
 
-def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx):
-    node_ids = dataset.node_ids[idx]
-    f_v = ad.gather_rows(embeddings, node_ids)
-    preds = fc.forecast(model_forecaster, dataset.inputs[idx], f_v)
-    return fc.source_loss(preds, dataset.targets[idx])
+def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx, stats):
+    """The forecast loss on the windows idx of the raw dataset, each
+    gathered batch normalized by stats."""
+    f_v = ad.gather_rows(embeddings, dataset.node_ids[idx])
+    preds = fc.forecast(model_forecaster, normalize(dataset.inputs[idx], stats), f_v)
+    return fc.source_loss(preds, normalize(dataset.targets[idx], stats))
 
 
 _PREDICT_BATCH = 512  # windows per tape-free forward call
 
 
-def predict_windows(forecaster, embeddings, dataset):
+def predict_windows(forecaster, embeddings, dataset, stats=None):
     """Forecasts for every window of dataset, in order, as one (N, H, N_f)
-    array. Each batch of 512 windows is a slice of the dataset run through
-    the tape-free forward, so its values do not depend on the workers that
+    array. Each batch of 512 windows is a slice of the dataset, normalized
+    by stats when the dataset is raw, run through the tape-free forward,
+    so its values do not depend on the workers that
     ``parallel.for_each`` spreads the batches over: the caller and
     processes forked for this call alone. Each worker writes its batches
     into the output, which is shared memory and returned as it is."""
@@ -246,7 +248,10 @@ def predict_windows(forecaster, embeddings, dataset):
     out = shared_empty((len(dataset), forecaster.horizon, forecaster.n_features))
 
     def predict_batch(lo):
-        out[lo:lo + n] = fc.predict(forecaster, dataset.inputs[lo:lo + n],
+        inputs = dataset.inputs[lo:lo + n]
+        if stats is not None:
+            inputs = normalize(inputs, stats)
+        out[lo:lo + n] = fc.predict(forecaster, inputs,
                                     emb[dataset.node_ids[lo:lo + n]])
 
     for_each(predict_batch, range(0, len(dataset), n))
@@ -283,9 +288,8 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
         train, _, _ = chrono_split(src.series, config.split_ratios,
                                    config.history, config.horizon,
                                    config.source_train_days)
-        stats[src.name] = st = NormalizationStats.fit(train)
-        train_sets[src.name] = make_windows(normalize(train, st),
-                                            config.history, config.horizon)
+        stats[src.name] = NormalizationStats.fit(train)
+        train_sets[src.name] = make_windows(train, config.history, config.horizon)
 
     total_steps = max(1, config.pretrain_epochs
                       * config.pretrain_batches_per_epoch * len(sources))
@@ -299,7 +303,7 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
                                                       len(dataset)),
                                replace=False)
         loss_src = _batched_forecast_loss(model.forecaster, embeddings,
-                                          dataset, idx)
+                                          dataset, idx, stats[src.name])
         if not use_da:
             _update(params, loss_src, opt, config, where)
             return float(loss_src.data), 0.0
@@ -341,8 +345,14 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
 # -- stage 2 ----------------------------------------------------------------
 
 def _epoch_val_mae(model, dataset, embeddings, stats):
-    preds = predict_windows(model.forecaster, embeddings, dataset)
-    return float((np.abs(preds - dataset.targets) * stats.std).mean())
+    """Mean of |preds - normalized targets| * std over the raw dataset, in
+    one buffer of the targets' size."""
+    preds = predict_windows(model.forecaster, embeddings, dataset, stats)
+    err = normalize(dataset.targets, stats)
+    np.subtract(preds, err, out=err)
+    np.abs(err, out=err)
+    err *= stats.std
+    return float(err.mean())
 
 
 def finetune(checkpoint, target, config, variant="full", replay_log=None):
@@ -369,14 +379,14 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
                                  config.history, config.horizon,
                                  config.target_train_days)
     st = NormalizationStats.fit(train)
-    train_set = make_windows(normalize(train, st), config.history, config.horizon)
-    val_set = make_windows(normalize(val, st), config.history, config.horizon)
+    train_set = make_windows(train, config.history, config.horizon)
+    val_set = make_windows(val, config.history, config.horizon)
 
     def step_loss(idx, where):
         """One optimizer step on the windows idx; its loss as a float, so
         that the step's tape is gone before validation."""
         emb = model.embeddings(target.raw_features, target.graph)
-        loss = _batched_forecast_loss(model.forecaster, emb, train_set, idx)
+        loss = _batched_forecast_loss(model.forecaster, emb, train_set, idx, st)
         _update(params, loss, opt, config, where)
         return float(loss.data)
 

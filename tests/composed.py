@@ -34,19 +34,29 @@
   reference for ``data.synth_generate``'s in-place steps.
 - ``permuted_graph``: a graph with its nodes relabeled, for the encoder's
   permutation-equivariance checks.
+- ``read_table``, ``load_series``, ``load_features`` and
+  ``load_checkpoint``: the readers that hold every cell as a Python float
+  before one ``np.array``, the reference for the readers that parse
+  straight into one array; they must accept the same files, with the same
+  bits, and refuse the rest with the same error text.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 
 from crosscity import autodiff as ad
 from crosscity.adversary import LOG_FLOOR
 from crosscity.autodiff import ShapeError, Tensor
-from crosscity.data import DataError, WindowedDataset, _make_topology
+from crosscity.checkpoint import (FORMAT_VERSION, Checkpoint, CheckpointError,
+                                  _parse_shape)
+from crosscity.data import (DataError, NormalizationStats, TrafficSeries,
+                            WindowedDataset, _make_topology)
 from crosscity.graph import RoadGraph
+from crosscity.textio import read_cells
 
 
 def _is_scalar(t):
@@ -498,3 +508,123 @@ def synth_generate(spec):
     x = (1.0 - spec.smoothing) * x + spec.smoothing * (x @ agg.T)
     x = x + spec.noise_level * rng.standard_normal(x.shape)
     return graph, np.maximum(x, 0.0)
+
+
+def read_table(path, parse_first, width=None):
+    """The first cells, read by parse_first, and the float rest of each row
+    of the CSV file at path, as lists; every row is as wide as the header,
+    which is `width` cells wide when that is given."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if width is not None and len(header) != width:
+            raise DataError(f"{path}: expected {width} columns, found {len(header)}")
+        firsts, rows = [], []
+        for ln, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) != len(header):
+                raise DataError(f"{path}, line {ln}: row width {len(parts)}, "
+                                f"header width {len(header)}")
+            firsts += read_cells(parse_first, parts[:1], path, ln, header)
+            rows.append(read_cells(float, parts[1:], path, ln, header[1:]))
+    return firsts, rows
+
+
+def load_series(path, graph):
+    """Same contract as ``data.load_series`` on files whose timestamps are
+    all naive or all aware."""
+    stamps, rows = read_table(path, datetime.fromisoformat, graph.n_nodes + 1)
+    if len(rows) < 2:
+        raise DataError(f"{path}: {len(rows)} rows, too few to fix the interval")
+    step, minute = stamps[1] - stamps[0], timedelta(minutes=1)
+    if step > timedelta(0) and step % minute:
+        raise DataError(f"{path}, line 3: interval {step} is not whole minutes")
+    if step > timedelta(days=1):
+        raise DataError(f"{path}, line 3: interval {step} is longer than a day")
+    if step > timedelta(0) and timedelta(days=1) % step:
+        raise DataError(f"{path}, line 3: interval {step} does not divide a day")
+    for i in range(1, len(stamps)):
+        delta = stamps[i] - stamps[i - 1]
+        if delta <= timedelta(0):
+            raise DataError(f"{path}, line {i + 2}: timestamps not strictly increasing")
+        if delta != step:
+            kind = "gap" if delta > step else "shorter step"
+            raise DataError(f"{path}, line {i + 2}: {kind} of {delta}; "
+                            f"the interval is {step}")
+    return TrafficSeries(np.array(rows), step // minute, stamps[0])
+
+
+def load_features(path):
+    """Same contract as ``node2vec.load_features``."""
+    nodes, rows = read_table(path, int)
+    if not rows:
+        raise DataError(f"{path}: no feature rows")
+    if sorted(nodes) != list(range(len(nodes))):
+        raise DataError(f"{path}: node ids are not exactly 0..{len(nodes) - 1}")
+    return np.array(rows)[np.argsort(nodes)]
+
+
+def load_checkpoint(path, expect_config_hash=None):
+    """Same contract as ``checkpoint.load_checkpoint``."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if len(lines) < 4:
+        raise CheckpointError("truncated checkpoint: missing header")
+    header = dict(line.partition("=")[::2] for line in lines[:4])
+    if header.get("version") != str(FORMAT_VERSION):
+        raise CheckpointError(
+            f"unsupported checkpoint version {header.get('version')!r}")
+    missing = [k for k in ("stage", "config_hash", "seed") if k not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
+    try:
+        seed = int(header["seed"])
+    except ValueError:
+        raise CheckpointError(
+            f"checkpoint seed {header['seed']!r} is not an integer") from None
+    if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
+        raise CheckpointError(
+            f"config hash mismatch: checkpoint {header['config_hash']} "
+            f"vs current {expect_config_hash}")
+    tensors, stats_raw, first_line = {}, {}, {}
+    for ln, line in enumerate(lines[4:], start=5):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) < 4 or parts[1] != "shape" or parts[3] != "values":
+            raise CheckpointError(f"line {ln}: malformed tensor record")
+        name = parts[0]
+        if name in first_line:
+            raise CheckpointError(f"line {ln}: {name} repeats the record of "
+                                  f"line {first_line[name]}")
+        first_line[name] = ln
+        try:
+            shape = _parse_shape(parts[2])
+        except ValueError as exc:
+            raise CheckpointError(f"line {ln}: bad shape {parts[2]!r}") from exc
+        try:
+            vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+        except ValueError as exc:
+            raise CheckpointError(f"line {ln}: {name}: {exc}") from None
+        if not np.isfinite(vals).all():
+            raise CheckpointError(f"line {ln}: {name} holds a non-finite value")
+        expected = int(np.prod(shape))
+        if vals.size != expected:
+            raise CheckpointError(
+                f"line {ln}: {name} expects {expected} values, found {vals.size}")
+        arr = vals.reshape(shape)
+        if name.startswith("stats."):
+            if shape:
+                raise CheckpointError(f"line {ln}: {name} is not a scalar")
+            stats_raw[name] = float(arr)
+        else:
+            tensors[name] = arr
+    stats = {}
+    for name in stats_raw:
+        domain = name[len("stats."):].rpartition(".")[0]
+        mean = stats_raw.get(f"stats.{domain}.mean")
+        std = stats_raw.get(f"stats.{domain}.std")
+        if mean is None or std is None:
+            raise CheckpointError(f"incomplete stats for domain {domain!r}")
+        stats[domain] = NormalizationStats(mean, std)
+    return Checkpoint(header["stage"], header["config_hash"], seed, tensors,
+                      stats)

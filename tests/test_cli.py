@@ -819,3 +819,34 @@ class TestCompareSeeds:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seeds 0 and 1" in err
         assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+class TestNumericWarnings:
+    def test_divergence_writes_only_its_error_line(self, synthed):
+        # a subprocess, where numpy's overflow warnings would stay warnings
+        data, cfg_path, _, tmp_path = synthed
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "crosscity.cli", "pipeline", "--config",
+             cfg_path, "--data", data, "--out", str(tmp_path / "run"),
+             "--set", "learning_rate=1e200"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: pretrain step \d+, domain \w+: "
+                            r"non-finite gradient in [\w.]+\n", proc.stderr), proc.stderr
+
+
+def test_mixed_timezone_series_ends_in_one_error_line(synthed, capsys):
+    data, cfg_path, _, tmp_path = synthed
+    csv = os.path.join(data, "tee.csv")
+    with open(csv) as fh:
+        header, first, *rest = fh.read().splitlines(keepends=True)
+    with open(csv, "w") as fh:
+        fh.writelines([header, first.replace(",", "+00:00,", 1), *rest])
+    capsys.readouterr()
+    assert main(["pipeline", "--config", cfg_path, "--data", data,
+                 "--out", str(tmp_path / "run"), "--variant", "target_only"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}, line 3: a timezone-naive timestamp after "
+        f"timezone-aware ones\n")

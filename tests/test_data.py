@@ -499,3 +499,23 @@ def test_spec_interval_is_a_whole_fraction_of_a_day(raw, refused):
             SyntheticCitySpec.from_kv(kv)
     else:
         assert SyntheticCitySpec.from_kv(kv).interval_minutes == int(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 7), st.data())
+def test_window_nodes_index_as_the_tiled_ids(count, n_nodes, data):
+    ids = dio.WindowNodes(count, n_nodes)
+    tiled = np.tile(np.arange(n_nodes, dtype=np.intp), count)
+    size = count * n_nodes
+    index = data.draw(st.one_of(
+        st.integers(-size, size - 1),
+        st.lists(st.integers(-size, size - 1), max_size=20).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.builds(slice, st.none() | st.integers(-size - 2, size + 2),
+                  st.none() | st.integers(-size - 2, size + 2),
+                  st.none() | st.integers(1, 4) | st.integers(-4, -1))))
+    got, want = ids[index], tiled[index]
+    assert np.asarray(got).dtype == want.dtype and np.array_equal(got, want)
+    for bad in (size, -size - 1, np.array([0, size]), np.array([True])):
+        with pytest.raises(IndexError):
+            ids[bad]

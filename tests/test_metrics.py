@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscity import metrics
 from crosscity.checkpoint import Checkpoint
@@ -223,3 +225,36 @@ class TestProbe:
         acc = domain_confusion_probe(
             [rng.standard_normal((30, 4)), rng.standard_normal((30, 4))])
         assert 0.0 <= acc <= 1.0
+
+
+class TestMetricBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_scores_in_one_buffer_equal_the_expressions(self, windows, horizon, seed):
+        # the strided (B, h, 1) truth views and contiguous predictions that
+        # evaluate scores, against the expressions on flat copies
+        r = np.random.default_rng(seed)
+        series = np.abs(r.standard_normal((windows + horizon, 1))) * 3.0
+        series[r.random(series.shape) < 0.2] *= -1.0
+        y = np.lib.stride_tricks.sliding_window_view(series[:, 0], horizon)[:, :, None]
+        y_hat = r.standard_normal(y.shape) * 3.0
+        buf = np.full(y.size + 3, np.nan)
+        fy, fp = y.reshape(-1), y_hat.reshape(-1)
+        assert mae(y, y_hat, buf) == float(np.abs(fy - fp).mean())
+        assert rmse(y, y_hat, buf) == float(np.sqrt(((fy - fp) ** 2).mean()))
+        keep = np.abs(fy) > metrics.MAPE_THRESHOLD
+        if not keep.any():
+            with pytest.raises(MetricError, match="threshold"):
+                mape(y, y_hat, buf)
+            return
+        want = float((np.abs(fy[keep] - fp[keep]) / np.abs(fy[keep])).mean())
+        assert mape(y, y_hat, buf) == (want, int(keep.sum()))
+
+
+def test_no_horizon_gives_no_report():
+    # `crosscity evaluate` scores horizons 3, 6 and 12 up to the config's,
+    # so a horizon below 3 asks for none
+    config = ExperimentConfig(history=3, horizon=2, target_domain="t")
+    target = DomainData("t", RoadGraph(1, []), None,
+                        TrafficSeries(np.ones((100, 1))))
+    assert evaluate_ha(config, target, ()) == []
