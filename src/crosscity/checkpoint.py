@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import NormalizationStats
-from .textio import atomic_open, float_reprs, parse_floats
+from .textio import atomic_open, float_reprs
 
 FORMAT_VERSION = 1
 
@@ -47,21 +47,6 @@ def _shape_token(shape):
 
 def _parse_shape(token):
     return () if token == "-" else tuple(int(d) for d in token.split(","))
-
-
-def _scan_values(text, name, ln, expected):
-    """float() of each space-separated value of record `name` on line ln,
-    `expected` of them, all finite, else CheckpointError."""
-    try:
-        vals = np.array([float(v) for v in text.split()], dtype=np.float64)
-    except ValueError as exc:
-        raise CheckpointError(f"line {ln}: {name}: {exc}") from None
-    if not np.isfinite(vals).all():
-        raise CheckpointError(f"line {ln}: {name} holds a non-finite value")
-    if vals.size != expected:
-        raise CheckpointError(
-            f"line {ln}: {name} expects {expected} values, found {vals.size}")
-    return vals
 
 
 def save_checkpoint(ckpt, path):
@@ -103,7 +88,7 @@ def load_checkpoint(path, expect_config_hash=None):
     for ln, line in enumerate(lines[4:], start=5):
         if not line.strip():
             continue
-        parts = line.split(maxsplit=4)
+        parts = line.split()
         if len(parts) < 4 or parts[1] != "shape" or parts[3] != "values":
             raise CheckpointError(f"line {ln}: malformed tensor record")
         name = parts[0]
@@ -115,11 +100,16 @@ def load_checkpoint(path, expect_config_hash=None):
             shape = _parse_shape(parts[2])
         except ValueError as exc:
             raise CheckpointError(f"line {ln}: bad shape {parts[2]!r}") from exc
+        try:
+            vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+        except ValueError as exc:
+            raise CheckpointError(f"line {ln}: {name}: {exc}") from None
+        if not np.isfinite(vals).all():
+            raise CheckpointError(f"line {ln}: {name} holds a non-finite value")
         expected = int(np.prod(shape))
-        text = parts[4] if len(parts) > 4 else ""
-        vals = parse_floats((text,), expected, " ")
-        if vals is None:  # the value scan names what it refuses
-            vals = _scan_values(text, name, ln, expected)
+        if vals.size != expected:
+            raise CheckpointError(
+                f"line {ln}: {name} expects {expected} values, found {vals.size}")
         arr = vals.reshape(shape)
         if name.startswith("stats."):
             if shape:

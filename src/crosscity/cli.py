@@ -197,7 +197,11 @@ def _train(cfg, args, command, fit):
     diverges ends in one error line."""
     log = ReplayLog() if args.replay_log else None
     try:
-        ckpt = fit(log)
+        # numpy's overflow and invalid-value warnings of a diverging run
+        # would only precede its one error line: the non-finite-gradient
+        # check is the failure that counts
+        with np.errstate(over="ignore", invalid="ignore"):
+            ckpt = fit(log)
     except FloatingPointError as exc:
         raise CliError(str(exc)) from None
     _echo_config(cfg, args.out)
@@ -320,11 +324,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        # numpy's overflow and invalid-value warnings of a diverging run
-        # would only precede its one error line: the non-finite-gradient
-        # check is the failure that counts
-        with np.errstate(all="ignore"):
-            args.func(args)
+        args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1

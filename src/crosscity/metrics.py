@@ -28,40 +28,37 @@ class MetricError(ValueError):
     pass
 
 
-def _pair(name, y, y_hat, buf):
-    """y and y_hat as float arrays of one shape, and the first y.size
-    entries of the flat float64 array buf, or a new one, flat and in that
-    shape: the one buffer a metric's arithmetic runs in."""
+def _pair(name, y, y_hat):
+    """y and y_hat as float arrays of one shape, and a new flat float64
+    array of their size, also viewed in that shape: the one buffer a
+    metric's arithmetic runs in."""
     y, y_hat = np.asarray(y, float), np.asarray(y_hat, float)
     if y.size == 0 or y.size != y_hat.size:
         raise MetricError(f"{name}: bad lengths {y.size} vs {y_hat.size}")
     if y.shape != y_hat.shape:
         y, y_hat = y.reshape(-1), y_hat.reshape(-1)
-    err = np.empty(y.size) if buf is None else buf[:y.size]
+    err = np.empty(y.size)
     return y, y_hat, err, err.reshape(y.shape)
 
 
-def mae(y, y_hat, buf=None):
-    """Mean of |y - y_hat|; buf, a flat float64 array at least as long,
-    holds the arithmetic in place of temporaries."""
-    y, y_hat, err, shaped = _pair("mae", y, y_hat, buf)
+def mae(y, y_hat):
+    y, y_hat, err, shaped = _pair("mae", y, y_hat)
     np.subtract(y, y_hat, out=shaped)
     return float(np.abs(err, out=err).mean())
 
 
-def rmse(y, y_hat, buf=None):
-    """Root of the mean of (y - y_hat) ** 2, with buf as in ``mae``."""
-    y, y_hat, err, shaped = _pair("rmse", y, y_hat, buf)
+def rmse(y, y_hat):
+    y, y_hat, err, shaped = _pair("rmse", y, y_hat)
     np.subtract(y, y_hat, out=shaped)
     return float(np.sqrt(np.square(err, out=err).mean()))
 
 
-def mape(y, y_hat, buf=None):
+def mape(y, y_hat):
     """Fractional MAPE over indices with |y| > MAPE_THRESHOLD, and the
-    number of those indices; buf as in ``mae``. The kept errors are divided
-    by y and then made absolute: division rounds alike for either sign, so
-    that is |y - y_hat| / |y| bit for bit."""
-    y, y_hat, err, shaped = _pair("mape", y, y_hat, buf)
+    number of those indices. The kept errors are divided by y and then made
+    absolute: division rounds alike for either sign, so that is
+    |y - y_hat| / |y| bit for bit."""
+    y, y_hat, err, shaped = _pair("mape", y, y_hat)
     keep = np.abs(y, out=shaped) > MAPE_THRESHOLD
     if not keep.any():
         raise MetricError("mape: every sample fell below the inclusion threshold")
@@ -114,16 +111,13 @@ class MetricReport:
 
 
 def _reports(variant, truth, preds, horizons, config, target):
-    """One MetricReport per horizon over each window's first h steps; every
-    metric's arithmetic runs in one buffer of the largest horizon's size."""
-    buf = np.empty(truth[:, :max(horizons, default=0)].size)
+    """One MetricReport per horizon over each window's first h steps."""
     reports = []
     for h in horizons:
         y, y_hat = truth[:, :h, :], preds[:, :h, :]
-        mp, included = mape(y, y_hat, buf)
+        mp, included = mape(y, y_hat)
         reports.append(MetricReport(
-            variant=variant, horizon=h, mae=mae(y, y_hat, buf),
-            rmse=rmse(y, y_hat, buf),
+            variant=variant, horizon=h, mae=mae(y, y_hat), rmse=rmse(y, y_hat),
             mape=mp, n_samples=y.size, mape_included=included,
             seed=config.seed, config_hash=config.config_hash(),
             domain=target.name))

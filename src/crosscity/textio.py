@@ -75,8 +75,8 @@ def read_cells(parse, toks, path, ln, cols):
 _NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
 
 
-def parse_floats(lines, width, delimiter=","):
-    """`lines`, text rows of `width` float cells split by `delimiter`, as one
+def parse_floats(lines, width):
+    """`lines`, text rows of `width` comma-separated float cells, as one
     (rows, width) float64 array parsed in one pass by numpy's C reader; or
     None where that array could differ from float() of each cell, all
     finite. The two read every number alike, save that numpy alone skips an
@@ -98,7 +98,7 @@ def parse_floats(lines, width, delimiter=","):
         if first is None:  # numpy warns on no lines
             return None
         values = np.loadtxt(itertools.chain((first,), rows), dtype=np.float64,
-                            delimiter=delimiter, comments=None, ndmin=2)
+                            delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if values.shape != (count, width) or not np.isfinite(values).all():

@@ -34,11 +34,11 @@
   reference for ``data.synth_generate``'s in-place steps.
 - ``permuted_graph``: a graph with its nodes relabeled, for the encoder's
   permutation-equivariance checks.
-- ``read_table``, ``load_series``, ``load_features`` and
-  ``load_checkpoint``: the readers that hold every cell as a Python float
-  before one ``np.array``, the reference for the readers that parse
-  straight into one array; they must accept the same files, with the same
-  bits, and refuse the rest with the same error text.
+- ``read_table``, ``load_series`` and ``load_features``: the readers that
+  hold every cell as a Python float before one ``np.array``, the reference
+  for the readers that parse straight into one array; they must accept the
+  same files, with the same bits, and refuse the rest with the same error
+  text.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ import numpy as np
 from crosscity import autodiff as ad
 from crosscity.adversary import LOG_FLOOR
 from crosscity.autodiff import ShapeError, Tensor
-from crosscity.checkpoint import (FORMAT_VERSION, Checkpoint, CheckpointError,
-                                  _parse_shape)
-from crosscity.data import (DataError, NormalizationStats, TrafficSeries,
-                            WindowedDataset, _make_topology)
+from crosscity.data import (DataError, TrafficSeries, WindowedDataset,
+                            _make_topology)
 from crosscity.graph import RoadGraph
 from crosscity.textio import read_cells
 
@@ -562,69 +560,3 @@ def load_features(path):
         raise DataError(f"{path}: node ids are not exactly 0..{len(nodes) - 1}")
     return np.array(rows)[np.argsort(nodes)]
 
-
-def load_checkpoint(path, expect_config_hash=None):
-    """Same contract as ``checkpoint.load_checkpoint``."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 4:
-        raise CheckpointError("truncated checkpoint: missing header")
-    header = dict(line.partition("=")[::2] for line in lines[:4])
-    if header.get("version") != str(FORMAT_VERSION):
-        raise CheckpointError(
-            f"unsupported checkpoint version {header.get('version')!r}")
-    missing = [k for k in ("stage", "config_hash", "seed") if k not in header]
-    if missing:
-        raise CheckpointError(f"checkpoint header lacks {', '.join(missing)}")
-    try:
-        seed = int(header["seed"])
-    except ValueError:
-        raise CheckpointError(
-            f"checkpoint seed {header['seed']!r} is not an integer") from None
-    if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
-        raise CheckpointError(
-            f"config hash mismatch: checkpoint {header['config_hash']} "
-            f"vs current {expect_config_hash}")
-    tensors, stats_raw, first_line = {}, {}, {}
-    for ln, line in enumerate(lines[4:], start=5):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 4 or parts[1] != "shape" or parts[3] != "values":
-            raise CheckpointError(f"line {ln}: malformed tensor record")
-        name = parts[0]
-        if name in first_line:
-            raise CheckpointError(f"line {ln}: {name} repeats the record of "
-                                  f"line {first_line[name]}")
-        first_line[name] = ln
-        try:
-            shape = _parse_shape(parts[2])
-        except ValueError as exc:
-            raise CheckpointError(f"line {ln}: bad shape {parts[2]!r}") from exc
-        try:
-            vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
-        except ValueError as exc:
-            raise CheckpointError(f"line {ln}: {name}: {exc}") from None
-        if not np.isfinite(vals).all():
-            raise CheckpointError(f"line {ln}: {name} holds a non-finite value")
-        expected = int(np.prod(shape))
-        if vals.size != expected:
-            raise CheckpointError(
-                f"line {ln}: {name} expects {expected} values, found {vals.size}")
-        arr = vals.reshape(shape)
-        if name.startswith("stats."):
-            if shape:
-                raise CheckpointError(f"line {ln}: {name} is not a scalar")
-            stats_raw[name] = float(arr)
-        else:
-            tensors[name] = arr
-    stats = {}
-    for name in stats_raw:
-        domain = name[len("stats."):].rpartition(".")[0]
-        mean = stats_raw.get(f"stats.{domain}.mean")
-        std = stats_raw.get(f"stats.{domain}.std")
-        if mean is None or std is None:
-            raise CheckpointError(f"incomplete stats for domain {domain!r}")
-        stats[domain] = NormalizationStats(mean, std)
-    return Checkpoint(header["stage"], header["config_hash"], seed, tensors,
-                      stats)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed
-from crosscity import checkpoint as ck
 from crosscity import data as dio
 from crosscity import forecaster as fc
 from crosscity import node2vec as n2v
@@ -38,18 +37,17 @@ def _float_row(cells):
     return vals if all(map(np.isfinite, vals)) else None
 
 
-@pytest.mark.parametrize("delimiter", [",", " "])
-def test_parse_floats_accepts_only_what_float_reads_alike(delimiter):
+def test_parse_floats_accepts_only_what_float_reads_alike():
     for char in _ODD_CHARS:
         for template in _TEMPLATES:
-            line = template.format(char) + delimiter + "2"
-            got = parse_floats([line], 2, delimiter)
-            cells = line.split(",") if delimiter == "," else line.split()
+            line = template.format(char) + ",2"
+            got = parse_floats([line], 2)
+            cells = line.split(",")
             want = _float_row(cells) if len(cells) == 2 else None
             if got is not None:
                 assert want is not None, repr(line)
                 assert got.tobytes() == np.array([want]).tobytes(), repr(line)
-            elif delimiter == "," and want is not None:
+            elif want is not None:
                 # refused by numpy alone: the per-cell scan reads it
                 assert any(c in line for c in "_\x1c\x1d\x1e\x1f") or not line.isascii(), repr(line)
 
@@ -78,7 +76,7 @@ _INSERTS = ("#", ",", " ", "_", "\x00", "\x0b", "\x0c", "\x1c", "\x1f",
 
 
 @st.composite
-def _mutations(draw, sep):
+def _mutations(draw):
     """1 to 3 edits of a file's lines: one of blank line, character
     insert, extra or missing cell, replaced cell, CRLF or header only."""
     kinds = st.sampled_from(["blank", "insert", "extra", "missing", "cell",
@@ -89,13 +87,12 @@ def _mutations(draw, sep):
                     draw(st.integers(0, 10**6)),
                     draw(st.sampled_from(_BAD_CELLS if kind == "cell"
                                          else _INSERTS))))
-    return sep, out
+    return out
 
 
-def _mutate(lines, head, mutation):
-    """lines with the edits of mutation applied to its lines after the
-    first `head` ones; returns the file's text."""
-    sep, edits = mutation
+def _mutate(lines, head, edits):
+    """lines with `edits` applied to its lines after the first `head` ones;
+    returns the file's text."""
     lines = list(lines)
     eol = "\n"
     for kind, a, b, text in edits:
@@ -109,22 +106,22 @@ def _mutate(lines, head, mutation):
         if not body:
             continue
         i = body[a % len(body)]
-        cells = lines[i].split(sep)
+        cells = lines[i].split(",")
         if kind == "blank":
             lines.insert(i, "")
         elif kind == "insert":
             pos = b % (len(lines[i]) + 1)
             lines[i] = lines[i][:pos] + text + lines[i][pos:]
         elif kind == "extra":
-            lines[i] += sep + "1.0"
+            lines[i] += ",1.0"
         elif kind == "missing":
-            lines[i] = sep.join(cells[:-1])
+            lines[i] = ",".join(cells[:-1])
         elif kind == "cell" and len(cells) > 1:
             cells[1 + b % (len(cells) - 1)] = text
-            lines[i] = sep.join(cells)
+            lines[i] = ",".join(cells)
         elif kind == "spaces":
             cells[b % len(cells)] = f" {cells[b % len(cells)]} "
-            lines[i] = sep.join(cells)
+            lines[i] = ",".join(cells)
     return "".join(line + eol for line in lines)
 
 
@@ -132,7 +129,7 @@ def _outcome(read, path):
     """What read(path) returns, or the type and text of what it raises."""
     try:
         return read(path)
-    except (DataError, ck.CheckpointError) as exc:
+    except DataError as exc:
         return type(exc), str(exc)
 
 
@@ -156,7 +153,7 @@ def _series_lines(seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 3), _mutations(","))
+@given(st.integers(0, 3), _mutations())
 def test_load_series_equals_per_cell_reader(scratch, seed, mutation):
     path = scratch / "series.csv"
     path.write_text(_mutate(_series_lines(seed), 1, mutation), newline="")
@@ -171,7 +168,7 @@ def test_load_series_equals_per_cell_reader(scratch, seed, mutation):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 3), st.booleans(), _mutations(","))
+@given(st.integers(0, 3), st.booleans(), _mutations())
 def test_load_features_equals_per_cell_reader(scratch, seed, shuffled, mutation):
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((5, 3))
@@ -185,28 +182,6 @@ def test_load_features_equals_per_cell_reader(scratch, seed, shuffled, mutation)
         assert got == want
     else:
         assert _bits(got) == _bits(want)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 3), _mutations(" "))
-def test_load_checkpoint_equals_per_cell_reader(scratch, seed, mutation):
-    rng = np.random.default_rng(seed)
-    ckpt = ck.Checkpoint("pretrained", "abc123", 7,
-                         {"w": rng.standard_normal((2, 3)),
-                          "b": rng.standard_normal(3), "s": np.array(0.5),
-                          "z": np.zeros((0,))},
-                         {"metro": dio.NormalizationStats(1.5, 2.5)})
-    path = scratch / "ckpt.txt"
-    ck.save_checkpoint(ckpt, path)
-    path.write_text(_mutate(path.read_text().splitlines(), 4, mutation),
-                    newline="")
-    got, want = _outcome(ck.load_checkpoint, path), _outcome(composed.load_checkpoint, path)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert got == want and got.stats == want.stats
-        for name in want.tensors:
-            assert _bits(got.tensors[name]) == _bits(want.tensors[name]), name
 
 
 @pytest.mark.parametrize("zones, line, kind", [
