@@ -11,8 +11,6 @@ bit (the test suite keeps them as the reference).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .autodiff import Tensor, needs_grad
@@ -95,8 +93,6 @@ def adversarial_loss(classifier, groups, reversal_factor=None):
 
 
 def adaptation_factor(progress, eta):
-    """Schedule F in [0, 2/(1+e^-eta)-1); exact 0 at progress 0."""
-    if progress < 0.0 or progress > 1.0:
-        warnings.warn(f"adaptation progress {progress} outside [0,1]; clamped")
-        progress = min(1.0, max(0.0, progress))
+    """Schedule F in [0, 2/(1+e^-eta)-1) for progress in [0, 1); exact 0
+    at progress 0."""
     return 2.0 / (1.0 + np.exp(-eta * progress)) - 1.0

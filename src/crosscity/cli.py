@@ -128,9 +128,14 @@ def cmd_synth(args):
     missing = [p for p in args.specs if not os.path.exists(p)]
     if missing:
         raise CliError(f"spec file not found: {missing[0]}", EXIT_BAD_ARGS)
-    cities = []
+    cities, spec_of = [], {}
     for spec_path in args.specs:
         spec = dio.load_spec(spec_path)
+        if spec.name in spec_of:
+            # a second city of one name would overwrite the first's files
+            raise CliError(f"{spec_path}: city {spec.name!r} is also named "
+                           f"by {spec_of[spec.name]}")
+        spec_of[spec.name] = spec_path
         if seed is not None:
             spec.seed = seed
         graph, series = dio.synth_generate(spec)
@@ -228,10 +233,24 @@ def _finetune(cfg, args):
         pre, target, cfg, variant=args.variant, replay_log=log))
 
 
+REPORT_HORIZONS = (3, 6, 12)
+
+
+def _report_horizons(cfg):
+    """The horizons `evaluate` reports: those of REPORT_HORIZONS within the
+    trained one, of which there must be at least one."""
+    horizons = tuple(h for h in REPORT_HORIZONS if h <= cfg.horizon)
+    if not horizons:
+        raise CliError(f"config key 'horizon' is {cfg.horizon}, below every "
+                       f"report horizon {REPORT_HORIZONS}, so `evaluate` "
+                       f"would write no report")
+    return horizons
+
+
 def _evaluate(cfg, args):
+    horizons = _report_horizons(cfg)
     fin = _load_checkpoint(cfg, args, "finetuned")
     target = _load_city(cfg, args, cfg.target_domain, series=True)
-    horizons = tuple(h for h in (3, 6, 12) if h <= cfg.horizon)
     reports = mx.evaluate(fin, cfg, target, horizons, variant=args.variant)
     reports += mx.evaluate_ha(cfg, target, horizons)
     for rep in reports:
@@ -252,10 +271,12 @@ def _export_embeddings(cfg, args):
 
 def _pipeline(cfg, args):
     """Run the variant's stages in order, naming the one running in
-    RUN/stage.txt; a refused config or pre-training leaves no RUN."""
+    RUN/stage.txt; a refused config, pre-training or evaluation leaves no
+    RUN."""
     stages = variant_stages(args.variant)
     if "pretrain" in stages:
         check_pretrain(args.variant, cfg.source_domains)
+    _report_horizons(cfg)  # every variant's stages end in evaluate
     os.makedirs(args.out, exist_ok=True)
     marker = os.path.join(args.out, "stage.txt")
     for stage in stages:

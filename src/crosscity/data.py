@@ -57,11 +57,12 @@ def normalize(values, stats):
     return out
 
 
-def denormalize_values(values, stats, out=None):
-    """values * std + mean, into `out` when given, else one new array."""
-    out = np.multiply(values, stats.std, out=out)
-    out += stats.mean
-    return out
+def denormalize_values(values, stats):
+    """values * std + mean, in place in the float array values, which it
+    returns."""
+    values *= stats.std
+    values += stats.mean
+    return values
 
 
 class WindowNodes:
@@ -70,14 +71,9 @@ class WindowNodes:
     an int array gives what indexing the tiled intp array would, and only
     that many ids are ever held."""
 
-    dtype = np.dtype(np.intp)
-
     def __init__(self, count, n_nodes):
         self.n_nodes = n_nodes
         self.shape = (count * n_nodes,)
-
-    def __len__(self):
-        return self.shape[0]
 
     def __getitem__(self, idx):
         size = self.shape[0]
@@ -90,9 +86,6 @@ class WindowNodes:
             if windows.size and (windows.min() < -size or windows.max() >= size):
                 raise IndexError(f"window index out of range for {size} windows")
         return windows.astype(np.intp, copy=False) % self.n_nodes
-
-    def __array__(self, dtype=None, copy=None):
-        return self[:].astype(dtype or self.dtype, copy=False)
 
 
 @dataclass
@@ -242,6 +235,11 @@ class SyntheticCitySpec:
             raise DataError(f"synthetic spec keys 'peak_amplitudes' {amps} and "
                             f"'peak_hours' {hours}: expected one hour per "
                             f"amplitude")
+        if spec.days * (24 * 60 // spec.interval_minutes) < 2:
+            # a series' first two timestamps fix its interval
+            raise DataError(f"synthetic spec keys 'days' {spec.days} and "
+                            f"'interval_minutes' {spec.interval_minutes}: "
+                            f"expected at least 2 steps, got 1")
         return spec
 
 

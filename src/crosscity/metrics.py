@@ -17,7 +17,7 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .config import variant_uses
 from .data import chrono_split, denormalize_values, make_windows
-from .textio import atomic_open, write_table
+from .textio import DataError, atomic_open, check_fields, write_table
 from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
 
 
@@ -29,14 +29,12 @@ class MetricError(ValueError):
 
 
 def _pair(name, y, y_hat):
-    """y and y_hat as float arrays of one shape, and a new flat float64
-    array of their size, also viewed in that shape: the one buffer a
-    metric's arithmetic runs in."""
+    """y and y_hat as float arrays, which must share one non-empty shape,
+    and a new flat float64 array of their size, also viewed in that shape:
+    the one buffer a metric's arithmetic runs in."""
     y, y_hat = np.asarray(y, float), np.asarray(y_hat, float)
-    if y.size == 0 or y.size != y_hat.size:
-        raise MetricError(f"{name}: bad lengths {y.size} vs {y_hat.size}")
-    if y.shape != y_hat.shape:
-        y, y_hat = y.reshape(-1), y_hat.reshape(-1)
+    if y.size == 0 or y.shape != y_hat.shape:
+        raise MetricError(f"{name}: bad shapes {y.shape} vs {y_hat.shape}")
     err = np.empty(y.size)
     return y, y_hat, err, err.reshape(y.shape)
 
@@ -91,7 +89,8 @@ class MetricReport:
 
     @classmethod
     def read(cls, path):
-        """Parse write's lines; values are Python literals, never code."""
+        """Parse write's lines; values are Python literals, never code, each
+        of its field's kind (an int counts as a float, a bool as neither)."""
         known = {f.name for f in fields(cls)}
         kv = {}
         with open(path) as fh:
@@ -105,9 +104,15 @@ class MetricReport:
                     raise MetricError(f"{path}, line {ln}: {line.strip()!r}: "
                                       f"{exc}") from exc
         try:
+            check_fields(kv, _REPORT_KINDS, {}, "report")
             return cls(**kv)
-        except TypeError as exc:
+        except (DataError, TypeError) as exc:
             raise MetricError(f"{path}: {exc}") from exc
+
+
+# a report holding a value of each field's kind, as ``check_fields`` reads them
+_REPORT_KINDS = MetricReport(variant="", horizon=0, mae=0.0, rmse=0.0, mape=0.0,
+                             n_samples=0, mape_included=0, seed=0, config_hash="")
 
 
 def _reports(variant, truth, preds, horizons, config, target):
@@ -164,7 +169,7 @@ def evaluate(checkpoint, config, target, horizons, variant):
     test_set = make_windows(test, config.history, config.horizon)
     emb = model.embeddings(target.raw_features, target.graph)
     preds = predict_windows(model.forecaster, emb, test_set, st)
-    denormalize_values(preds, st, out=preds)
+    denormalize_values(preds, st)
     return _reports(variant, test_set.targets, preds, horizons, config, target)
 
 

@@ -236,22 +236,20 @@ def _batched_forecast_loss(model_forecaster, embeddings, dataset, idx, stats):
 _PREDICT_BATCH = 512  # windows per tape-free forward call
 
 
-def predict_windows(forecaster, embeddings, dataset, stats=None):
-    """Forecasts for every window of dataset, in order, as one (N, H, N_f)
-    array. Each batch of 512 windows is a slice of the dataset, normalized
-    by stats when the dataset is raw, run through the tape-free forward,
-    so its values do not depend on the workers that
-    ``parallel.for_each`` spreads the batches over: the caller and
-    processes forked for this call alone. Each worker writes its batches
-    into the output, which is shared memory and returned as it is."""
+def predict_windows(forecaster, embeddings, dataset, stats):
+    """Forecasts for every window of the raw dataset, in order, as one
+    (N, H, N_f) array. Each batch of 512 windows is a slice of the dataset,
+    normalized by stats, run through the tape-free forward, so its values
+    do not depend on the workers that ``parallel.for_each`` spreads the
+    batches over: the caller and processes forked for this call alone.
+    Each worker writes its batches into the output, which is shared memory
+    and returned as it is."""
     emb, n = embeddings.data, _PREDICT_BATCH
     out = shared_empty((len(dataset), forecaster.horizon, forecaster.n_features))
 
     def predict_batch(lo):
-        inputs = dataset.inputs[lo:lo + n]
-        if stats is not None:
-            inputs = normalize(inputs, stats)
-        out[lo:lo + n] = fc.predict(forecaster, inputs,
+        out[lo:lo + n] = fc.predict(forecaster,
+                                    normalize(dataset.inputs[lo:lo + n], stats),
                                     emb[dataset.node_ids[lo:lo + n]])
 
     for_each(predict_batch, range(0, len(dataset), n))

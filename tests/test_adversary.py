@@ -171,7 +171,3 @@ class TestAdaptationFactor:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[0] == 0.0
         assert vals[-1] < 1.0
-
-    def test_out_of_range_clamped_with_warning(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            assert adaptation_factor(1.5, 10.0) == adaptation_factor(1.0, 10.0)

@@ -116,8 +116,10 @@ class TestSynth:
         ("name = hamlet\nn_nodes = ten\ndays = 1\n", 1),
         ("name = hamlet\npeak_amplitudes = 300;250;400\npeak_hours = 8\n", 1),
         ("name = hamlet\ntopology = star\ndays = 1\n", 1),
+        ("name = alpha\nn_nodes = 5\ntopology = ring\ndays = 1\n", 1),
+        ("name = hamlet\ndays = 1\ninterval_minutes = 1440\n", 1),
     ], ids=["one-node-ring", "missing", "bad-value", "unpaired-peaks",
-            "unknown-topology"])
+            "unknown-topology", "name-taken", "one-step"])
     def test_failing_spec_writes_no_city(self, tmp_path, capsys, bad_text, code):
         # the good spec comes first; nothing of it may reach --out
         good = write_specs(tmp_path)[0]
@@ -129,6 +131,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists() or os.listdir(out) == []
+
+    def test_second_city_of_one_name_names_both_specs(self, tmp_path, capsys):
+        good = write_specs(tmp_path)[0]
+        bad = tmp_path / "alpha2.spec"
+        bad.write_text("name = alpha\nn_nodes = 5\ntopology = ring\ndays = 1\n")
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), good, str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: city 'alpha' is also named by {good}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [
         ["--config", "c.json"], ["--set", "horizon=3"], ["--variant", "full"],
@@ -749,6 +761,21 @@ class TestPretrainVariant:
         assert not out.exists()
 
 
+class TestNoReportHorizon:
+    # reports are of horizons 3, 6 and 12 within the trained one
+    @pytest.mark.parametrize("command", ["pipeline", "evaluate"])
+    def test_refused_before_any_read_or_write(self, synthed, capsys, command):
+        data, cfg_path, _, tmp_path = synthed
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg_path, "--data", data,
+                     "--out", str(out), "--set", "horizon=2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'horizon' is 2, below every report horizon "
+            "(3, 6, 12), so `evaluate` would write no report\n")
+        assert not out.exists()
+        assert not os.path.exists(os.path.join(data, "alpha.features.csv"))
+
+
 def _file_bytes(*dirs):
     """path -> bytes of every file in the directories dirs."""
     return {os.path.join(d, f): open(os.path.join(d, f), "rb").read()
@@ -819,6 +846,20 @@ class TestCompareSeeds:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seeds 0 and 1" in err
         assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+def test_compare_of_a_mistyped_report_ends_in_one_error_line(synthed, capsys):
+    data, cfg_path, _, tmp_path = synthed
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", cfg_path, "--data", data,
+                 "--out", str(out)]) == 0
+    report = out / "report_ha_h3_s0.txt"
+    report.write_text(report.read_text().replace("horizon=3\n", "horizon='3'\n"))
+    capsys.readouterr()
+    assert main(["compare", str(out), "--reference", "ha"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {report}: report key 'horizon': expected int, got '3'\n")
+    assert not (out / "comparison.csv").exists()
 
 
 class TestNumericWarnings:

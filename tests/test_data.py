@@ -89,8 +89,9 @@ class TestWindows:
             return
         got = make_windows(x, history, horizon)
         want = composed.make_windows(x, history, horizon)
-        assert got.node_ids.dtype == want.node_ids.dtype == np.intp
-        for key in ("node_ids", "inputs", "targets"):
+        assert got.node_ids[:].dtype == want.node_ids.dtype == np.intp
+        assert np.array_equal(got.node_ids[:], want.node_ids)
+        for key in ("inputs", "targets"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
     def test_read_only_views_of_the_series(self, rng):
@@ -320,6 +321,20 @@ class TestSpec:
             synth_generate(SyntheticCitySpec(n_nodes=6, days=1,
                                              peak_amplitudes=(300.0, 250.0),
                                              peak_hours=(8.0,)))
+
+    def test_series_of_one_step_refused(self, tmp_path):
+        # load_series takes the interval from the first two timestamps
+        path = tmp_path / "c.spec"
+        path.write_text("name = ville\ndays = 1\ninterval_minutes = 1440\n")
+        with pytest.raises(DataError) as exc:
+            load_spec(path)
+        assert str(exc.value) == (
+            f"{path}: synthetic spec keys 'days' 1 and 'interval_minutes' "
+            f"1440: expected at least 2 steps, got 1")
+        for days, interval in ((2, 1440), (1, 720)):
+            spec = SyntheticCitySpec.from_kv(
+                {"days": str(days), "interval_minutes": str(interval)})
+            assert len(synth_generate(spec)[1].signal()) == 2
 
     def test_unknown_topology_refused_with_file_and_key(self, tmp_path):
         path = tmp_path / "c.spec"

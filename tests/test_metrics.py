@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ class TestPointMetrics:
             mae([], [])
         with pytest.raises(MetricError):
             rmse([1.0], [1.0, 2.0])
+
+    def test_shapes_must_match(self):
+        # every caller scores truth and predictions of one shape
+        for metric in (mae, rmse, mape):
+            with pytest.raises(MetricError, match=r"bad shapes \(2, 3\) vs \(6,\)"):
+                metric(np.ones((2, 3)), np.ones(6))
 
     def test_mape_hand_value(self):
         value, _ = mape([100.0], [90.0])
@@ -207,6 +214,23 @@ class TestReportIo:
                 MetricReport.read(path)
         path.write_text(good.replace("seed=0\n", ""))
         with pytest.raises(MetricError, match="seed"):
+            MetricReport.read(path)
+
+    @pytest.mark.parametrize("line, key, kind", [
+        ("horizon='3'", "horizon", "int"),
+        ("mae='x'", "mae", "float"),
+        ("seed=None", "seed", "int"),
+        ("n_samples=True", "n_samples", "int"),
+    ], ids=["str-horizon", "str-mae", "none-seed", "bool-int"])
+    def test_value_of_another_kind_refused(self, tmp_path, line, key, kind):
+        path = tmp_path / "rep.txt"
+        report("full", 3, 1.0).write(path)
+        lines = [line if ln.startswith(f"{key}=") else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MetricError, match=(
+                f"^{re.escape(str(path))}: report key '{key}': "
+                f"expected {kind}, got ")):
             MetricReport.read(path)
 
 

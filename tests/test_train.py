@@ -14,7 +14,7 @@ from crosscity import parallel
 from crosscity import train
 from crosscity.autodiff import Tensor
 from crosscity.config import VARIANTS, ExperimentConfig, variant_uses
-from crosscity.data import TrafficSeries, make_windows
+from crosscity.data import NormalizationStats, TrafficSeries, make_windows
 from crosscity.graph import RoadGraph
 from crosscity.train import (DomainData, FinetuneModel, PretrainModel,
                              ProtocolError, ReplayLog, Sgdm, clip_global_norm,
@@ -366,6 +366,8 @@ class TestRunVariant:
 
 # -- batched inference --------------------------------------------------------
 
+UNIT = NormalizationStats(0.0, 1.0)  # normalizes every value to its own bits
+
 def test_predict_windows_equals_per_batch_composed_forecast(rng):
     dataset = make_windows(rng.standard_normal((200, 7)), 12, 3)
     assert len(dataset) > 1024 and len(dataset) % 512  # a short last batch
@@ -374,7 +376,7 @@ def test_predict_windows_equals_per_batch_composed_forecast(rng):
     want = [composed.forecast(p, Tensor(dataset.inputs[lo:lo + 512].copy()),
                               Tensor(emb.data[dataset.node_ids[lo:lo + 512]])).data
             for lo in range(0, len(dataset), 512)]
-    got = train.predict_windows(p, emb, dataset)
+    got = train.predict_windows(p, emb, dataset, UNIT)
     assert got.shape == (len(dataset), 3, 1)
     assert np.array_equal(got, np.concatenate(want, axis=0))
 
@@ -422,10 +424,10 @@ def test_predict_windows_forked_equals_serial_bit_for_bit(
          for lo in range(0, windows, 512)], axis=0)
     forks = _count_forks(monkeypatch)
     _pin_blas(monkeypatch, {}, range(2))
-    serial = train.predict_windows(p, emb, dataset)
+    serial = train.predict_windows(p, emb, dataset, UNIT)
     assert forks == []
     _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(2))
-    split = train.predict_windows(p, emb, dataset)
+    split = train.predict_windows(p, emb, dataset, UNIT)
     assert len(forks) == min(2, -(-windows // 512)) - 1
     assert_no_child_left()
     assert split.shape == serial.shape == (windows, 3, 1)
@@ -441,10 +443,10 @@ def test_predict_windows_with_more_threads_than_cores(rng, monkeypatch):
     p = fc.ForecasterParams(1, 8, 4, 3, rng)
     emb = Tensor(rng.standard_normal((7, 4)))
     _pin_blas(monkeypatch, {}, range(8))
-    serial = train.predict_windows(p, emb, dataset)
+    serial = train.predict_windows(p, emb, dataset, UNIT)
     forks = _count_forks(monkeypatch)
     _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(8))
-    split = train.predict_windows(p, emb, dataset)
+    split = train.predict_windows(p, emb, dataset, UNIT)
     assert len(forks) == 7
     assert_no_child_left()
     assert np.array_equal(split, serial)
@@ -458,7 +460,7 @@ def test_predict_windows_raises_a_failed_workers_exception(rng, monkeypatch):
     predict, calls = fc.predict, []
 
     def failing_after_first_batch(params, inputs, f_v):
-        if not np.shares_memory(inputs, dataset.inputs[:1]):
+        if not np.array_equal(inputs, dataset.inputs[:512]):
             raise ValueError("no forecast past the first batch")
         calls.append(len(inputs))
         return predict(params, inputs, f_v)
@@ -467,7 +469,7 @@ def test_predict_windows_raises_a_failed_workers_exception(rng, monkeypatch):
     forks = _count_forks(monkeypatch)
     _pin_blas(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, range(2))
     with pytest.raises(ValueError, match="^no forecast past the first batch$"):
-        train.predict_windows(p, emb, dataset)
+        train.predict_windows(p, emb, dataset, UNIT)
     assert len(forks) == 1 and calls == [512]  # the caller's batch ran
     assert_no_child_left()
 
