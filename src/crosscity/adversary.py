@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, needs_grad
-from .gin import glorot
+from .autodiff import Tensor, affine_backward, needs_grad
+from .gin import affine_params
 
 LOG_FLOOR = 1e-12
 
@@ -24,10 +24,8 @@ class DomainClassifier:
 
     def __init__(self, in_dim, n_domains, hidden_dim, rng):
         self.n_domains = n_domains
-        self.w1 = Tensor(glorot(rng, in_dim, hidden_dim), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden_dim), requires_grad=True)
-        self.w2 = Tensor(glorot(rng, hidden_dim, n_domains), requires_grad=True)
-        self.b2 = Tensor(np.zeros(n_domains), requires_grad=True)
+        self.w1, self.b1 = affine_params(rng, in_dim, hidden_dim)
+        self.w2, self.b2 = affine_params(rng, hidden_dim, n_domains)
 
     def params(self):
         return {
@@ -79,14 +77,10 @@ def adversarial_loss(classifier, groups, reversal_factor=None):
             dprobs = dprobs * (probs > LOG_FLOOR)
             dot = (dprobs * probs).sum(axis=1, keepdims=True)
             dlogits = probs * (dprobs - dot)
-            c.b2._accum(dlogits.sum(axis=0))
-            c.w2._accum(h.T @ dlogits)
-            dpre = (dlogits @ w2.T) * relu
-            c.b1._accum(dpre.sum(axis=0))
+            dpre = affine_backward(dlogits, h, c.w2, c.b2) * relu
+            dx = affine_backward(dpre, x.data, c.w1, c.b1)
             if needs_grad(x):
-                dx = dpre @ w1.T
                 x._accum(dx if reversal_factor is None else dx * -float(reversal_factor))
-            c.w1._accum(x.data.T @ dpre)
 
     parents = (*(x for x, *_ in saved), c.w1, c.b1, c.w2, c.b2)
     return Tensor._result(np.asarray(total), parents, backward)

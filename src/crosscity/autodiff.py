@@ -4,11 +4,13 @@ Every op records a backward closure on the implicit tape (the graph of
 ``Tensor`` objects); ``backward()`` runs reverse accumulation in topological
 order. Gradients sum when a node feeds multiple consumers. Each model unit
 (GRU window, GIN layer, domain head, combiner, L1 loss) is one fused node
-built on ``Tensor._result`` with a hand-written backward. Beside them
-there are three ops: ``gather_rows`` picks a batch's embedding rows,
-``add`` sums the forecast and domain losses, and ``tsum`` reduces an output
-for benchmarks and tests. The generic ops the fused units are composed of
-are kept in the test suite (tests/composed.py) as their exact references.
+built on ``Tensor._result`` with a hand-written backward; each affine map
+x @ w + b inside one passes its gradient back through ``affine_backward``.
+Beside them there are three ops: ``gather_rows`` picks a batch's embedding
+rows, ``add`` sums the forecast and domain losses, and ``tsum`` reduces an
+output for benchmarks and tests. The generic ops the fused units are
+composed of are kept in the test suite (tests/composed.py) as their exact
+references.
 """
 
 from __future__ import annotations
@@ -88,6 +90,15 @@ def needs_grad(t):
     """True for a parameter or a node on a path from one; gradients flowing
     into any other tensor reach nothing."""
     return t.requires_grad or bool(t._parents)
+
+
+def affine_backward(g, x, w, b):
+    """Backward of the affine map x @ w + b for the array x and parameter
+    Tensors w and b: accumulates g's bias and weight gradients into b and w,
+    in that order, and returns the gradient reaching x."""
+    b._accum(g.sum(axis=0))
+    w._accum(x.T @ g)
+    return g @ w.data.T
 
 
 def add(a, b):

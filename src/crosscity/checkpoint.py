@@ -3,7 +3,8 @@
 Layout: four header lines (version, stage, config_hash, seed), then one
 record per tensor: ``name shape d0,d1 values v1 v2 ...`` with repr-formatted
 floats (shortest decimal that reloads to the same double). Normalization
-statistics ride along as ``stats.<domain>.mean`` / ``.std`` scalar records.
+statistics ride along as ``stats.<domain>.mean`` / ``.std`` scalar records;
+a std that is not above 0 is refused at load.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ def load_checkpoint(path, expect_config_hash=None):
         if name.startswith("stats."):
             if shape:
                 raise CheckpointError(f"line {ln}: {name} is not a scalar")
+            if name.endswith(".std") and arr <= 0:
+                raise CheckpointError(f"line {ln}: {name} is {float(arr)!r}; "
+                                      "a std must be above 0")
             stats_raw[name] = float(arr)
         else:
             tensors[name] = arr

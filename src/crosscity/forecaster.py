@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .gin import glorot
+from .gin import affine_params, glorot
 
 
 class ForecasterParams:
@@ -51,12 +51,8 @@ class ForecasterParams:
         self.b_u = Tensor(np.zeros(hidden_dim), requires_grad=True)
         self.b_r = Tensor(np.zeros(hidden_dim), requires_grad=True)
         self.b_c = Tensor(np.zeros(hidden_dim), requires_grad=True)
-        self.mix_w = Tensor(glorot(rng, embed_dim + hidden_dim, hidden_dim),
-                            requires_grad=True)
-        self.mix_b = Tensor(np.zeros(hidden_dim), requires_grad=True)
-        self.head_w = Tensor(glorot(rng, hidden_dim, horizon * n_features),
-                             requires_grad=True)
-        self.head_b = Tensor(np.zeros(horizon * n_features), requires_grad=True)
+        self.mix_w, self.mix_b = affine_params(rng, embed_dim + hidden_dim, hidden_dim)
+        self.head_w, self.head_b = affine_params(rng, hidden_dim, horizon * n_features)
 
     def params(self):
         return {
@@ -95,8 +91,6 @@ def forecast(params, inputs, f_v):
 
     def backward(g):
         dout = g.reshape(batch, -1)
-        p.head_b._accum(dout.sum(axis=0))
-        p.head_w._accum(hc[hist, 0].T @ dout)
         dfv = np.zeros(fv.shape) if ad.needs_grad(fv) else None
         dx = np.empty(x.shape) if ad.needs_grad(x) else None
         mix_wt, trt, tut, tct = p.mix_w.data.T, tr.T, tu.T, tc.T
@@ -109,7 +103,7 @@ def forecast(params, inputs, f_v):
             (2, batch, hid), (2, batch, hid), (2, batch, hid),
             (batch, gate_in), (batch, gate_in), (batch, gate_in),
             (hist, 4, hid), (hist * max(gate_in, emb + hid) * hid,))
-        np.matmul(dout, p.head_w.data.T, out=dhs[hist])
+        dhs[hist] = ad.affine_backward(dout, hc[hist, 0], p.head_w, p.head_b)
         np.multiply(hc[:hist, 1], hc[:hist, 1], out=omc2)
         np.subtract(1.0, omc2, out=omc2)
         for t in range(hist - 1, -1, -1):

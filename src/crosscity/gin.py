@@ -27,13 +27,18 @@ def glorot(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def affine_params(rng, fan_in, fan_out):
+    """Weight and bias Tensors of a fan_in -> fan_out affine map: a glorot
+    draw from rng and zeros."""
+    return (Tensor(glorot(rng, fan_in, fan_out), requires_grad=True),
+            Tensor(np.zeros(fan_out), requires_grad=True))
+
+
 class GinLayer:
     def __init__(self, in_dim, out_dim, rng):
         self.eps = Tensor(np.zeros(()), requires_grad=True)
-        self.w1 = Tensor(glorot(rng, in_dim, out_dim), requires_grad=True)
-        self.b1 = Tensor(np.zeros(out_dim), requires_grad=True)
-        self.w2 = Tensor(glorot(rng, out_dim, out_dim), requires_grad=True)
-        self.b2 = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.w1, self.b1 = affine_params(rng, in_dim, out_dim)
+        self.w2, self.b2 = affine_params(rng, out_dim, out_dim)
 
     def forward(self, x, agg_matrix, x_agg=None):
         """x: (N, in_dim) tensor; agg_matrix: constant (N, N) mean aggregator.
@@ -44,21 +49,16 @@ class GinLayer:
         xd = x.data
         if x_agg is None:
             x_agg = agg_matrix.data @ xd
-        w1, w2 = self.w1.data, self.w2.data
         scale = self.eps.data + 1.0
         mixed = xd * scale + x_agg
-        pre = mixed @ w1 + self.b1.data[None, :]
+        pre = mixed @ self.w1.data + self.b1.data[None, :]
         mask = pre > 0
         h = pre * mask
-        out = h @ w2 + self.b2.data[None, :]
+        out = h @ self.w2.data + self.b2.data[None, :]
 
         def backward(g):
-            self.b2._accum(g.sum(axis=0))
-            self.w2._accum(h.T @ g)
-            dpre = (g @ w2.T) * mask
-            self.b1._accum(dpre.sum(axis=0))
-            self.w1._accum(mixed.T @ dpre)
-            dmixed = dpre @ w1.T
+            dpre = ad.affine_backward(g, h, self.w2, self.b2) * mask
+            dmixed = ad.affine_backward(dpre, mixed, self.w1, self.b1)
             self.eps._accum((dmixed * xd).sum())
             if ad.needs_grad(x):
                 x._accum(dmixed * scale + agg_matrix.data.T @ dmixed)

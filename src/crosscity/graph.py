@@ -29,12 +29,12 @@ class RoadGraph:
                 raise GraphError(f"edge ({u},{v}) out of range for {n_nodes} nodes")
             dedup.add((min(u, v), max(u, v)))
         self.edges = sorted(dedup)
+        # each list comes out ascending: the edges run in (min, max) order,
+        # so a node meets its smaller neighbors in order, then its larger ones
         self.neighbors = [[] for _ in range(self.n_nodes)]
         for u, v in self.edges:
             self.neighbors[u].append(v)
             self.neighbors[v].append(u)
-        for nbrs in self.neighbors:
-            nbrs.sort()
 
     @property
     def adjacency(self):

@@ -15,9 +15,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .checkpoint import CheckpointError
-from .config import variant_uses
+from .config import VARIANTS, variant_uses
 from .data import chrono_split, denormalize_values, make_windows
-from .textio import DataError, atomic_open, check_fields, write_table
+from .textio import (AT_LEAST_0, AT_LEAST_1, DataError, atomic_open, check_fields,
+                     write_table)
 from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
 
 
@@ -90,7 +91,9 @@ class MetricReport:
     @classmethod
     def read(cls, path):
         """Parse write's lines; values are Python literals, never code, each
-        of its field's kind (an int counts as a float, a bool as neither)."""
+        of its field's kind (an int counts as a float, a bool as neither)
+        and within its field's range (``_REPORT_RULES``), with no more
+        samples in the MAPE than in the report."""
         known = {f.name for f in fields(cls)}
         kv = {}
         with open(path) as fh:
@@ -104,15 +107,25 @@ class MetricReport:
                     raise MetricError(f"{path}, line {ln}: {line.strip()!r}: "
                                       f"{exc}") from exc
         try:
-            check_fields(kv, _REPORT_KINDS, {}, "report")
-            return cls(**kv)
+            check_fields(kv, _REPORT_KINDS, _REPORT_RULES, "report")
+            report = cls(**kv)
         except (DataError, TypeError) as exc:
             raise MetricError(f"{path}: {exc}") from exc
+        if report.mape_included > report.n_samples:
+            raise MetricError(f"{path}: mape_included {report.mape_included} "
+                              f"exceeds n_samples {report.n_samples}")
+        return report
 
 
 # a report holding a value of each field's kind, as ``check_fields`` reads them
 _REPORT_KINDS = MetricReport(variant="", horizon=0, mae=0.0, rmse=0.0, mape=0.0,
                              n_samples=0, mape_included=0, seed=0, config_hash="")
+_REPORT_RULES = {
+    "variant": ((f"one of {', '.join(VARIANTS)} or ha",
+                 lambda v: v in VARIANTS or v == "ha"),),
+    **dict.fromkeys(("horizon", "n_samples"), (AT_LEAST_1,)),
+    **dict.fromkeys(("seed", "mape_included", "mae", "rmse", "mape"), (AT_LEAST_0,)),
+}
 
 
 def _reports(variant, truth, preds, horizons, config, target):
@@ -195,7 +208,8 @@ def evaluate_ha(config, target, horizons):
 def compare_variants(reports, reference):
     """Percentage improvement of every report over the named reference at
     the same horizon. Returns rows of dicts ready for CSV. A variant may
-    have one report per horizon: MetricError names both seeds of a second."""
+    have one report per horizon: MetricError names both seeds of a second.
+    Reports of different configs are refused too."""
     domains = {r.domain for r in reports}
     if len(domains) > 1:
         raise MetricError(f"reports span multiple datasets: {sorted(domains)}")
@@ -205,6 +219,10 @@ def compare_variants(reports, reference):
         if first is not rep:
             raise MetricError(f"two reports of variant {rep.variant!r} at horizon "
                               f"{rep.horizon}, of seeds {first.seed} and {rep.seed}")
+    hashes = sorted({r.config_hash for r in reports})
+    if len(hashes) > 1:
+        raise MetricError(f"reports of different configs: config hashes "
+                          f"{', '.join(hashes)}")
     refs = {r.horizon: r for r in reports if r.variant == reference}
     if not refs:
         raise MetricError(f"reference variant {reference!r} not among reports")

@@ -24,7 +24,7 @@ from .autodiff import Tensor
 from .checkpoint import Checkpoint, CheckpointError
 from .config import check_pretrain, variant_uses
 from .data import NormalizationStats, chrono_split, make_windows, normalize
-from .gin import SpatialEncoder, glorot
+from .gin import SpatialEncoder, affine_params
 from .forecaster import ForecasterParams
 from .parallel import for_each, shared_empty
 from .textio import atomic_open
@@ -124,12 +124,9 @@ class CombinerParams:
     """Three affine maps fusing shared and private embeddings."""
 
     def __init__(self, dim, rng):
-        def affine():
-            return (Tensor(glorot(rng, dim, dim), requires_grad=True),
-                    Tensor(np.zeros(dim), requires_grad=True))
-        self.pre_w, self.pre_b = affine()
-        self.pri_w, self.pri_b = affine()
-        self.cmb_w, self.cmb_b = affine()
+        self.pre_w, self.pre_b = affine_params(rng, dim, dim)
+        self.pri_w, self.pri_b = affine_params(rng, dim, dim)
+        self.cmb_w, self.cmb_b = affine_params(rng, dim, dim)
 
     def combine(self, shared, private):
         """cmb(pre(shared) + pri(private)) for the affine maps pre, pri and
@@ -141,14 +138,10 @@ class CombinerParams:
                  + (private.data @ self.pri_w.data + self.pri_b.data[None, :]))
 
         def backward(g):
-            self.cmb_b._accum(g.sum(axis=0))
-            self.cmb_w._accum(mixed.T @ g)
-            dmixed = g @ self.cmb_w.data.T
+            dmixed = ad.affine_backward(g, mixed, self.cmb_w, self.cmb_b)
             for x, w, b in ((shared, self.pre_w, self.pre_b),
                             (private, self.pri_w, self.pri_b)):
-                b._accum(dmixed.sum(axis=0))
-                w._accum(x.data.T @ dmixed)
-                x._accum(dmixed @ w.data.T)
+                x._accum(ad.affine_backward(dmixed, x.data, w, b))
 
         return Tensor._result(
             mixed @ self.cmb_w.data + self.cmb_b.data[None, :],

@@ -528,11 +528,16 @@ def read_table(path, parse_first, width=None):
 
 
 def load_series(path, graph):
-    """Same contract as ``data.load_series`` on files whose timestamps are
-    all naive or all aware."""
+    """Same contract as ``data.load_series``."""
     stamps, rows = read_table(path, datetime.fromisoformat, graph.n_nodes + 1)
     if len(rows) < 2:
         raise DataError(f"{path}: {len(rows)} rows, too few to fix the interval")
+    aware = stamps[0].tzinfo is not None
+    for i, stamp in enumerate(stamps):
+        if (stamp.tzinfo is not None) != aware:
+            raise DataError(f"{path}, line {i + 2}: a timezone-"
+                            f"{'naive' if aware else 'aware'} timestamp after "
+                            f"timezone-{'aware' if aware else 'naive'} ones")
     step, minute = stamps[1] - stamps[0], timedelta(minutes=1)
     if step > timedelta(0) and step % minute:
         raise DataError(f"{path}, line 3: interval {step} is not whole minutes")

@@ -161,6 +161,17 @@ class TestErrors:
                            match="line 6: stats.metro.std holds a non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("std", ["0.0", "-5.0"])
+    def test_std_not_above_zero(self, tmp_path, std):
+        path = tmp_path / "zs.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            "stats.metro.mean shape - values 1.0\n"
+            f"stats.metro.std shape - values {std}\n")
+        with pytest.raises(CheckpointError, match=f"line 6: stats.metro.std is "
+                                                  f"{std}; a std must be above 0"):
+            load_checkpoint(path)
+
 
 class TestAtomicSave:
     def test_failed_save_keeps_old_file(self, rng, tmp_path):
@@ -201,6 +212,10 @@ def test_fuzzed_round_trip_is_bit_exact(tmp_path_factory, tensor_map, stats):
                       {d: NormalizationStats(*ms) for d, ms in stats.items()})
     save_checkpoint(ckpt, path)
     text = path.read_text()
+    if any(std <= 0 for _, std in stats.values()):
+        with pytest.raises(CheckpointError, match="a std must be above 0"):
+            load_checkpoint(path)
+        return
     back = load_checkpoint(path)
     assert back == ckpt
     save_checkpoint(back, path)

@@ -479,6 +479,25 @@ class TestErrors:
                        "domain 'tee'\n")
         assert not [f for f in os.listdir(out) if f.startswith("report_")]
 
+    def test_evaluate_rejects_checkpoint_with_zero_std(self, synthed, capsys):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out]
+        for stage in ("embed", "pretrain", "finetune"):
+            assert main([stage, *common]) == 0
+        path = os.path.join(out, "finetuned.ckpt")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines("stats.tee.std shape - values 0.0\n"
+                          if ln.startswith("stats.tee.std ") else ln
+                          for ln in lines)
+        capsys.readouterr()
+        assert main(["evaluate", *common]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stats.tee.std is 0.0; a std must be above 0" in err
+        assert not [f for f in os.listdir(out) if f.startswith("report_")]
+
     def test_evaluate_rejects_checkpoint_with_nan_values(self, synthed, capsys):
         data, cfg_path, _, tmp_path = synthed
         out = str(tmp_path / "o")
@@ -846,6 +865,21 @@ class TestCompareSeeds:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "seeds 0 and 1" in err
         assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+def test_compare_of_reports_of_two_configs_is_refused(synthed, capsys):
+    data, cfg_path, _, tmp_path = synthed
+    out = str(tmp_path / "run")
+    common = ["--config", cfg_path, "--data", data, "--out", out]
+    assert main(["pipeline", *common, "--variant", "full"]) == 0
+    assert main(["pipeline", *common, "--variant", "wo_da",
+                 "--set", "hidden_dim=4"]) == 0
+    capsys.readouterr()
+    assert main(["compare", out, "--reference", "ha"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reports of different configs: ")
+    assert err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "comparison.csv"))
 
 
 def test_compare_of_a_mistyped_report_ends_in_one_error_line(synthed, capsys):

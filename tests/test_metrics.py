@@ -173,6 +173,12 @@ class TestCompare:
         assert [(r["variant"], r["horizon"]) for r in rows] == [
             ("full", 3), ("ha", 3), ("full", 6), ("ha", 6)]
 
+    def test_reports_of_different_configs_refused(self):
+        other = dataclasses.replace(report("full", 3, 9.0), config_hash="feedfacefeedface")
+        with pytest.raises(MetricError, match="^reports of different configs: config "
+                                              "hashes deadbeefdeadbeef, feedfacefeedface$"):
+            compare_variants([report("ha", 3, 10.0), other], "ha")
+
     def test_missing_reference(self):
         with pytest.raises(MetricError, match="reference"):
             compare_variants([report("full", 3, 1.0)], "ha")
@@ -231,6 +237,37 @@ class TestReportIo:
         with pytest.raises(MetricError, match=(
                 f"^{re.escape(str(path))}: report key '{key}': "
                 f"expected {kind}, got ")):
+            MetricReport.read(path)
+
+    @pytest.mark.parametrize("line, key, expects", [
+        ("horizon=-3", "horizon", "at least 1"),
+        ("n_samples=0", "n_samples", "at least 1"),
+        ("seed=-1", "seed", "at least 0"),
+        ("mape_included=-1", "mape_included", "at least 0"),
+        ("mae=-0.5", "mae", "at least 0"),
+        ("rmse=-0.5", "rmse", "at least 0"),
+        ("mape=-0.5", "mape", "at least 0"),
+        ("variant='bogus'", "variant", "one of full, .* or ha"),
+    ], ids=["horizon", "n_samples", "seed", "mape_included", "mae", "rmse", "mape",
+            "variant"])
+    def test_value_out_of_range_refused(self, tmp_path, line, key, expects):
+        path = tmp_path / "rep.txt"
+        report("full", 3, 1.0).write(path)
+        lines = [line if ln.startswith(f"{key}=") else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MetricError, match=(
+                f"^{re.escape(str(path))}: report key '{key}': "
+                f"expected {expects}, got {re.escape(line.partition('=')[2])}$")):
+            MetricReport.read(path)
+
+    def test_more_mape_samples_than_samples_refused(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        report("full", 3, 1.0).write(path)
+        path.write_text(path.read_text().replace("mape_included=90\n",
+                                                 "mape_included=101\n"))
+        with pytest.raises(MetricError, match=(
+                f"^{re.escape(str(path))}: mape_included 101 exceeds n_samples 100$")):
             MetricReport.read(path)
 
 

@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import composed
@@ -154,6 +154,7 @@ def _series_lines(seed):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 3), _mutations())
+@example(seed=0, mutation=[("insert", 304, 1811, "-")])  # one aware timestamp
 def test_load_series_equals_per_cell_reader(scratch, seed, mutation):
     path = scratch / "series.csv"
     path.write_text(_mutate(_series_lines(seed), 1, mutation), newline="")
