@@ -5,7 +5,8 @@ Every op records a backward closure on the implicit tape (the graph of
 order. Gradients sum when a node feeds multiple consumers. Each model unit
 (GRU window, GIN layer, domain head, combiner, L1 loss) is one fused node
 built on ``Tensor._result`` with a hand-written backward; each affine map
-x @ w + b inside one passes its gradient back through ``affine_backward``.
+x @ w + b inside one passes its gradient back through ``affine_backward``,
+except the GRU window's gates and mix, whose gradients sum over the window.
 Beside them there are three ops: ``gather_rows`` picks a batch's embedding
 rows, ``add`` sums the forecast and domain losses, and ``tsum`` reduces an
 output for benchmarks and tests. The generic ops the fused units are
@@ -92,13 +93,14 @@ def needs_grad(t):
     return t.requires_grad or bool(t._parents)
 
 
-def affine_backward(g, x, w, b):
+def affine_backward(g, x, w, b, out=None):
     """Backward of the affine map x @ w + b for the array x and parameter
     Tensors w and b: accumulates g's bias and weight gradients into b and w,
-    in that order, and returns the gradient reaching x."""
+    in that order, and returns the gradient reaching x (written into out
+    when it is given)."""
     b._accum(g.sum(axis=0))
     w._accum(x.T @ g)
-    return g @ w.data.T
+    return np.matmul(g, w.data.T, out=out)
 
 
 def add(a, b):

@@ -103,7 +103,7 @@ def forecast(params, inputs, f_v):
             (2, batch, hid), (2, batch, hid), (2, batch, hid),
             (batch, gate_in), (batch, gate_in), (batch, gate_in),
             (hist, 4, hid), (hist * max(gate_in, emb + hid) * hid,))
-        dhs[hist] = ad.affine_backward(dout, hc[hist, 0], p.head_w, p.head_b)
+        ad.affine_backward(dout, hc[hist, 0], p.head_w, p.head_b, out=dhs[hist])
         np.multiply(hc[:hist, 1], hc[:hist, 1], out=omc2)
         np.subtract(1.0, omc2, out=omc2)
         for t in range(hist - 1, -1, -1):

@@ -211,11 +211,13 @@ def test_fuzzed_round_trip_is_bit_exact(tmp_path_factory, tensor_map, stats):
     ckpt = Checkpoint("pretrained", "0123456789abcdef", 3, tensor_map,
                       {d: NormalizationStats(*ms) for d, ms in stats.items()})
     save_checkpoint(ckpt, path)
-    text = path.read_text()
     if any(std <= 0 for _, std in stats.values()):
         with pytest.raises(CheckpointError, match="a std must be above 0"):
             load_checkpoint(path)
-        return
+        ckpt.stats = {d: NormalizationStats(mean, abs(std) or 1.0)
+                      for d, (mean, std) in stats.items()}
+        save_checkpoint(ckpt, path)
+    text = path.read_text()
     back = load_checkpoint(path)
     assert back == ckpt
     save_checkpoint(back, path)
