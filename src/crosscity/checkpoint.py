@@ -4,7 +4,8 @@ Layout: four header lines (version, stage, config_hash, seed), then one
 record per tensor: ``name shape d0,d1 values v1 v2 ...`` with repr-formatted
 floats (shortest decimal that reloads to the same double). Normalization
 statistics ride along as ``stats.<domain>.mean`` / ``.std`` scalar records;
-a std that is not above 0 is refused at load.
+a std that is not above 0, and any other ``stats.`` record, is refused at
+load.
 """
 
 from __future__ import annotations
@@ -113,21 +114,22 @@ def load_checkpoint(path, expect_config_hash=None):
                 f"line {ln}: {name} expects {expected} values, found {vals.size}")
         arr = vals.reshape(shape)
         if name.startswith("stats."):
+            domain, dot, field = name[len("stats."):].rpartition(".")
+            if not dot or field not in ("mean", "std"):
+                raise CheckpointError(f"line {ln}: {name} is neither a "
+                                      "stats.<domain>.mean nor a .std record")
             if shape:
                 raise CheckpointError(f"line {ln}: {name} is not a scalar")
-            if name.endswith(".std") and arr <= 0:
+            if field == "std" and arr <= 0:
                 raise CheckpointError(f"line {ln}: {name} is {float(arr)!r}; "
                                       "a std must be above 0")
-            stats_raw[name] = float(arr)
+            stats_raw.setdefault(domain, {})[field] = float(arr)
         else:
             tensors[name] = arr
     stats = {}
-    for name in stats_raw:
-        domain = name[len("stats."):].rpartition(".")[0]
-        mean = stats_raw.get(f"stats.{domain}.mean")
-        std = stats_raw.get(f"stats.{domain}.std")
-        if mean is None or std is None:
+    for domain, fields in stats_raw.items():
+        if len(fields) < 2:
             raise CheckpointError(f"incomplete stats for domain {domain!r}")
-        stats[domain] = NormalizationStats(mean, std)
+        stats[domain] = NormalizationStats(fields["mean"], fields["std"])
     return Checkpoint(header["stage"], header["config_hash"], seed, tensors,
                       stats)

@@ -17,8 +17,8 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .config import VARIANTS, variant_uses
 from .data import chrono_split, denormalize_values, make_windows
-from .textio import (AT_LEAST_0, AT_LEAST_1, DataError, atomic_open, check_fields,
-                     write_table)
+from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, FINITE, DataError, atomic_open,
+                     check_fields, write_table)
 from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
 
 
@@ -124,7 +124,9 @@ _REPORT_RULES = {
     "variant": ((f"one of {', '.join(VARIANTS)} or ha",
                  lambda v: v in VARIANTS or v == "ha"),),
     **dict.fromkeys(("horizon", "n_samples"), (AT_LEAST_1,)),
-    **dict.fromkeys(("seed", "mape_included", "mae", "rmse", "mape"), (AT_LEAST_0,)),
+    **dict.fromkeys(("seed", "mape_included"), (AT_LEAST_0,)),
+    **dict.fromkeys(("mae", "rmse", "mape"), (FINITE, AT_LEAST_0)),
+    "mape_threshold": (FINITE, ABOVE_0),
 }
 
 

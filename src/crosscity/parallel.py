@@ -1,12 +1,15 @@
 """Fork-join over worker processes, for work made of independent tasks
-whose results are float arrays.
+whose results are float arrays or text files.
 
 The caller is worker 0 and ``os.fork`` starts workers 1..W-1 for one call
 alone, so no pool outlives it. Every worker writes its results into arrays
-made with ``shared_empty`` before the fork, which all workers see. Nothing
+made with ``shared_empty`` before the fork, which all workers see, or into
+part files of its own written through ``textio.atomic_open``, which the
+caller reads once every worker has ended (``textio.write_table``). Nothing
 else crosses between processes but a failed worker's exception. A task
 reads only what the fork copied and writes only its own part of a shared
-array, so its results do not depend on the worker that ran it.
+array or its own part file, so its results do not depend on the worker
+that ran it.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ import contextlib
 import itertools
 import math
 import os
+import shutil
 
 import numpy as np
+
+from . import parallel
 
 
 class DataError(ValueError):
@@ -33,13 +36,62 @@ def float_reprs(values):
     return map(repr, np.asarray(values, dtype=np.float64).tolist())
 
 
+# float cells above which write_table formats a table on several workers.
+# On a 2-vCPU VM (Python 3.11, numpy 2.4) a cell's repr costs about 1.3 us
+# and a fork and join of two workers, with their part files, about 4 ms.
+# Medians of 61 alternated writes of a 70-column table, serial against two
+# workers: 6.0 against 8.5 ms at 4,060 cells, 11.9 against 12.2 ms at
+# 8,190, 17.1 against 14.6 ms at 12,250 and 102.5 against 64.4 ms at 80,640.
+PARALLEL_CELLS = 8192
+
+
 def write_table(path, header, rows):
     """Write a CSV file: the header's cells, then for each (lead, values) of
-    rows a line of lead, as text, and the floats values."""
+    rows a line of lead, as text, and the floats values.
+
+    A table of more than ``PARALLEL_CELLS`` float cells is cut into one
+    contiguous block of rows per worker of ``parallel.worker_count``; worker
+    k formats block k into part file k, and the parts are streamed in order
+    into the table's temp file and then removed, whether or not every worker
+    succeeds. A smaller table, or one that worker_count gives one worker,
+    goes straight into the temp file. Either way the bytes are the same.
+    The cut-off, 8,192 cells, is where two workers broke even with one on a
+    2-vCPU VM (12.2 against 11.9 ms for 8,190 cells), as a fork and join
+    costs about 4 ms; see ``PARALLEL_CELLS``."""
+    rows = list(rows)
+    cells = sum(len(values) for _, values in rows)
+    workers = parallel.worker_count(len(rows)) if cells > PARALLEL_CELLS else 1
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for lead, values in rows:
-            fh.write(f"{lead},{','.join(float_reprs(values))}\n")
+        if workers == 1:
+            _write_rows(fh, rows)
+        else:
+            _write_blocks(fh, path, rows, workers)
+
+
+def _write_rows(fh, rows):
+    for lead, values in rows:
+        fh.write(f"{lead},{','.join(float_reprs(values))}\n")
+
+
+def _write_blocks(fh, path, rows, workers):
+    """rows into fh through part files beside path, block k by worker k."""
+    parts = [f"{path}.{os.getpid()}.part{k}" for k in range(workers)]
+    bounds = [len(rows) * k // workers for k in range(workers + 1)]
+
+    def work(k):
+        with atomic_open(parts[k]) as part:
+            _write_rows(part, rows[bounds[k]:bounds[k + 1]])
+
+    try:
+        parallel.fork_join(work, workers)
+        for part in parts:
+            with open(part) as src:
+                shutil.copyfileobj(src, fh)
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
 
 
 def content_lines(path):
@@ -192,6 +244,7 @@ def parse_fields(kv, defaults, what):
 AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
 AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 ABOVE_0 = ("a value above 0", lambda v: v > 0)
+FINITE = ("a finite value", math.isfinite)
 
 
 def check_fields(d, defaults, rules, what):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +172,20 @@ class TestErrors:
             f"stats.metro.std shape - values {std}\n")
         with pytest.raises(CheckpointError, match=f"line 6: stats.metro.std is "
                                                   f"{std}; a std must be above 0"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["stats.tee.bogus", "stats.tee.means",
+                                      "stats.mean"])
+    def test_unknown_stats_record(self, tmp_path, name):
+        path = tmp_path / "us.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            "stats.tee.mean shape - values 1.0\n"
+            f"{name} shape - values 3.0\n"
+            "stats.tee.std shape - values 2.0\n")
+        with pytest.raises(CheckpointError, match=(
+                f"^line 6: {re.escape(name)} is neither a stats.<domain>.mean "
+                "nor a .std record$")):
             load_checkpoint(path)
 
 

@@ -248,8 +248,10 @@ class TestReportIo:
         ("rmse=-0.5", "rmse", "at least 0"),
         ("mape=-0.5", "mape", "at least 0"),
         ("variant='bogus'", "variant", "one of full, .* or ha"),
+        ("mape_threshold=-7.0", "mape_threshold", "a value above 0"),
+        ("mape_threshold=0", "mape_threshold", "a value above 0"),
     ], ids=["horizon", "n_samples", "seed", "mape_included", "mae", "rmse", "mape",
-            "variant"])
+            "variant", "mape_threshold", "zero-mape_threshold"])
     def test_value_out_of_range_refused(self, tmp_path, line, key, expects):
         path = tmp_path / "rep.txt"
         report("full", 3, 1.0).write(path)
@@ -259,6 +261,23 @@ class TestReportIo:
         with pytest.raises(MetricError, match=(
                 f"^{re.escape(str(path))}: report key '{key}': "
                 f"expected {expects}, got {re.escape(line.partition('=')[2])}$")):
+            MetricReport.read(path)
+
+    @pytest.mark.parametrize("line, key, got", [
+        ("mae=1e999", "mae", "inf"),
+        ("rmse=-1e999", "rmse", "-inf"),
+        ("mape=1e999", "mape", "inf"),
+        ("mape_threshold=1e999", "mape_threshold", "inf"),
+    ], ids=["mae", "rmse", "mape", "mape_threshold"])
+    def test_non_finite_value_refused(self, tmp_path, line, key, got):
+        path = tmp_path / "rep.txt"
+        report("full", 3, 1.0).write(path)
+        lines = [line if ln.startswith(f"{key}=") else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MetricError, match=(
+                f"^{re.escape(str(path))}: report key '{key}': "
+                f"expected a finite value, got {got}$")):
             MetricReport.read(path)
 
     def test_more_mape_samples_than_samples_refused(self, tmp_path):

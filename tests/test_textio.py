@@ -1,5 +1,6 @@
 import ast
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,13 @@ from crosscity import data as dio
 from crosscity import graph as gr
 from crosscity import metrics as mx
 from crosscity import node2vec as n2v
+from crosscity import parallel
 from crosscity import textio
 from crosscity.config import ExperimentConfig
 from crosscity.train import DomainData, ReplayLog
+
+from conftest import assert_no_child_left
+from test_cli import write_specs
 
 PACKAGE = Path(textio.__file__).parent
 
@@ -128,3 +133,65 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp(
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == [path.name]
 
+
+
+# -- write_table on several workers -----------------------------------------
+
+def _forking(monkeypatch, cpus):
+    """From now on ``parallel.worker_count`` gives min(cpus, tasks) workers."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+
+
+@pytest.mark.parametrize("cpus, n_rows", [(2, 1), (4, 3), (2, 7)],
+                         ids=["one-row", "fewer-rows-than-cpus", "odd-rows"])
+def test_blocks_on_workers_write_the_serial_bytes(tmp_path, monkeypatch, cpus, n_rows):
+    header = ["t", "a", "b", "c", "d", "e"]
+    values = (np.random.default_rng(n_rows).standard_normal((n_rows, 5))
+              * 10.0 ** np.arange(-3, 2))
+    values[0, :3] = (-0.0, 5e-324, 1e300)
+    rows = [(f"r{i}", row) for i, row in enumerate(values)]
+    serial = tmp_path / "serial.csv"
+    textio.write_table(serial, header, rows)  # under the cut-off: serial
+    _forking(monkeypatch, cpus)
+    monkeypatch.setattr(textio, "PARALLEL_CELLS", 0)
+    joins, fork_join = [], parallel.fork_join
+
+    def counting(work, workers):
+        joins.append(workers)
+        fork_join(work, workers)
+
+    monkeypatch.setattr(parallel, "fork_join", counting)
+    textio.write_table(tmp_path / "blocks.csv", header, rows)
+    assert_no_child_left()
+    assert joins == ([] if n_rows == 1 else [min(cpus, n_rows)])
+    assert (tmp_path / "blocks.csv").read_bytes() == serial.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["blocks.csv", "serial.csv"]
+
+
+@pytest.mark.parametrize("bad_row", [0, 4], ids=["caller", "child"])
+def test_a_failing_worker_leaves_no_file(tmp_path, monkeypatch, bad_row):
+    _forking(monkeypatch, 2)
+    monkeypatch.setattr(textio, "PARALLEL_CELLS", 0)
+    rows = [(i, [float(i), 2.0]) for i in range(5)]  # blocks of rows 0-1 and 2-4
+    rows[bad_row] = (bad_row, [1.0, "not a number"])
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        textio.write_table(tmp_path / "t.csv", ["n", "a", "b"], rows)
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+
+
+def test_tables_under_the_cut_off_never_fork(tmp_path, monkeypatch):
+    _forking(monkeypatch, 2)
+
+    def no_fork(work, workers):
+        raise AssertionError(f"fork_join of {workers} workers")
+
+    monkeypatch.setattr(parallel, "fork_join", no_fork)
+    mx.MetricReport("full", 3, 1.0, 2.0, 0.1, 9, 9, 0, "abc").write(
+        tmp_path / "report.txt")
+    WRITERS["write_comparison_csv"](tmp_path / "comparison.csv", monkeypatch)
+    assert cli.main(["synth", "--out", str(tmp_path / "data")]
+                    + write_specs(tmp_path)) == 0
