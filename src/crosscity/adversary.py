@@ -51,10 +51,9 @@ def adversarial_loss(classifier, groups, reversal_factor=None):
     c = classifier
     w1, b1, w2, b2 = c.w1.data, c.b1.data, c.w2.data, c.b2.data
     saved, total = [], None
-    for emb, domain in groups:
-        if emb.shape[0] == 0:
+    for x, domain in groups:
+        if x.shape[0] == 0:
             raise ValueError(f"adversarial_loss: empty group for domain {domain}")
-        x = emb if isinstance(emb, Tensor) else Tensor(emb)
         pre = x.data @ w1 + b1[None, :]
         relu = pre > 0
         h = pre * relu

@@ -39,9 +39,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod

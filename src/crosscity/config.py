@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
-from .textio import ABOVE_0, AT_LEAST_0, AT_LEAST_1, check_fields, parse_fields
+from .textio import ABOVE_0, AT_LEAST_0, AT_LEAST_1, CITY_NAMES, check_fields, parse_fields
 
 
 class VariantUses(NamedTuple):
@@ -76,8 +77,7 @@ _RULES = {
     "split_ratios": (("three positive ratios summing to 1",
                       lambda v: len(v) == 3 and all(r > 0 for r in v)
                       and abs(sum(v) - 1.0) <= 1e-9),),
-    "target_domain": (("a non-empty name", lambda v: v != ""),),
-    "source_domains": (("non-empty names", lambda v: "" not in v),),
+    **dict.fromkeys(("source_domains", "target_domain"), (CITY_NAMES,)),
 }
 
 
@@ -131,10 +131,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         """The config of a JSON object. Each value must have its field's
-        kind and pass its key's rules (``_RULES``, which also refuse empty
-        domain names), and is kept as it is, so the hash sees what the JSON
-        said. The source domains must be distinct and exclude the
-        target."""
+        kind and pass its key's rules (``_RULES``, which also refuse a city
+        name that is empty or holds whitespace or '/'), and is kept as it
+        is, so the hash sees what the JSON said. The source domains must be
+        distinct and exclude the target."""
         if not isinstance(d, dict):
             raise ValueError(f"a config is a JSON object, got {d!r}")
         unknown = set(d) - set(cls.__dataclass_fields__)
@@ -157,7 +157,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        """from_dict of the JSON text; ValueError names both lines of a key
+        that appears twice in one object."""
+        def unique(pairs):
+            for again, (key, _) in enumerate(pairs):
+                if key in dict(pairs[:again]):
+                    # every string of the text in turn, and a key's colon
+                    lines = [text.count("\n", 0, m.start()) + 1 for m in
+                             re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?', text)
+                             if m.group(2) and json.loads(m.group(1)) == key]
+                    raise ValueError(f"config key {key!r} appears on lines "
+                                     f"{lines[0]} and {lines[1]}")
+            return dict(pairs)
+
+        return cls.from_dict(json.loads(text, object_pairs_hook=unique))
 
     def config_hash(self):
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

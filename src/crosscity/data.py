@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import RoadGraph
-from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, DataError, check_fields,
-                     content_lines, parse_fields, read_table, write_table)
+from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, CITY_NAMES, DataError,
+                     check_fields, content_lines, parse_fields, read_table, write_table)
 
 
 class TrafficSeries:
@@ -198,6 +198,7 @@ TOPOLOGIES = ("ring", "grid", "random-geometric")
 # most a day, and then a whole fraction of one, as a day holds
 # 24 * 60 // interval steps
 _SPEC_RULES = {
+    "name": (CITY_NAMES,),
     **dict.fromkeys(("n_nodes", "days"), (AT_LEAST_1,)),
     "topology": ((f"one of {', '.join(TOPOLOGIES)}",
                   lambda v: v in TOPOLOGIES),),
@@ -244,10 +245,15 @@ class SyntheticCitySpec:
 
 
 def load_spec(path):
-    kv = {}
-    for _, line in content_lines(path):
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
+    """The spec of the file's `key = value` lines; DataError names the path
+    and the first key it refuses, or both lines of a key given twice."""
+    kv, line_of = {}, {}
+    for ln, line in content_lines(path):
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in line_of:
+            raise DataError(f"{path}: synthetic spec key {key!r} appears on "
+                            f"lines {line_of[key]} and {ln}")
+        line_of[key], kv[key] = ln, val
     try:
         return SyntheticCitySpec.from_kv(kv)
     except DataError as exc:

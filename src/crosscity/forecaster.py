@@ -72,7 +72,8 @@ class ForecasterParams:
 def forecast(params, inputs, f_v):
     """Roll the cell over a window and apply the output head.
 
-    inputs: (B, H', N_f) Tensor/ndarray; f_v: (B, D_f). Returns a
+    inputs: (B, H', N_f) array of traffic windows, which are data and get
+    no gradient; f_v: (B, D_f) Tensor of node embeddings. Returns a
     (B, H, N_f) prediction Tensor on the normalized scale. h_0 = 0.
 
     One tape node: the forward pass keeps every step's inputs and gates in
@@ -82,17 +83,14 @@ def forecast(params, inputs, f_v):
     operand layouts of the per-step composition of autodiff ops, and every
     sum its order, so values and gradients equal it bit for bit.
     """
-    x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-    fv = f_v if isinstance(f_v, Tensor) else Tensor(f_v)
     p = params
-    out, (xh, xrh, fe, gates, hc, tr, tu, tc) = _roll(p, x.data, fv.data, keep=True)
-    batch, hist, n_f = x.shape
+    out, (xh, xrh, fe, gates, hc, tr, tu, tc) = _roll(p, inputs, f_v.data, keep=True)
+    batch, hist, n_f = inputs.shape
     hid, emb = p.hidden_dim, p.embed_dim
 
     def backward(g):
         dout = g.reshape(batch, -1)
-        dfv = np.zeros(fv.shape) if ad.needs_grad(fv) else None
-        dx = np.empty(x.shape) if ad.needs_grad(x) else None
+        dfv = np.zeros(f_v.shape) if ad.needs_grad(f_v) else None
         mix_wt, trt, tut, tct = p.mix_w.data.T, tr.T, tu.T, tc.T
         gate_in = n_f + hid
         # dhs[t + 1] is the gradient reaching step t's output, dhs[0] h_0's
@@ -128,8 +126,6 @@ def forecast(params, inputs, f_v):
             np.multiply(db, g_t[:2], out=prod)
             np.add(prod[0], prod[1], out=dhs[t])
             dhs[t] += dxh[:, n_f:]
-            if dx is not None:
-                np.add(dxh[:, :n_f], dxrh[:, :n_f], out=dx[:, t, :])
         # sums over time run from the last step back, as the tape's would
         np.sum(dz, axis=2, out=dbias[:, :2])
         np.sum(dzc, axis=1, out=dbias[:, 2])
@@ -143,11 +139,9 @@ def forecast(params, inputs, f_v):
                             (p.mix_b, dmix_b)):
             param._accum(grad)
         if dfv is not None:
-            fv._accum(dfv)
-        if dx is not None:
-            x._accum(dx)
+            f_v._accum(dfv)
 
-    return Tensor._result(out, (x, fv, *p.params().values()), backward)
+    return Tensor._result(out, (f_v, *p.params().values()), backward)
 
 
 def predict(params, inputs, f_v):
@@ -169,7 +163,6 @@ def _roll(p, x, fv, keep):
     the biases broadcast over the batch, so a call allocates only these
     stacks and the output.
     """
-    x, fv = np.asarray(x), np.asarray(fv)
     batch, hist, n_f = x.shape if x.ndim == 3 else (0, 0, None)
     if n_f != p.n_features or fv.shape != (batch, p.embed_dim):
         raise ad.ShapeError(f"forecast: inputs must be (B, H', {p.n_features}) and f_v "
@@ -268,13 +261,12 @@ def _sigmoid(g):
 
 def source_loss(predictions, targets):
     """Mean absolute error over horizon steps and batch entries (Eq.-style
-    L1 average) of a prediction Tensor against constant targets; one tape
-    node, with subgradient 0 at exact ties."""
-    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-    if predictions.shape != t.shape:
+    L1 average) of a prediction Tensor against an array of targets, which
+    get no gradient; one tape node, with subgradient 0 at exact ties."""
+    if predictions.shape != targets.shape:
         raise ad.ShapeError(
-            f"source_loss: shapes {predictions.shape} vs {t.shape}")
-    diff = predictions.data - t
+            f"source_loss: shapes {predictions.shape} vs {targets.shape}")
+    diff = predictions.data - targets
 
     def backward(g):
         predictions._accum(np.full_like(diff, float(g) / diff.size)

@@ -11,7 +11,7 @@ The mean over neighbors is the graph's dense aggregation matrix times the
 layer input. The first layer's input, a city's raw features, does not
 change, so an encoder takes that product once per graph and keeps it while
 the features hold the same bits; it keeps the matrix itself only when a
-later layer, or a gradient to the features, needs it.
+later layer needs it.
 """
 
 from __future__ import annotations
@@ -85,28 +85,24 @@ class SpatialEncoder:
         for _ in range(n_layers):
             self.layers.append(GinLayer(d, out_dim, rng=rng))
             d = out_dim
-        self._matrices = {}  # graph -> its aggregation matrix as a Tensor
+        self._matrices = {}  # graph -> its aggregation matrix as a Tensor, if kept
         self._aggregates = {}  # graph -> (features, their bytes, matrix @ them)
 
     def forward(self, features, graph):
-        """features: (N, D_e) Tensor or ndarray; returns (N, D_f) Tensor."""
-        x = features if isinstance(features, Tensor) else Tensor(features)
+        """features: (N, D_e) array of a city's raw features, which are
+        data and get no gradient; returns the (N, D_f) embedding Tensor."""
+        x = Tensor(features)
         if x.shape[0] != graph.n_nodes:
             raise ad.ShapeError(
                 f"features have {x.shape[0]} rows for a {graph.n_nodes}-node graph")
         first, *rest = self.layers
-        agg = self._matrix(graph) if rest or ad.needs_grad(x) else None
+        if rest and graph not in self._matrices:
+            self._matrices[graph] = Tensor(graph.mean_aggregation_matrix())
+        agg = self._matrices.get(graph)
         x = first.forward(x, agg, self._first_aggregate(graph, x.data, agg))
         for layer in rest:
             x = layer.forward(x, agg)
         return x
-
-    def _matrix(self, graph):
-        """graph's aggregation matrix as a constant Tensor, built on the
-        first call with graph."""
-        if graph not in self._matrices:
-            self._matrices[graph] = Tensor(graph.mean_aggregation_matrix())
-        return self._matrices[graph]
 
     def _first_aggregate(self, graph, xd, agg):
         """graph.mean_aggregation_matrix() @ xd, read-only; agg is that

@@ -90,15 +90,19 @@ class MetricReport:
 
     @classmethod
     def read(cls, path):
-        """Parse write's lines; values are Python literals, never code, each
-        of its field's kind (an int counts as a float, a bool as neither)
-        and within its field's range (``_REPORT_RULES``), with no more
-        samples in the MAPE than in the report."""
+        """Parse write's lines, one per key; values are Python literals,
+        never code, each of its field's kind (an int counts as a float, a
+        bool as neither) and within its field's range (``_REPORT_RULES``),
+        with no more samples in the MAPE than in the report."""
         known = {f.name for f in fields(cls)}
-        kv = {}
+        kv, line_of = {}, {}
         with open(path) as fh:
             for ln, line in enumerate(fh, start=1):
                 key, _, val = line.strip().partition("=")
+                if key in line_of:
+                    raise MetricError(f"{path}: report key {key!r} appears on "
+                                      f"lines {line_of[key]} and {ln}")
+                line_of[key] = ln
                 try:
                     if key not in known:
                         raise ValueError("not a report field")

@@ -246,6 +246,12 @@ AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 ABOVE_0 = ("a value above 0", lambda v: v > 0)
 FINITE = ("a finite value", math.isfinite)
 
+# a city's name, or each of a list of them: part of its file names and of
+# its checkpoint records, which split at whitespace
+CITY_NAMES = ("city names that are not empty and hold no whitespace or '/'",
+              lambda v: all(n and "/" not in n and not any(map(str.isspace, n))
+                            for n in ([v] if isinstance(v, str) else v)))
+
 
 def check_fields(d, defaults, rules, what):
     """DataError unless every value of d has the kind of the same-named

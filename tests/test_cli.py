@@ -177,16 +177,22 @@ class TestSynth:
         ("n_nodes", "0", "expected at least 1, got 0"),
         ("topology", "star",
          "expected one of ring, grid, random-geometric, got 'star'"),
+        # an empty name would write the hidden files .csv and .edges, a
+        # slash a file outside --out, a space an unloadable checkpoint
+        *(("name", name, "expected city names that are not empty and hold "
+                         f"no whitespace or '/', got {name!r}")
+          for name in ("", "x/y", "two words")),
     ], ids=["no-interval", "no-days", "negative-days", "no-peak-width",
             "negative-peak-width", "interval-over-a-day", "negative-nodes",
-            "no-nodes", "unknown-topology"])
+            "no-nodes", "unknown-topology", "empty-name", "slash-name",
+            "space-name"])
     def test_spec_value_out_of_range_writes_no_city(self, tmp_path, capsys,
                                                     key, value, why):
         # the good spec comes first; nothing of it may reach --out
         good = write_specs(tmp_path)[0]
         bad = tmp_path / "town.spec"
-        bad.write_text(f"name = town\nn_nodes = 6\ntopology = ring\n"
-                       f"{key} = {value}\n")
+        fields = {"name": "town", "n_nodes": "6", "topology": "ring", key: value}
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
         out = tmp_path / "x"
         assert main(["synth", "--out", str(out), good, str(bad)]) == 1
         assert capsys.readouterr().err == (
@@ -200,6 +206,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert "'n_nodes'" in err and "'ten'" in err and "Traceback" not in err
+
+    def test_repeated_spec_key_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "town.spec"
+        bad.write_text("name = a\n# a comment\nn_nodes = 6\ntopology = ring\n"
+                       "name = b\n")
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: synthetic spec key 'name' appears on lines 1 and 5\n")
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -636,6 +652,20 @@ class TestErrors:
         assert err.startswith(f"error: {config}: ") and err.count("\n") == 1
         assert repr(key) in err
         assert not os.path.exists(os.path.join(data, "alpha.features.csv"))
+        assert not os.path.exists(out)
+
+    def test_repeated_config_key_refused_before_any_stage(self, synthed, capsys):
+        data, cfg_path, cfg, tmp_path = synthed
+        text = cfg.to_json()
+        config = tmp_path / "repeated.json"
+        config.write_text(text.replace('"seed": 0', '"seed": 0,\n  "seed": 1'))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--data", data,
+                     "--out", str(out)]) == 1
+        line = text[:text.index('"seed"')].count("\n") + 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: config key 'seed' appears on lines {line} and "
+            f"{line + 1}\n")
         assert not os.path.exists(out)
 
     def test_compare_needs_two_reports(self, tmp_path):

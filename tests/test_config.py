@@ -77,6 +77,9 @@ class TestRanges:
         ("eta", -1.0), ("eta", -1e-9), ("n_features", 2), ("n_features", 0),
         ("grad_clip_norm", 0.0), ("grad_clip_norm", -1.0),
         ("early_stop_patience", 0), ("early_stop_patience", -5),
+        ("target_domain", "a b"), ("target_domain", "x/y"),
+        ("target_domain", "tab\tcity"), ("source_domains", ["ok", "b c"]),
+        ("source_domains", ["a/b"]),
     ])
     def test_value_out_of_range_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -87,6 +90,7 @@ class TestRanges:
         ("learning_rate", "-1.0"), ("momentum", "1.5"),
         ("split_ratios", "0.5;0.5;0.5"), ("eta", "-1"), ("n_features", "2"),
         ("grad_clip_norm", "-1"), ("early_stop_patience", "-5"),
+        ("target_domain", "x/y"), ("source_domains", "a;b c"),
     ])
     def test_override_out_of_range_refused(self, key, raw):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -99,6 +103,7 @@ class TestRanges:
         ("skipgram_window", 1), ("skipgram_negatives", 0), ("walk_q", 1e-9),
         ("source_domains", []), ("eta", 0.0), ("eta", 0), ("n_features", 1),
         ("grad_clip_norm", 1e-9), ("early_stop_patience", 1),
+        ("target_domain", "pems-04"), ("source_domains", ["st.louis", "z\u00fcrich"]),
     ])
     def test_value_at_the_edge_of_its_range_kept(self, key, value):
         cfg = ExperimentConfig.from_dict({key: value})
@@ -193,3 +198,24 @@ def test_negative_seed_refused():
     with pytest.raises(ValueError, match="^config key 'seed': expected"):
         ExperimentConfig().with_overrides({"seed": "-3"})
     assert ExperimentConfig.from_dict({"seed": 0}).seed == 0
+
+
+def test_bad_city_name_message_says_what_a_name_may_hold():
+    for key, value in (("target_domain", "x/y"), ("source_domains", ["ok", ""])):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_dict({key: value})
+        assert str(exc.value) == (
+            f"config key {key!r}: expected city names that are not empty and "
+            f"hold no whitespace or '/', got {value!r}")
+
+
+class TestRepeatedKeys:
+    def test_json_key_repeated_names_both_lines(self):
+        text = '{\n  "seed": 1,\n  "target_domain": "a\\"seed\\":",\n  "seed": 2\n}\n'
+        with pytest.raises(ValueError, match=(
+                "^config key 'seed' appears on lines 2 and 4$")):
+            ExperimentConfig.from_json(text)
+
+    def test_json_key_spelled_two_ways_is_one_key(self):
+        with pytest.raises(ValueError, match="^config key 'seed' appears on lines 1 and 3$"):
+            ExperimentConfig.from_json('{"seed": 1,\n"horizon": 3,\n"s\\u0065ed": 2}')

@@ -62,13 +62,14 @@ def test_forecast_output_length(rng):
     for horizon in (3, 6, 12):
         p = fc.ForecasterParams(1, 8, 4, horizon, rng)
         out = fc.forecast(p, rng.standard_normal((5, 12, 1)),
-                          rng.standard_normal((5, 4)))
+                          Tensor(rng.standard_normal((5, 4))))
         assert out.shape == (5, horizon, 1)
 
 
 def test_zero_parameters_predict_head_bias(rng):
     p = zero_params(horizon=3)
-    out = fc.forecast(p, rng.standard_normal((2, 5, 1)), rng.standard_normal((2, 4)))
+    out = fc.forecast(p, rng.standard_normal((2, 5, 1)),
+                      Tensor(rng.standard_normal((2, 4))))
     assert np.array_equal(out.data, np.zeros((2, 3, 1)))
 
 
@@ -76,9 +77,9 @@ def test_batch_decomposition_invariance(rng):
     p = fc.ForecasterParams(1, 6, 4, 3, rng)
     inputs = rng.standard_normal((4, 7, 1))
     f_v = rng.standard_normal((4, 4))
-    batched = fc.forecast(p, inputs, f_v).data
+    batched = fc.forecast(p, inputs, Tensor(f_v)).data
     for i in range(4):
-        single = fc.forecast(p, inputs[i:i + 1], f_v[i:i + 1]).data
+        single = fc.forecast(p, inputs[i:i + 1], Tensor(f_v[i:i + 1])).data
         assert np.allclose(single, batched[i:i + 1], atol=1e-12)
 
 
@@ -124,7 +125,7 @@ def test_shape_mismatch_rejected(rng):
                         (np.zeros((2, 5, 1)), np.zeros((3, 3))),
                         (np.zeros((2, 5, 1)), np.zeros((2, 4)))]:
         with pytest.raises(ad.ShapeError):
-            fc.forecast(p, inputs, f_v)
+            fc.forecast(p, inputs, Tensor(f_v))
 
 
 def test_end_to_end_gradient_through_encoder(rng):
@@ -152,10 +153,10 @@ def test_end_to_end_gradient_through_encoder(rng):
 
 def test_fused_forecast_gradient_vs_finite_diff(rng):
     p = fc.ForecasterParams(2, 4, 3, 2, rng)
-    inputs = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+    inputs = rng.standard_normal((3, 4, 2))
     f_v = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     targets = rng.standard_normal((3, 2, 2))
-    params = {**p.params(), "f_v": f_v, "inputs": inputs}
+    params = {**p.params(), "f_v": f_v}
 
     def loss():
         preds = fc.forecast(p, inputs, f_v)
@@ -166,15 +167,14 @@ def test_fused_forecast_gradient_vs_finite_diff(rng):
 
 def _forecast_and_grads(forecast, p, inputs, emb, node_ids, targets):
     """Loss through gather_rows -> forecast -> source_loss; returns the
-    prediction, every parameter grad, the embedding and the input grads."""
+    prediction, every parameter grad and the embedding grad."""
     for t in p.params().values():
         t.grad = None
     emb_t = Tensor(emb.copy(), requires_grad=True)
-    x = Tensor(inputs.copy(), requires_grad=True)
-    preds = forecast(p, x, ad.gather_rows(emb_t, node_ids))
+    preds = forecast(p, inputs.copy(), ad.gather_rows(emb_t, node_ids))
     fc.source_loss(preds, targets).backward()
     grads = {name: t.grad.copy() for name, t in p.params().items()}
-    return preds.data.copy(), grads, emb_t.grad.copy(), x.grad.copy()
+    return preds.data.copy(), grads, emb_t.grad.copy()
 
 
 def assert_matches_composed(p, batch, hist, r):
@@ -189,7 +189,6 @@ def assert_matches_composed(p, batch, hist, r):
     for name in ref[1]:
         assert np.array_equal(fused[1][name], ref[1][name]), name
     assert np.array_equal(fused[2], ref[2])
-    assert np.array_equal(fused[3], ref[3])
 
 
 @pytest.mark.parametrize("batch,hist,hidden,embed,horizon,n_features", [
@@ -238,7 +237,7 @@ def assert_predict_matches(p, batch, hist, r):
     f_v = r.standard_normal((batch, p.embed_dim))
     got = fc.predict(p, inputs, f_v)
     assert type(got) is np.ndarray
-    assert np.array_equal(got, fc.forecast(p, inputs, f_v).data)
+    assert np.array_equal(got, fc.forecast(p, inputs, Tensor(f_v)).data)
     assert np.array_equal(got, composed.forecast(p, Tensor(inputs), Tensor(f_v)).data)
 
 
@@ -278,9 +277,9 @@ def test_constant_embeddings_get_no_gradient(rng):
     p = fc.ForecasterParams(1, 4, 3, 2, rng)
     zeros = Tensor(np.zeros((5, 3)))
     f_v = ad.gather_rows(zeros, [0, 1, 4])
-    inputs = Tensor(rng.standard_normal((3, 6, 1)))
+    inputs = rng.standard_normal((3, 6, 1))
     fc.source_loss(fc.forecast(p, inputs, f_v), np.zeros((3, 2, 1))).backward()
-    assert zeros.grad is None and f_v.grad is None and inputs.grad is None
+    assert zeros.grad is None and f_v.grad is None
     assert all(t.grad is not None for t in p.params().values())
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from crosscity import autodiff as ad
 from crosscity.autodiff import Tensor
-from crosscity.gin import SpatialEncoder
+from crosscity.gin import GinLayer, SpatialEncoder
 from crosscity.graph import RoadGraph
 
 import composed
@@ -104,38 +104,76 @@ def test_epsilon_gradient_vs_finite_diff(rng):
                        params)
 
 
-def _encoder_grads(enc, x, graph, forward, weights):
-    """Output and every gradient (parameters, then x) of
-    sum(weights * forward(x, graph)) on a fresh tape."""
-    for p in [x, *enc.params("encoder").values()]:
+def _weighted_grads(params, forward, weights, x=None):
+    """Output and every gradient (params, then the Tensor x when given) of
+    sum(weights * forward()) on a fresh tape."""
+    tensors = {**params, **({} if x is None else {"x": x})}
+    for p in tensors.values():
         p.grad = None
-    out = forward(x, graph)
+    out = forward()
     ad.tsum(composed.mul(out, Tensor(weights))).backward()
-    grads = {k: p.grad for k, p in enc.params("encoder").items()}
-    grads["x"] = x.grad
-    return out.data, grads
+    return out.data, {k: p.grad for k, p in tensors.items()}
 
 
-@pytest.mark.parametrize("n_layers", [1, 2])
-@pytest.mark.parametrize("x_grad", [True, False])
-def test_fused_layer_equals_composed_exactly(n_layers, x_grad, rng):
-    # nodes 5 and 6 are isolated: their aggregation row is zero
-    graph = RoadGraph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+def _perturbed_encoder(n_layers, rng):
+    """A 5 -> 6 encoder whose layers have distinct eps and nonzero biases."""
     enc = SpatialEncoder(5, 6, n_layers, rng)
     for i, layer in enumerate(enc.layers):
         layer.eps.data = np.asarray(0.3 - 0.5 * i)
         layer.b1.data = rng.standard_normal(6) * 0.5
         layer.b2.data = rng.standard_normal(6)
+    return enc
+
+
+# nodes 5 and 6 are isolated: their aggregation row is zero
+ISOLATED = RoadGraph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_fused_layer_equals_composed_exactly(n_layers, x_grad, rng):
+    # the layers on a Tensor x with no aggregate taken beforehand, as every
+    # layer after an encoder's first runs them: each takes the aggregate
+    # and, for an x that needs one, passes a gradient back to x
+    enc = _perturbed_encoder(n_layers, rng)
+    agg = Tensor(ISOLATED.mean_aggregation_matrix())
     x = Tensor(rng.standard_normal((7, 5)), requires_grad=x_grad)
     weights = rng.standard_normal((7, 6))
-    got, got_g = _encoder_grads(enc, x, graph, enc.forward, weights)
-    want, want_g = _encoder_grads(
-        enc, x, graph, lambda f, g: composed.spatial_encoder(enc, f, g), weights)
+
+    def stack(layer_forward):
+        def forward():
+            h = x
+            for layer in enc.layers:
+                h = layer_forward(layer, h, agg)
+            return h
+        return forward
+
+    params = enc.params("encoder")
+    got, got_g = _weighted_grads(params, stack(GinLayer.forward), weights, x)
+    want, want_g = _weighted_grads(params, stack(composed.gin_layer), weights, x)
     assert np.array_equal(got, want)
     if not x_grad:
         # a constant gets no gradient; the composed mul gave it one anyway
         assert got_g.pop("x") is None
         want_g.pop("x")
+    assert got_g.keys() == want_g.keys()
+    for k in want_g:
+        assert np.array_equal(got_g[k], want_g[k]), k
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_fused_encoder_equals_composed_exactly(n_layers, rng):
+    # raw features are an array: the first layer reads the aggregate taken
+    # beforehand, and the features get no gradient
+    enc = _perturbed_encoder(n_layers, rng)
+    feats = rng.standard_normal((7, 5))
+    weights = rng.standard_normal((7, 6))
+    params = enc.params("encoder")
+    got, got_g = _weighted_grads(params, lambda: enc.forward(feats, ISOLATED),
+                                 weights)
+    want, want_g = _weighted_grads(
+        params, lambda: composed.spatial_encoder(enc, feats, ISOLATED), weights)
+    assert np.array_equal(got, want)
     assert got_g.keys() == want_g.keys()
     for k in want_g:
         assert np.array_equal(got_g[k], want_g[k]), k

@@ -222,6 +222,14 @@ class TestReportIo:
         with pytest.raises(MetricError, match="seed"):
             MetricReport.read(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        report("full", 3, 1.0).write(path)
+        path.write_text(path.read_text() + "mae=2.0\n")
+        with pytest.raises(MetricError) as exc:
+            MetricReport.read(path)
+        assert str(exc.value) == f"{path}: report key 'mae' appears on lines 4 and 12"
+
     @pytest.mark.parametrize("line, key, kind", [
         ("horizon='3'", "horizon", "int"),
         ("mae='x'", "mae", "float"),

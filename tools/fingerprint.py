@@ -15,7 +15,11 @@ Each workload runs at seed 0 in a temporary directory:
 - ``cli-variants`` runs ``crosscity pipeline --replay-log`` of every model
   variant, then ``compare --reference ha`` in each run directory, on the
   tiny cities and config of ``tests/test_cli.py`` (mirrored below; a test
-  keeps the two equal).
+  keeps the two equal). Then it takes the paths users take that those runs
+  do not: ``export-embeddings`` in the ``full`` run directory, a
+  ``pipeline`` with a two-layer encoder, a ``wo_da`` one whose gradient
+  clipping and early stop fire, ``synth --seed`` into a second data
+  directory, and there an ``embed`` with no config file.
 
 The tool prints one ``<sha256>  <workload>/<file>`` line per file the run
 leaves. Lines of a file that name the run's directory, such as the paths in
@@ -141,7 +145,8 @@ def run_bench_workload(name, toy, workdir):
 
 
 def run_cli_variants(workdir):
-    """`pipeline` of every variant on the tiny cities, then `compare`."""
+    """`pipeline` of every variant on the tiny cities, then `compare`; then
+    the commands and keys those runs leave out."""
     from crosscity import cli
     from crosscity.config import VARIANTS
 
@@ -158,6 +163,23 @@ def run_cli_variants(workdir):
         _cli(cli, "pipeline", "--config", config, "--data", data, "--out", out,
              "--variant", variant, "--replay-log")
         _cli(cli, "compare", out, "--reference", "ha")
+    _cli(cli, "export-embeddings", "--config", config, "--data", data,
+         "--out", os.path.join(workdir, "full"))
+    _cli(cli, "pipeline", "--config", config, "--data", data,
+         "--out", os.path.join(workdir, "gin2"), "--set", "gin_layers=2")
+    # a step too small to lower the validation error: every step clips, and
+    # finetune stops after its second epoch
+    _cli(cli, "pipeline", "--config", config, "--data", data,
+         "--out", os.path.join(workdir, "clipped"), "--variant", "wo_da",
+         "--set", "grad_clip_norm=1e-9", "--set", "learning_rate=1e-9",
+         "--set", "finetune_max_epochs=4", "--set", "early_stop_patience=1")
+    data7 = os.path.join(workdir, "data7")
+    _cli(cli, "synth", "--out", data7, "--seed", "7", *specs)
+    # the default config, with the tiny config's node2vec keys
+    _cli(cli, "embed", "--data", data7, "--set", "source_domains=alpha;beta",
+         "--set", "target_domain=tee", "--set", "embed_dim=8",
+         "--set", "walks_per_node=4", "--set", "walk_length=4",
+         "--set", "skipgram_epochs=1")
 
 
 def fingerprints(root, workloads, toy):
