@@ -88,8 +88,6 @@ def load_checkpoint(path, expect_config_hash=None):
             f"vs current {expect_config_hash}")
     tensors, stats_raw, first_line = {}, {}, {}
     for ln, line in enumerate(lines[4:], start=5):
-        if not line.strip():
-            continue
         parts = line.split()
         if len(parts) < 4 or parts[1] != "shape" or parts[3] != "values":
             raise CheckpointError(f"line {ln}: malformed tensor record")

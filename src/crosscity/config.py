@@ -63,11 +63,13 @@ def check_pretrain(variant, sources):
 _RULES = {
     **dict.fromkeys(
         ("history", "horizon", "embed_dim", "hidden_dim", "gin_layers",
-         "classifier_hidden", "walks_per_node", "walk_length",
-         "skipgram_window", "skipgram_epochs", "batch_size", "pretrain_epochs",
+         "classifier_hidden", "walks_per_node", "skipgram_window",
+         "skipgram_epochs", "batch_size", "pretrain_epochs",
          "pretrain_batches_per_epoch", "finetune_max_epochs",
          "finetune_batches_per_epoch", "early_stop_patience",
          "source_train_days", "target_train_days"), (AT_LEAST_1,)),
+    # a walk of one node holds no (center, context) pair
+    "walk_length": (("at least 2", lambda v: v >= 2),),
     # the forecaster reads one traffic value per node and step
     "n_features": (("exactly 1", lambda v: v == 1),),
     **dict.fromkeys(("skipgram_negatives", "eta", "seed"), (AT_LEAST_0,)),
@@ -132,7 +134,7 @@ class ExperimentConfig:
     def from_dict(cls, d):
         """The config of a JSON object. Each value must have its field's
         kind and pass its key's rules (``_RULES``, which also refuse a city
-        name that is empty or holds whitespace or '/'), and is kept as it
+        name that is empty or holds whitespace, '/' or ','), and is kept as it
         is, so the hash sees what the JSON said. The source domains must be
         distinct and exclude the target."""
         if not isinstance(d, dict):

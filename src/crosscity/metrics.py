@@ -236,7 +236,8 @@ def compare_variants(reports, reference):
     for rep in sorted(reports, key=lambda r: (r.horizon, r.variant)):
         ref = refs.get(rep.horizon)
         if ref is None:
-            continue
+            raise MetricError(f"variant {rep.variant!r} reports horizon {rep.horizon}, "
+                              f"of which reference variant {reference!r} has no report")
         row = {"variant": rep.variant, "horizon": rep.horizon,
                "mae": rep.mae, "rmse": rep.rmse, "mape": rep.mape}
         for metric in ("mae", "rmse", "mape"):
@@ -280,8 +281,11 @@ def stage1_embeddings(checkpoint, config, domains):
     return out
 
 
-def domain_confusion_probe(embeddings_by_domain, seed=0, train_frac=0.7,
-                           epochs=300, lr=0.5):
+# the probe's share of training nodes, and its full-batch steps and step size
+PROBE_TRAIN_FRAC, PROBE_EPOCHS, PROBE_LR = 0.7, 300, 0.5
+
+
+def domain_confusion_probe(embeddings_by_domain, seed=0):
     """Test accuracy of a fresh softmax-regression probe predicting the
     domain of frozen embeddings. Lower accuracy = better mixing."""
     xs, ys = [], []
@@ -293,19 +297,19 @@ def domain_confusion_probe(embeddings_by_domain, seed=0, train_frac=0.7,
     x = (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-9)
     rng = np.random.default_rng([seed, 0x9B0E])
     order = rng.permutation(len(x))
-    cut = int(train_frac * len(x))
+    cut = int(PROBE_TRAIN_FRAC * len(x))
     tr, te = order[:cut], order[cut:]
     n_classes = len(embeddings_by_domain)
     w = np.zeros((x.shape[1], n_classes))
     b = np.zeros(n_classes)
     onehot = np.eye(n_classes)[y[tr]]
-    for _ in range(epochs):
+    for _ in range(PROBE_EPOCHS):
         logits = x[tr] @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         g = (p - onehot) / len(tr)
-        w -= lr * (x[tr].T @ g)
-        b -= lr * g.sum(axis=0)
+        w -= PROBE_LR * (x[tr].T @ g)
+        b -= PROBE_LR * g.sum(axis=0)
     pred = (x[te] @ w + b).argmax(axis=1)
     return float((pred == y[te]).mean())

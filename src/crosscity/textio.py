@@ -108,19 +108,15 @@ def read_cells(parse, toks, path, ln, cols):
     """parse applied to the cells toks of CSV line ln, under the headers
     cols; DataError names the path, line and column of the first cell it
     cannot read, or of a non-finite float."""
-    try:
-        vals = [parse(tok) for tok in toks]
-        if parse is not float or all(map(math.isfinite, vals)):
-            return vals
-    except ValueError:
-        pass
-    for col, tok in zip(cols, toks):  # find the bad cell
+    vals = []
+    for col, tok in zip(cols, toks):
         try:
-            v = parse(tok)
+            vals.append(parse(tok))
         except ValueError:
             raise DataError(f"{path}, line {ln}, column {col}: cannot read {tok!r}") from None
-        if not math.isfinite(v):
+        if parse is float and not math.isfinite(vals[-1]):
             raise DataError(f"{path}, line {ln}, column {col}: non-finite value {tok!r}")
+    return vals
 
 
 # numpy's reader strips these separators around a cell, which float() refuses
@@ -246,10 +242,10 @@ AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 ABOVE_0 = ("a value above 0", lambda v: v > 0)
 FINITE = ("a finite value", math.isfinite)
 
-# a city's name, or each of a list of them: part of its file names and of
-# its checkpoint records, which split at whitespace
-CITY_NAMES = ("city names that are not empty and hold no whitespace or '/'",
-              lambda v: all(n and "/" not in n and not any(map(str.isspace, n))
+# a city's name, or each of a list of them: part of its file names, of its
+# checkpoint records, which split at whitespace, and of CSV cells
+CITY_NAMES = ("city names that are not empty and hold no whitespace, '/' or ','",
+              lambda v: all(n and not any(c in "/," or c.isspace() for c in n)
                             for n in ([v] if isinstance(v, str) else v)))
 
 

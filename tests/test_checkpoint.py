@@ -84,6 +84,15 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="malformed"):
             load_checkpoint(path)
 
+    def test_blank_line_refused(self, rng, tmp_path):
+        # save_checkpoint writes none, so one is an edit, not a record
+        path = tmp_path / "b.ckpt"
+        save_checkpoint(sample_ckpt(rng), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:5] + ["\n"] + lines[5:]))
+        with pytest.raises(CheckpointError, match="^line 6: malformed tensor record$"):
+            load_checkpoint(path)
+
     def test_value_count_mismatch(self, rng, tmp_path):
         path = tmp_path / "c.ckpt"
         path.write_text(

@@ -178,14 +178,15 @@ class TestSynth:
         ("topology", "star",
          "expected one of ring, grid, random-geometric, got 'star'"),
         # an empty name would write the hidden files .csv and .edges, a
-        # slash a file outside --out, a space an unloadable checkpoint
+        # slash a file outside --out, a space an unloadable checkpoint, a
+        # comma exported rows wider than their header
         *(("name", name, "expected city names that are not empty and hold "
-                         f"no whitespace or '/', got {name!r}")
-          for name in ("", "x/y", "two words")),
+                         f"no whitespace, '/' or ',', got {name!r}")
+          for name in ("", "x/y", "two words", "a,b")),
     ], ids=["no-interval", "no-days", "negative-days", "no-peak-width",
             "negative-peak-width", "interval-over-a-day", "negative-nodes",
             "no-nodes", "unknown-topology", "empty-name", "slash-name",
-            "space-name"])
+            "space-name", "comma-name"])
     def test_spec_value_out_of_range_writes_no_city(self, tmp_path, capsys,
                                                     key, value, why):
         # the good spec comes first; nothing of it may reach --out
@@ -635,11 +636,14 @@ class TestErrors:
         ("eta", -1.0), ("n_features", 2), ("grad_clip_norm", -1.0),
         ("grad_clip_norm", 0.0), ("early_stop_patience", -5),
         ("early_stop_patience", 0),
+        # a one-node walk holds no context pair: `embed` found that only in
+        # its workers, after the pipeline had named its stage in RUN
+        ("walk_length", 1),
     ], ids=["str-int", "bool-int", "bool-float", "repeated-source",
             "target-as-source", "no-train-days", "negative-negatives",
             "no-window", "empty-target", "empty-source", "negative-eta",
             "two-features", "negative-clip", "no-clip", "negative-patience",
-            "no-patience"])
+            "no-patience", "one-node-walk"])
     def test_config_value_refused_before_any_stage(self, synthed, capsys,
                                                    key, value):
         data, cfg_path, cfg, tmp_path = synthed

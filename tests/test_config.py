@@ -79,7 +79,8 @@ class TestRanges:
         ("early_stop_patience", 0), ("early_stop_patience", -5),
         ("target_domain", "a b"), ("target_domain", "x/y"),
         ("target_domain", "tab\tcity"), ("source_domains", ["ok", "b c"]),
-        ("source_domains", ["a/b"]),
+        ("source_domains", ["a/b"]), ("walk_length", 1), ("target_domain", "a,b"),
+        ("source_domains", ["ok", "a,b"]),
     ])
     def test_value_out_of_range_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -91,6 +92,7 @@ class TestRanges:
         ("split_ratios", "0.5;0.5;0.5"), ("eta", "-1"), ("n_features", "2"),
         ("grad_clip_norm", "-1"), ("early_stop_patience", "-5"),
         ("target_domain", "x/y"), ("source_domains", "a;b c"),
+        ("walk_length", "1"), ("target_domain", "a,b"),
     ])
     def test_override_out_of_range_refused(self, key, raw):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -104,6 +106,7 @@ class TestRanges:
         ("source_domains", []), ("eta", 0.0), ("eta", 0), ("n_features", 1),
         ("grad_clip_norm", 1e-9), ("early_stop_patience", 1),
         ("target_domain", "pems-04"), ("source_domains", ["st.louis", "z\u00fcrich"]),
+        ("walk_length", 2),
     ])
     def test_value_at_the_edge_of_its_range_kept(self, key, value):
         cfg = ExperimentConfig.from_dict({key: value})
@@ -206,7 +209,7 @@ def test_bad_city_name_message_says_what_a_name_may_hold():
             ExperimentConfig.from_dict({key: value})
         assert str(exc.value) == (
             f"config key {key!r}: expected city names that are not empty and "
-            f"hold no whitespace or '/', got {value!r}")
+            f"hold no whitespace, '/' or ',', got {value!r}")
 
 
 class TestRepeatedKeys:

@@ -7,7 +7,10 @@ import json
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 from crosscity.config import VARIANTS, ExperimentConfig, variant_stages
 
@@ -47,12 +50,17 @@ def test_toy_run_hashes_every_output_file():
     wanted = ["transfer-small/pretrained.ckpt", "city-large/finetuned.ckpt",
               "city-large/east.features.csv", "transfer-small/report_ha_h3_s0.txt",
               "cli-roundtrip/run/replay_pretrain.log",
-              "cli-roundtrip/run/comparison.csv"]
+              "cli-roundtrip/run/comparison.csv",
+              "cli-variants/isolated/tee.features.csv",
+              "cli-variants/serial/finetuned.ckpt"]
     for v in VARIANTS:
         wanted += [f"cli-variants/{v}/{f}" for f in (
             f"report_{v}_h3_s0.txt", "comparison.csv", "finetuned.ckpt",
             "replay_finetune.log")]
     assert set(wanted) <= digests.keys()
+    # the refused commands leave nothing, and their bad inputs are gone
+    assert not any(name.startswith(("cli-variants/refused", "cli-variants/tmp"))
+                   for name in digests)
     for v in VARIANTS:
         pretrains = "pretrain" in variant_stages(v)
         assert (f"cli-variants/{v}/pretrained.ckpt" in digests) == pretrains
@@ -71,3 +79,33 @@ def test_differences_name_every_file_that_differs():
     assert fp.differences(ours, theirs) == [
         ("differs", "w/b"), ("only here", "w/c"), ("only there", "w/d")]
     assert fp.differences(ours, dict(ours)) == []
+
+
+def _refusing(effect):
+    """A stand-in for crosscity.cli whose main runs effect(argv), then
+    prints one error line and exits 1."""
+    def main(argv):
+        effect(argv)
+        print("error: refused", file=sys.stderr)
+        return 1
+    return types.SimpleNamespace(main=main)
+
+
+def test_refusal_check_passes_one_error_line_and_no_change(tmp_path):
+    (tmp_path / "kept.txt").write_text("kept\n")
+    fp._refused(_refusing(lambda argv: print("working")), 1, tmp_path, "cmd")
+
+
+@pytest.mark.parametrize("effect, code, why", [
+    (lambda argv: None, 2, "exited 1 .*; expected exit 2 "),
+    (lambda argv: print("warning: late", file=sys.stderr), 1,
+     "expected exit 1 and one error: line"),
+    (lambda argv: Path(argv[0], "out").mkdir(), 1, "changed out under"),
+    (lambda argv: Path(argv[0], "new.txt").write_text(""), 1, "changed new.txt under"),
+    (lambda argv: Path(argv[0], "kept.txt").write_text("edited\n"), 1,
+     "changed kept.txt under"),
+], ids=["exit-code", "two-lines", "new-directory", "new-file", "changed-file"])
+def test_refusal_check_fails(tmp_path, effect, code, why):
+    (tmp_path / "kept.txt").write_text("kept\n")
+    with pytest.raises(fp.FingerprintError, match=why):
+        fp._refused(_refusing(effect), code, tmp_path, str(tmp_path))

@@ -179,6 +179,13 @@ class TestCompare:
                                               "hashes deadbeefdeadbeef, feedfacefeedface$"):
             compare_variants([report("ha", 3, 10.0), other], "ha")
 
+    def test_reference_lacking_a_horizon_refused(self):
+        with pytest.raises(MetricError, match=(
+                "^variant 'full' reports horizon 6, of which reference variant "
+                "'ha' has no report$")):
+            compare_variants([report("ha", 3, 10.0), report("full", 3, 9.0),
+                              report("full", 6, 9.0)], "ha")
+
     def test_missing_reference(self):
         with pytest.raises(MetricError, match="reference"):
             compare_variants([report("full", 3, 1.0)], "ha")

@@ -19,7 +19,18 @@ Each workload runs at seed 0 in a temporary directory:
   do not: ``export-embeddings`` in the ``full`` run directory, a
   ``pipeline`` with a two-layer encoder, a ``wo_da`` one whose gradient
   clipping and early stop fire, ``synth --seed`` into a second data
-  directory, and there an ``embed`` with no config file.
+  directory, and there an ``embed`` with no config file; an ``embed`` in
+  ``isolated``, where the target's node 2 has no edge; and a
+  ``target_only`` pipeline in ``serial`` with the BLAS thread variables
+  unset, so that it forks no worker, whose every file must equal the
+  ``target_only`` run's byte for byte.
+  Last come the commands users see refused: ``finetune`` on copies of the
+  data directory whose target series holds a cell ``x``, a cell ``nan`` or
+  no row, ``evaluate`` with no finetuned checkpoint (exit 2), and a
+  ``pretrain`` whose gradients overflow. Each must exit with its code (1
+  unless said), print one stderr line, starting with ``error:``, and leave
+  every file and directory under the work directory as it was; the copies
+  are removed after.
 
 The tool prints one ``<sha256>  <workload>/<file>`` line per file the run
 leaves. Lines of a file that name the run's directory, such as the paths in
@@ -29,8 +40,9 @@ benchmark workloads to the size of ``bench/smoke.py``.
 ``--against REV`` checks REV out in a temporary ``git worktree``, runs the
 same workloads on its ``src/`` and ``bench/`` and on this checkout's, each in
 a fresh interpreter, and lists the files whose hashes differ. It exits 0
-whether or not files differ, and 1 after an ``error:`` line when a run or
-git fails. Both sides run on this machine with BLAS pinned to one thread.
+whether or not files differ, and 1 after an ``error:`` line when a run, a
+check of ``cli-variants`` or git fails. Both sides run on this machine
+with BLAS pinned to one thread.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -107,15 +120,49 @@ def hash_tree(workload, workdir):
     return out
 
 
+def _run(cli, argv):
+    """crosscity.cli.main(argv): its exit code and the text it printed to
+    stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def _cli(cli, *argv):
     """crosscity.cli.main(argv), its console output captured; FingerprintError
     unless it exits 0."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
-        code = cli.main(list(argv))
+    code, out, err = _run(cli, argv)
     if code != 0:
         raise FingerprintError(f"crosscity {' '.join(argv)} exited {code}: "
-                               f"{buf.getvalue().strip()}")
+                               f"{(err or out).strip()}")
+
+
+def tree_bytes(workdir):
+    """relative path -> bytes of every file under workdir, and -> None of
+    every directory."""
+    return {path.relative_to(workdir).as_posix():
+            path.read_bytes() if path.is_file() else None
+            for path in Path(workdir).rglob("*")}
+
+
+def _refused(cli, code, workdir, *argv):
+    """crosscity.cli.main(argv), which must refuse: FingerprintError unless
+    it exits `code` after printing one line to stderr, which starts with
+    `error:`, and leaves every file and directory under workdir as it was."""
+    before = tree_bytes(workdir)
+    got, _, err = _run(cli, argv)
+    lines = err.splitlines()
+    if got != code or len(lines) != 1 or not lines[0].startswith("error:"):
+        raise FingerprintError(f"crosscity {' '.join(argv)} exited {got} with "
+                               f"stderr {err!r}; expected exit {code} and one "
+                               f"error: line")
+    after = tree_bytes(workdir)
+    changed = sorted(path for path in before.keys() | after.keys()
+                     if before.get(path, 0) != after.get(path, 0))
+    if changed:
+        raise FingerprintError(f"crosscity {' '.join(argv)} was refused, but "
+                               f"changed {', '.join(changed)} under {workdir}")
 
 
 def run_bench_workload(name, toy, workdir):
@@ -146,7 +193,8 @@ def run_bench_workload(name, toy, workdir):
 
 def run_cli_variants(workdir):
     """`pipeline` of every variant on the tiny cities, then `compare`; then
-    the commands and keys those runs leave out."""
+    the commands, keys and inputs those runs leave out, and last the
+    refusals of ``run_refusals``."""
     from crosscity import cli
     from crosscity.config import VARIANTS
 
@@ -180,6 +228,49 @@ def run_cli_variants(workdir):
          "--set", "target_domain=tee", "--set", "embed_dim=8",
          "--set", "walks_per_node=4", "--set", "walk_length=4",
          "--set", "skipgram_epochs=1")
+    # an edge list whose node 2 has no edge, so its walks end at once
+    isolated = os.path.join(workdir, "isolated")
+    os.makedirs(isolated)
+    for name in ("alpha", "beta"):
+        shutil.copy(os.path.join(data, f"{name}.edges"), isolated)
+    Path(isolated, "tee.edges").write_text("0,1\n1,3\n")
+    _cli(cli, "embed", "--config", config, "--data", isolated)
+    # BLAS threads unpinned, as users run: numpy's BLAS is loaded with one
+    # thread already, so only the workers change, to none
+    pinned = {var: os.environ.pop(var) for var in BLAS_VARS if var in os.environ}
+    try:
+        _cli(cli, "pipeline", "--config", config, "--data", data,
+             "--out", os.path.join(workdir, "serial"), "--variant", "target_only",
+             "--replay-log")
+    finally:
+        os.environ.update(pinned)
+    serial, forked = Path(workdir, "serial"), Path(workdir, "target_only")
+    for path in sorted(serial.rglob("*")):
+        twin = forked / path.relative_to(serial)
+        if path.is_file() and not (twin.is_file()
+                                   and twin.read_bytes() == path.read_bytes()):
+            raise FingerprintError(f"{path} differs from {twin}")
+    run_refusals(cli, workdir, config, data)
+
+
+def run_refusals(cli, workdir, config, data):
+    """Commands users run that must be refused, each checked by ``_refused``:
+    a target series with a bad cell or no row, `evaluate` with no
+    checkpoint, and a pre-training whose gradients overflow."""
+    header, row, *rest = Path(data, "tee.csv").read_text().splitlines(keepends=True)
+    kept, tail = row.rsplit(",", 1)[0], "".join(rest)
+    for text in (f"{header}{kept},x\n{tail}", f"{header}{kept},nan\n{tail}", header):
+        with tempfile.TemporaryDirectory(dir=workdir) as bad:
+            shutil.copytree(data, bad, dirs_exist_ok=True)
+            Path(bad, "tee.csv").write_text(text)
+            _refused(cli, 1, workdir, "finetune", "--config", config,
+                     "--data", bad, "--out", os.path.join(workdir, "refused"),
+                     "--variant", "target_only")
+    _refused(cli, 2, workdir, "evaluate", "--config", config, "--data", data,
+             "--out", os.path.join(workdir, "refused"))
+    _refused(cli, 1, workdir, "pretrain", "--config", config, "--data", data,
+             "--out", os.path.join(workdir, "refused"),
+             "--set", "learning_rate=1e300", "--set", "grad_clip_norm=1e300")
 
 
 def fingerprints(root, workloads, toy):
