@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import RoadGraph
-from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, CITY_NAMES, DataError,
+from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, CITY_NAMES, FINITE, DataError,
                      check_fields, content_lines, parse_fields, read_table, write_table)
 
 
@@ -204,7 +204,10 @@ _SPEC_RULES = {
                   lambda v: v in TOPOLOGIES),),
     "interval_minutes": (AT_LEAST_1, ("at most 1440", lambda v: v <= 24 * 60),
                          ("a divisor of 1440", lambda v: 24 * 60 % v == 0)),
-    "peak_width_hours": (ABOVE_0,),
+    **dict.fromkeys(("base_flow", "peak_amplitudes", "peak_hours",
+                     "phase_shift_hours", "node_scale_spread", "smoothing",
+                     "noise_level"), (FINITE,)),
+    "peak_width_hours": (FINITE, ABOVE_0),
     "seed": (AT_LEAST_0,),
 }
 
@@ -290,17 +293,30 @@ def _random_geometric_edges(n, rng):
     neighbor."""
     pts = rng.random((n, 2))
     radius = 1.7 / math.sqrt(n)
-    edges = []
-    for i in range(n - 1):
-        # The row's distances may round differently from the norm of one
-        # pair; the margin keeps every pair the norm test below could pass,
-        # and that test alone decides.
-        near = np.hypot(*(pts[i + 1:] - pts[i]).T) < radius * (1 + 1e-9)
-        edges += [(i, j) for j in (i + 1 + np.flatnonzero(near)).tolist()
-                  if np.linalg.norm(pts[i] - pts[j]) < radius]
+    # Sweep the points in x order: each point's candidates are the later
+    # points at most the radius, plus a margin, further along in x.
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    # sorted position k's candidates are the positions k + 1 to stop[k] - 1
+    stop = np.searchsorted(xs, xs + radius * (1 + 1e-9), side="right")
+    counts = stop - np.arange(1, n + 1)
+    k = np.repeat(np.arange(n), counts)
+    later = np.arange(len(k)) - (np.cumsum(counts) - counts)[k] + k + 1
+    u, v = np.minimum(order[k], order[later]), np.maximum(order[k], order[later])
+    # A candidate's hypot may round differently from the norm of one pair by
+    # a few ulps. Far from the radius it decides; within the margin of it,
+    # the per-pair norm test decides, as it did for every pair.
+    dist = np.hypot(*(pts[u] - pts[v]).T)
+    near = dist < radius * (1 - 1e-9)
+    band = np.flatnonzero(~near & (dist < radius * (1 + 1e-9)))
+    near[band] = [np.linalg.norm(pts[u[c]] - pts[v[c]]) < radius
+                  for c in band.tolist()]
+    u, v = u[near], v[near]
+    row_major = np.lexsort((v, u))
+    edges = list(zip(u[row_major].tolist(), v[row_major].tolist()))
     # wire stragglers to their nearest neighbor so the graph is connected-ish
-    linked = {u for edge in edges for u in edge}
-    for i in sorted(set(range(n)) - linked):
+    linked = np.bincount(np.concatenate((u, v)), minlength=n) > 0
+    for i in np.flatnonzero(~linked).tolist():
         d = np.linalg.norm(pts - pts[i], axis=1)
         d[i] = np.inf
         edges.append((i, int(d.argmin())))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .textio import atomic_open, content_lines
@@ -46,10 +48,11 @@ class RoadGraph:
         """A new read-only N x N matrix: row v holds 1 / deg(v) at v's
         neighbors, and an isolated node's row is all zero. Every call builds
         the same values; a caller that needs it often keeps it."""
+        deg = np.fromiter(map(len, self.neighbors), np.intp, count=self.n_nodes)
+        rows = np.repeat(np.arange(self.n_nodes), deg)
+        cols = np.fromiter(chain.from_iterable(self.neighbors), np.intp, count=len(rows))
         m = np.zeros((self.n_nodes, self.n_nodes))
-        for v, nbrs in enumerate(self.neighbors):
-            if nbrs:
-                m[v, nbrs] = 1.0 / len(nbrs)
+        m[rows, cols] = 1.0 / deg[rows]
         m.flags.writeable = False
         return m
 

@@ -240,7 +240,9 @@ def parse_fields(kv, defaults, what):
 AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
 AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 ABOVE_0 = ("a value above 0", lambda v: v > 0)
-FINITE = ("a finite value", math.isfinite)
+# a float, or each of a tuple or list of them
+FINITE = ("a finite value", lambda v: all(
+    map(math.isfinite, v if isinstance(v, (tuple, list)) else (v,))))
 
 # a city's name, or each of a list of them: part of its file names, of its
 # checkpoint records, which split at whitespace, and of CSV cells

@@ -183,10 +183,23 @@ class TestSynth:
         *(("name", name, "expected city names that are not empty and hold "
                          f"no whitespace, '/' or ',', got {name!r}")
           for name in ("", "x/y", "two words", "a,b")),
+        # a non-finite value would write a series load_series refuses
+        *((key, value, f"expected a finite value, got {got}")
+          for key, value, got in (
+              ("base_flow", "nan", "nan"),
+              ("peak_amplitudes", "nan;250", "(nan, 250.0)"),
+              ("peak_hours", "8;inf", "(8.0, inf)"),
+              ("phase_shift_hours", "nan", "nan"),
+              ("node_scale_spread", "inf", "inf"),
+              ("smoothing", "nan", "nan"),
+              ("noise_level", "inf", "inf"),
+              ("peak_width_hours", "inf", "inf"))),
     ], ids=["no-interval", "no-days", "negative-days", "no-peak-width",
             "negative-peak-width", "interval-over-a-day", "negative-nodes",
             "no-nodes", "unknown-topology", "empty-name", "slash-name",
-            "space-name", "comma-name"])
+            "space-name", "comma-name", "nan-base-flow", "nan-peak-amplitude",
+            "inf-peak-hour", "nan-phase-shift", "inf-node-scale-spread",
+            "nan-smoothing", "inf-noise-level", "inf-peak-width"])
     def test_spec_value_out_of_range_writes_no_city(self, tmp_path, capsys,
                                                     key, value, why):
         # the good spec comes first; nothing of it may reach --out

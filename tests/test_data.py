@@ -1,4 +1,6 @@
 import ast
+import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -299,6 +301,28 @@ class TestSpec:
             SyntheticCitySpec.from_kv({"name": "x", key: raw})
         assert repr(key) in str(exc.value) and repr(raw) in str(exc.value)
 
+    @pytest.mark.parametrize("key, raw, got", [
+        ("base_flow", "nan", "nan"),
+        ("peak_amplitudes", "nan;250", "(nan, 250.0)"),
+        ("peak_hours", "8;inf", "(8.0, inf)"),
+        ("peak_hours", "-inf;18", "(-inf, 18.0)"),
+        ("phase_shift_hours", "nan", "nan"),
+        ("node_scale_spread", "inf", "inf"),
+        ("smoothing", "nan", "nan"),
+        ("noise_level", "inf", "inf"),
+        ("peak_width_hours", "inf", "inf"),
+        ("peak_width_hours", "nan", "nan"),
+    ], ids=["nan-base-flow", "nan-peak-amplitude", "inf-peak-hour",
+            "minus-inf-peak-hour", "nan-phase-shift", "inf-node-scale-spread",
+            "nan-smoothing", "inf-noise-level", "inf-peak-width",
+            "nan-peak-width"])
+    def test_non_finite_value_refused(self, key, raw, got):
+        # a non-finite value would make a series that load_series refuses
+        with pytest.raises(DataError, match=(
+                f"^synthetic spec key '{key}': expected a finite value, "
+                f"got {re.escape(got)}$")):
+            SyntheticCitySpec.from_kv({"name": "x", key: raw})
+
     def test_load_spec_bad_value_names_file(self, tmp_path):
         path = tmp_path / "c.spec"
         path.write_text("name = ville\nn_nodes = ten\n")
@@ -432,15 +456,85 @@ class TestSynth:
         assert series.signal().shape[1] == 1
 
 
-@pytest.mark.parametrize("n", [2, 5, 60, 480, 520])
+@pytest.mark.parametrize("n", [2, 5, 60, 480, 520, 883, 2000])
 def test_random_geometric_edges_equal_the_pairwise_norm_loop(n):
-    for seed in range(4 if n < 400 else 2):
+    # the reference's pairwise loop takes seconds from about 1,000 nodes
+    for seed in range(4 if n < 400 else 2 if n < 1000 else 1):
         got_rng = np.random.default_rng([seed, 0xC17F])
         want_rng = np.random.default_rng([seed, 0xC17F])
         got = _random_geometric_edges(n, got_rng)
         want = composed.random_geometric_edges(n, want_rng)
         assert got == want, (n, seed)  # the same edges in the same order
         assert got_rng.random() == want_rng.random()  # the same draws
+
+
+class _Points:
+    """A stand-in generator whose one draw is the given points."""
+
+    def __init__(self, pts):
+        self.pts = np.array(pts, dtype=np.float64)
+
+    def random(self, shape):
+        assert shape == self.pts.shape
+        return self.pts.copy()
+
+
+# 1.7 / sqrt(20) from (0.4, 0.45) by norm, a few ulps less by hypot
+HYPOT_BELOW_NORM_AT = (0.1711687282981287, 0.14646046535697477)
+
+
+def _crafted_points():
+    rng = np.random.default_rng(7)
+    cases = {}
+    # 64 points in 8 columns of equal x, 0.125 apart: ties in the sort, and
+    # runs that cross columns (radius 0.2125)
+    cases["equal-x"] = np.column_stack((rng.integers(0, 8, 64) / 8,
+                                        rng.random(64)))
+    # radius 0.85: the first two points, exactly the radius apart in x,
+    # are no edge, nor are they with 1e-5 between them in y as well (1e-10
+    # over the radius, in the band); each point has a neighbor 0.4 away
+    r = 1.7 / 2
+    cases["x-gap-of-the-radius"] = [(0.0, 0.5), (r, 0.5), (0.0, 0.9), (r, 0.1)]
+    cases["x-gap-of-the-radius-and-a-hair"] = [(0.0, 0.5), (r, 0.5 + 1e-5),
+                                               (0.0, 0.9), (r, 0.1)]
+    # distances within 1e-9 of the radius, either side, and just outside it,
+    # from the first point; and a second point whose hypot from it is below
+    # the radius but whose norm is not: it is no edge
+    r = 1.7 / math.sqrt(20)
+    center = (0.4, 0.45)
+    dists = [r * (1 + d) for d in (-2e-9, -1e-10, -1e-15, 0.0, 1e-15, 1e-10, 2e-9)]
+    dists += [np.nextafter(r, 0.0), np.nextafter(r, 1.0)]
+    angles = np.linspace(0.1, 2 * np.pi, len(dists), endpoint=False)
+    band = [center, HYPOT_BELOW_NORM_AT] + [
+        (center[0] + d * np.cos(t), center[1] + d * np.sin(t))
+        for d, t in zip(dists, angles)]
+    cases["margin-band"] = band + [(0.99, k / 9) for k in range(20 - len(band))]
+    # the same point three times and another twice: distance 0
+    cases["duplicates"] = np.concatenate(
+        ([(0.2, 0.2)] * 3, [(0.9, 0.9)] * 2, rng.random((4, 2))))
+    # radius 1.20 below the diagonal: both points are stragglers
+    cases["two-far-apart"] = [(0.0, 0.0), (0.99, 0.99)]
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_crafted_points()))
+def test_random_geometric_edges_on_crafted_points(case):
+    pts = np.array(_crafted_points()[case], dtype=np.float64)
+    n = len(pts)
+    got = _random_geometric_edges(n, _Points(pts))
+    want = composed.random_geometric_edges(n, _Points(pts))
+    assert got == want
+    if case == "margin-band":
+        # some pairs fall in the band on both sides of the radius, where
+        # the per-pair norm decides
+        radius = 1.7 / math.sqrt(n)
+        d = np.hypot(*(pts[:, None] - pts[None]).transpose(2, 0, 1))
+        band = np.abs(d / radius - 1) < 1e-9
+        assert (band & (d < radius)).any() and (band & (d >= radius)).any()
+        assert d[0, 1] < radius <= np.linalg.norm(pts[0] - pts[1])
+        assert (0, 1) not in got
+    if case == "two-far-apart":
+        assert got == [(0, 1), (1, 0)]
 
 
 def test_random_geometric_city_equals_the_pairwise_norm_loop():
@@ -454,7 +548,8 @@ def test_random_geometric_city_equals_the_pairwise_norm_loop():
 
 @pytest.mark.parametrize("topology, n_nodes, seed", [
     ("ring", 12, 0), ("grid", 10, 4), ("grid", 1, 2),
-    ("random-geometric", 40, 5), ("random-geometric", 90, 9)])
+    ("random-geometric", 40, 5), ("random-geometric", 90, 9),
+    ("random-geometric", 500, 6)])
 def test_synth_generate_equals_the_reference(topology, n_nodes, seed):
     # noise this loud drives some values below zero, so the clamp acts
     spec = SyntheticCitySpec(n_nodes=n_nodes, topology=topology, days=2,
