@@ -9,7 +9,8 @@ import re
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
-from .textio import ABOVE_0, AT_LEAST_0, AT_LEAST_1, CITY_NAMES, check_fields, parse_fields
+from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, CITY_NAMES, FINITE, check_fields,
+                     parse_fields)
 
 
 class VariantUses(NamedTuple):
@@ -72,9 +73,10 @@ _RULES = {
     "walk_length": (("at least 2", lambda v: v >= 2),),
     # the forecaster reads one traffic value per node and step
     "n_features": (("exactly 1", lambda v: v == 1),),
-    **dict.fromkeys(("skipgram_negatives", "eta", "seed"), (AT_LEAST_0,)),
+    **dict.fromkeys(("skipgram_negatives", "seed"), (AT_LEAST_0,)),
+    "eta": (FINITE, AT_LEAST_0),
     **dict.fromkeys(("walk_p", "walk_q", "learning_rate", "skipgram_lr",
-                     "grad_clip_norm"), (ABOVE_0,)),
+                     "grad_clip_norm"), (FINITE, ABOVE_0)),
     "momentum": (("a value in [0, 1)", lambda v: 0 <= v < 1),),
     "split_ratios": (("three positive ratios summing to 1",
                       lambda v: len(v) == 3 and all(r > 0 for r in v)

@@ -1,12 +1,13 @@
-"""Fork-join over worker processes, for work made of independent tasks
-whose results are float arrays or text files.
+"""Work spread over worker processes: ``for_each`` is the one way the
+package spreads work, and the one function that forks. Each item of its
+work is independent, and its results are float arrays or text files.
 
 The caller is worker 0 and ``os.fork`` starts workers 1..W-1 for one call
 alone, so no pool outlives it. Every worker writes its results into arrays
 made with ``shared_empty`` before the fork, which all workers see, or into
 part files of its own written through ``textio.atomic_open``, which the
 caller reads once every worker has ended (``textio.write_table``). Nothing
-else crosses between processes but a failed worker's exception. A task
+else crosses between processes but a failed worker's exception. An item
 reads only what the fork copied and writes only its own part of a shared
 array or its own part file, so its results do not depend on the worker
 that ran it.
@@ -23,10 +24,6 @@ import threading
 
 import numpy as np
 
-# true while this process runs work of a fork_join of several workers: in
-# the caller's own work(0), and in every child, which inherits it
-_joining = False
-
 
 def worker_count(tasks):
     """Workers to spread `tasks` independent tasks over: the CPUs this
@@ -35,50 +32,41 @@ def worker_count(tasks):
     not fork-safe) from a process that runs one thread (forking a
     multi-threaded process can deadlock the child). It pays when BLAS runs
     each call on one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
-    1), as BLAS's own threads would contend with the workers for the cores,
-    and when this process is not a worker of a fork_join already, as the
-    other workers hold the other cores."""
+    1), as BLAS's own threads would contend with the workers for the
+    cores."""
     blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    if (_joining or blas != "1" or sys.platform != "linux"
-            or threading.active_count() != 1):
+    if blas != "1" or sys.platform != "linux" or threading.active_count() != 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), tasks))
 
 
 def shared_empty(shape):
-    """An uninitialised float64 array of `shape` in memory that the workers
-    forked after it share with the caller."""
+    """An uninitialised float64 array of `shape`, of at least one element,
+    in memory that the workers forked after it share with the caller."""
     size = math.prod(shape)
-    buffer = mmap.mmap(-1, max(8 * size, 1))  # an empty map is refused
+    buffer = mmap.mmap(-1, 8 * size)
     return np.frombuffer(buffer, np.float64, count=size).reshape(shape)
 
 
 def for_each(fn, items):
     """Call fn(item) for every item of the sequence `items`, item k on
-    worker k mod W, with W from ``worker_count``."""
+    worker k mod W, with W from ``worker_count``: worker 0 is the caller,
+    each other worker a child forked for this call. Returns once every
+    child has ended. An exception of the caller's own items propagates;
+    otherwise the first child's exception is raised again here, with its
+    own type."""
     workers = worker_count(len(items))
 
     def work(k):
         for item in items[k::workers]:
             fn(item)
 
-    fork_join(work, workers)
-
-
-def fork_join(work, workers):
-    """Run work(k) for every k below `workers`: k 0 on the caller, each
-    other k in a child forked for it. Returns once every child has ended.
-    An exception of the caller's own work(0) propagates; otherwise the
-    first child's exception is raised again here, with its own type."""
-    global _joining
     children = []
-    joining, _joining = _joining, _joining or workers > 1
     try:
         for k in range(1, workers):
             children.append(_fork(work, k))
         work(0)
     finally:
-        _joining = joining
         errors = [_reap(pid, fd) for pid, fd in children]
     for error in errors:
         if error is not None:

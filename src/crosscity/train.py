@@ -86,7 +86,7 @@ def clip_global_norm(grads, max_norm):
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise FloatingPointError(f"non-finite gradient in {name}")
-    if total > max_norm > 0:
+    if total > max_norm:
         scale = max_norm / total
         return {k: g * scale for k, g in grads.items()}
     return grads

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -652,11 +653,18 @@ class TestErrors:
         # a one-node walk holds no context pair: `embed` found that only in
         # its workers, after the pipeline had named its stage in RUN
         ("walk_length", 1),
+        # JSON's Infinity, which the range rules alone passed: a skipgram_lr
+        # of Infinity wrote nan features before the run failed
+        ("eta", math.inf), ("learning_rate", math.inf),
+        ("skipgram_lr", math.inf), ("walk_p", math.inf), ("walk_q", math.inf),
+        ("grad_clip_norm", math.inf),
     ], ids=["str-int", "bool-int", "bool-float", "repeated-source",
             "target-as-source", "no-train-days", "negative-negatives",
             "no-window", "empty-target", "empty-source", "negative-eta",
             "two-features", "negative-clip", "no-clip", "negative-patience",
-            "no-patience", "one-node-walk"])
+            "no-patience", "one-node-walk", "infinite-eta",
+            "infinite-learning-rate", "infinite-skipgram-lr", "infinite-walk-p",
+            "infinite-walk-q", "infinite-clip"])
     def test_config_value_refused_before_any_stage(self, synthed, capsys,
                                                    key, value):
         data, cfg_path, cfg, tmp_path = synthed

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from crosscity import config, data
@@ -60,6 +62,11 @@ class TestFieldKinds:
                 {"source_domains": ";".join(sources)})
 
 
+# float keys whose range rule alone would pass infinity
+INFINITE_REFUSED = ("eta", "learning_rate", "skipgram_lr", "walk_p", "walk_q",
+                    "grad_clip_norm")
+
+
 class TestRanges:
     @pytest.mark.parametrize("key, value", [
         ("target_train_days", 0), ("target_train_days", -1),
@@ -81,6 +88,7 @@ class TestRanges:
         ("target_domain", "tab\tcity"), ("source_domains", ["ok", "b c"]),
         ("source_domains", ["a/b"]), ("walk_length", 1), ("target_domain", "a,b"),
         ("source_domains", ["ok", "a,b"]),
+        *((key, math.inf) for key in INFINITE_REFUSED),
     ])
     def test_value_out_of_range_refused(self, key, value):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):
@@ -93,6 +101,7 @@ class TestRanges:
         ("grad_clip_norm", "-1"), ("early_stop_patience", "-5"),
         ("target_domain", "x/y"), ("source_domains", "a;b c"),
         ("walk_length", "1"), ("target_domain", "a,b"),
+        *((key, "inf") for key in INFINITE_REFUSED),
     ])
     def test_override_out_of_range_refused(self, key, raw):
         with pytest.raises(ValueError, match=f"^config key '{key}': expected"):

@@ -65,6 +65,17 @@ def test_toy_run_hashes_every_output_file():
         pretrains = "pretrain" in variant_stages(v)
         assert (f"cli-variants/{v}/pretrained.ckpt" in digests) == pretrains
 
+    # the serial and forked arms on the wide target leave the same files
+    arms = {arm: {name.split("/", 2)[2]: digest for name, digest in digests.items()
+                  if name.startswith(f"cli-variants/{arm}/")}
+            for arm in ("pinned", "unpinned")}
+    assert arms["pinned"] == arms["unpinned"]
+    assert arms["pinned"].keys() >= {
+        "data/tee.csv", "data/manifest.txt", "run/finetuned.ckpt",
+        "run/replay_finetune.log", "run/report_target_only_h3_s0.txt"}
+    # its manifest names the paths relative to the arm, so it is hashed
+    assert arms["pinned"]["data/manifest.txt"] != hashlib.sha256(b"").hexdigest()
+
     # every line of a synth manifest names a path, so none is hashed
     empty = hashlib.sha256(b"").hexdigest()
     assert digests["cli-variants/data/manifest.txt"] == empty

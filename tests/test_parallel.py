@@ -9,38 +9,54 @@ from crosscity import parallel
 from conftest import assert_no_child_left
 
 
-def test_every_worker_writes_the_shared_array():
-    out = parallel.shared_empty((3, 2))
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets `parallel.worker_count` to give min(n, tasks) workers from now on."""
+    def pin(n):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(sys, "platform", "linux")
+    return pin
 
-    def work(k):
-        out[k] = [k, 10 * k]
 
-    parallel.fork_join(work, 3)
+def test_every_worker_writes_the_shared_array(cpus):
+    cpus(3)
+    out = parallel.shared_empty((5, 2))
+
+    def fn(item):
+        out[item] = [item, os.getpid()]
+
+    parallel.for_each(fn, range(5))
     assert_no_child_left()
-    assert np.array_equal(out, [[0, 0], [1, 10], [2, 20]])
+    assert out[:, 0].tolist() == [0, 1, 2, 3, 4]
+    # item k on worker k mod 3: worker 0 is the caller, 1 and 2 children
+    pids = out[:, 1].astype(int).tolist()
+    assert pids[0] == pids[3] == os.getpid()
+    assert pids[1] == pids[4] and len({pids[0], pids[1], pids[2]}) == 3
 
 
-def test_shared_empty_of_no_rows():
-    assert parallel.shared_empty((0, 3)).shape == (0, 3)
+def test_the_callers_own_exception_wins_and_every_child_is_reaped(cpus):
+    cpus(3)
 
-
-def test_the_callers_own_exception_wins_and_every_child_is_reaped():
-    def work(k):
-        raise KeyError(k)
+    def fn(item):
+        raise KeyError(item)
 
     with pytest.raises(KeyError) as exc:
-        parallel.fork_join(work, 3)
+        parallel.for_each(fn, range(3))
     assert exc.value.args == (0,)
     assert_no_child_left()
 
 
-def test_a_child_that_exits_without_a_report():
-    def work(k):
-        if k:
+def test_a_child_that_exits_without_a_report(cpus):
+    cpus(2)
+
+    def fn(item):
+        if item:
             os._exit(3)
 
     with pytest.raises(ChildProcessError, match="exit code 3"):
-        parallel.fork_join(work, 2)
+        parallel.for_each(fn, range(2))
     assert_no_child_left()
 
 
@@ -49,31 +65,13 @@ class Unloadable(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def test_an_exception_that_does_not_unpickle_is_named():
-    def work(k):
-        if k:
+def test_an_exception_that_does_not_unpickle_is_named(cpus):
+    cpus(2)
+
+    def fn(item):
+        if item:
             raise Unloadable(1, 2)
 
     with pytest.raises(ChildProcessError, match="^Unloadable: 1 and 2$"):
-        parallel.fork_join(work, 2)
+        parallel.for_each(fn, range(2))
     assert_no_child_left()
-
-
-def test_no_worker_forks_again(monkeypatch):
-    # forking is safe and pays here, so only being a worker gives 1
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
-                        raising=False)
-    monkeypatch.setattr(sys, "platform", "linux")
-    seen = parallel.shared_empty((3,))
-
-    def work(k):
-        seen[k] = parallel.worker_count(8)
-
-    parallel.fork_join(work, 3)
-    assert_no_child_left()
-    assert seen.tolist() == [1, 1, 1]
-    # a join of one worker starts no process, and a finished join none
-    parallel.fork_join(work, 1)
-    assert seen[0] == 4
-    assert parallel.worker_count(8) == 4

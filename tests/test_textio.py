@@ -157,13 +157,13 @@ def test_blocks_on_workers_write_the_serial_bytes(tmp_path, monkeypatch, cpus, n
     textio.write_table(serial, header, rows)  # under the cut-off: serial
     _forking(monkeypatch, cpus)
     monkeypatch.setattr(textio, "PARALLEL_CELLS", 0)
-    joins, fork_join = [], parallel.fork_join
+    joins, for_each = [], parallel.for_each
 
-    def counting(work, workers):
-        joins.append(workers)
-        fork_join(work, workers)
+    def counting(fn, items):  # one item, a block of rows, per worker
+        joins.append(len(items))
+        for_each(fn, items)
 
-    monkeypatch.setattr(parallel, "fork_join", counting)
+    monkeypatch.setattr(parallel, "for_each", counting)
     textio.write_table(tmp_path / "blocks.csv", header, rows)
     assert_no_child_left()
     assert joins == ([] if n_rows == 1 else [min(cpus, n_rows)])
@@ -186,10 +186,10 @@ def test_a_failing_worker_leaves_no_file(tmp_path, monkeypatch, bad_row):
 def test_tables_under_the_cut_off_never_fork(tmp_path, monkeypatch):
     _forking(monkeypatch, 2)
 
-    def no_fork(work, workers):
-        raise AssertionError(f"fork_join of {workers} workers")
+    def no_fork(fn, items):
+        raise AssertionError(f"for_each of {len(items)} blocks")
 
-    monkeypatch.setattr(parallel, "fork_join", no_fork)
+    monkeypatch.setattr(parallel, "for_each", no_fork)
     mx.MetricReport("full", 3, 1.0, 2.0, 0.1, 9, 9, 0, "abc").write(
         tmp_path / "report.txt")
     WRITERS["write_comparison_csv"](tmp_path / "comparison.csv", monkeypatch)

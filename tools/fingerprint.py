@@ -23,7 +23,14 @@ Each workload runs at seed 0 in a temporary directory:
   ``isolated``, where the target's node 2 has no edge; and a
   ``target_only`` pipeline in ``serial`` with the BLAS thread variables
   unset, so that it forks no worker, whose every file must equal the
-  ``target_only`` run's byte for byte.
+  ``target_only`` run's byte for byte. The tiny cities fork only in
+  ``embed``, so the same check runs again where every fork site forks:
+  ``synth`` of the tiny sources and a 36-node target into ``data``, then a
+  ``target_only`` pipeline into ``run``, in ``pinned`` with BLAS pinned and
+  in ``unpinned`` with the BLAS variables unset. The two must leave the
+  same bytes, the unpinned one must fork no worker and, on 2 or more CPUs,
+  the pinned one must fork in ``write_table``, ``embed`` and
+  ``predict_windows``.
   Last come the commands users see refused: ``finetune`` on copies of the
   data directory whose target series holds a cell ``x``, a cell ``nan`` or
   no row, ``evaluate`` with no finetuned checkpoint (exit 2), and a
@@ -79,6 +86,11 @@ TINY_CONFIG = {
     "finetune_max_epochs": 2, "finetune_batches_per_epoch": 2,
     "early_stop_patience": 2, "batch_size": 32, "seed": 0,
 }
+# the tiny target grown to 36 nodes: its series, 288 steps by 36 nodes, is
+# over PARALLEL_CELLS, and its validation and test sets each span several
+# 512-window batches, so a pinned pipeline on it forks at FORK_SITES
+WIDE_TARGET = "name = tee\nn_nodes = 36\ntopology = grid\ndays = 1\nseed = 3\n"
+FORK_SITES = ("write_table", "_embed", "predict_windows")
 
 
 class FingerprintError(RuntimeError):
@@ -250,7 +262,69 @@ def run_cli_variants(workdir):
         if path.is_file() and not (twin.is_file()
                                    and twin.read_bytes() == path.read_bytes()):
             raise FingerprintError(f"{path} differs from {twin}")
+    run_fork_pair(cli, workdir, config, specs[:2])
     run_refusals(cli, workdir, config, data)
+
+
+@contextlib.contextmanager
+def _forks():
+    """A set that gets the name of every function on the stack of each
+    os.fork made within."""
+    names, fork = set(), os.fork
+
+    def recording():
+        frame = sys._getframe(1)
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        return fork()
+
+    os.fork = recording
+    try:
+        yield names
+    finally:
+        os.fork = fork
+
+
+def run_fork_pair(cli, workdir, config, sources):
+    """`synth` of the source specs and WIDE_TARGET into `data`, then a
+    `target_only` pipeline into `run`, once in `pinned` with BLAS pinned to
+    one thread and once in `unpinned` with the BLAS thread variables unset.
+    FingerprintError unless both leave the same files, byte for byte, the
+    unpinned arm forks no worker and, when this process may run on 2 CPUs,
+    the pinned arm forks at each of FORK_SITES."""
+    target = os.path.join(workdir, "wide.spec")
+    Path(target).write_text(WIDE_TARGET)
+    pinned = {var: os.environ[var] for var in BLAS_VARS if var in os.environ}
+    arms = {}
+    for arm in ("pinned", "unpinned"):
+        os.makedirs(os.path.join(workdir, arm))
+        if arm == "unpinned":
+            for var in pinned:
+                del os.environ[var]
+        cwd = os.getcwd()
+        os.chdir(os.path.join(workdir, arm))  # so the synth manifests match
+        try:
+            with _forks() as arms[arm]:
+                _cli(cli, "synth", "--out", "data", *sources, target)
+                _cli(cli, "pipeline", "--config", config, "--data", "data",
+                     "--out", "run", "--variant", "target_only", "--replay-log")
+        finally:
+            os.chdir(cwd)
+            os.environ.update(pinned)
+    trees = [tree_bytes(os.path.join(workdir, arm)) for arm in arms]
+    differ = sorted(path for path in trees[0].keys() | trees[1].keys()
+                    if trees[0].get(path, 0) != trees[1].get(path, 0))
+    if differ:
+        raise FingerprintError(f"pinned and unpinned runs differ in "
+                               f"{', '.join(differ)}")
+    if arms["unpinned"]:
+        raise FingerprintError("the unpinned run forked a worker")
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    missed = [site for site in FORK_SITES if site not in arms["pinned"]]
+    if cpus >= 2 and missed:
+        raise FingerprintError(f"the pinned run forked no worker in "
+                               f"{', '.join(missed)}")
 
 
 def run_refusals(cli, workdir, config, data):
