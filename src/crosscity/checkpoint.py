@@ -5,7 +5,7 @@ record per tensor: ``name shape d0,d1 values v1 v2 ...`` with repr-formatted
 floats (shortest decimal that reloads to the same double). Normalization
 statistics ride along as ``stats.<domain>.mean`` / ``.std`` scalar records;
 a std that is not above 0, and any other ``stats.`` record, is refused at
-load.
+load. Every refusal names the file, and the line of a bad record.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ def _shape_token(shape):
     return ",".join(str(d) for d in shape) if shape else "-"
 
 
-def _parse_shape(token):
-    return () if token == "-" else tuple(int(d) for d in token.split(","))
-
-
 def save_checkpoint(ckpt, path):
     with atomic_open(path) as fh:
         fh.write(f"version={FORMAT_VERSION}\nstage={ckpt.stage}\n"
@@ -68,6 +64,13 @@ def save_checkpoint(ckpt, path):
 def load_checkpoint(path, expect_config_hash=None):
     with open(path) as fh:
         lines = fh.read().splitlines()
+    try:
+        return _parse(lines, expect_config_hash)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _parse(lines, expect_config_hash):
     if len(lines) < 4:
         raise CheckpointError("truncated checkpoint: missing header")
     header = dict(line.partition("=")[::2] for line in lines[:4])
@@ -96,10 +99,10 @@ def load_checkpoint(path, expect_config_hash=None):
             raise CheckpointError(f"line {ln}: {name} repeats the record of "
                                   f"line {first_line[name]}")
         first_line[name] = ln
-        try:
-            shape = _parse_shape(parts[2])
-        except ValueError as exc:
-            raise CheckpointError(f"line {ln}: bad shape {parts[2]!r}") from exc
+        dims = [] if parts[2] == "-" else parts[2].split(",")
+        if not all(d.isdecimal() for d in dims):  # no sign, so none negative
+            raise CheckpointError(f"line {ln}: bad shape {parts[2]!r}")
+        shape = tuple(map(int, dims))
         try:
             vals = np.array([float(v) for v in parts[4:]], dtype=np.float64)
         except ValueError as exc:

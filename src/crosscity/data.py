@@ -65,34 +65,13 @@ def denormalize_values(values, stats):
     return values
 
 
-class WindowNodes:
-    """The node id of every window of a start-major, node-minor dataset:
-    window i is of node i mod n_nodes. Indexing it with an int, a slice or
-    an int array gives what indexing the tiled intp array would, and only
-    that many ids are ever held."""
-
-    def __init__(self, count, n_nodes):
-        self.n_nodes = n_nodes
-        self.shape = (count * n_nodes,)
-
-    def __getitem__(self, idx):
-        size = self.shape[0]
-        if isinstance(idx, slice):
-            windows = np.arange(*idx.indices(size), dtype=np.intp)
-        else:
-            windows = np.asarray(idx)
-            if windows.dtype.kind not in "iu":
-                raise IndexError(f"window index of dtype {windows.dtype}")
-            if windows.size and (windows.min() < -size or windows.max() >= size):
-                raise IndexError(f"window index out of range for {size} windows")
-        return windows.astype(np.intp, copy=False) % self.n_nodes
-
-
 @dataclass
 class WindowedDataset:
-    """Samples of (node id, (H', N_f) input, (H, N_f) target); inputs and
-    targets are read-only views of the array they were cut from."""
-    node_ids: WindowNodes
+    """Samples of (node id, (H', N_f) input, (H, N_f) target); window i is
+    start i // n_nodes, node i mod n_nodes. inputs and targets are read-only
+    views of the array they were cut from, node_ids the flat view of one
+    arange(n_nodes) row broadcast to every start."""
+    node_ids: np.flatiter
     inputs: np.ndarray
     targets: np.ndarray
 
@@ -101,8 +80,8 @@ class WindowedDataset:
 
 
 def make_windows(values, history, horizon):
-    """Stride-1 sliding windows per node of a T x N array, start-major and
-    node-minor; T - H' - H + 1 samples each."""
+    """Stride-1 sliding windows per node of a T x N array; T - H' - H + 1
+    samples each."""
     x = np.ascontiguousarray(values)
     t_len, n_nodes = x.shape
     count = t_len - history - horizon + 1
@@ -113,11 +92,9 @@ def make_windows(values, history, horizon):
     # strides nest in a C-contiguous series, so the reshape is still a view
     windows = np.lib.stride_tricks.sliding_window_view(
         x, history + horizon, axis=0).reshape(count * n_nodes, history + horizon)
-    return WindowedDataset(
-        WindowNodes(count, n_nodes),
-        windows[:, :history, None],
-        windows[:, history:, None],
-    )
+    nodes = np.broadcast_to(np.arange(n_nodes, dtype=np.intp), (count, n_nodes))
+    return WindowedDataset(nodes.flat, windows[:, :history, None],
+                           windows[:, history:, None])
 
 
 def chrono_split(series, ratios, history, horizon, train_days):

@@ -90,7 +90,33 @@ class TestErrors:
         save_checkpoint(sample_ckpt(rng), path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:5] + ["\n"] + lines[5:]))
-        with pytest.raises(CheckpointError, match="^line 6: malformed tensor record$"):
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(str(path))}: line 6: malformed tensor record$")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", ["2,x", "-1,-4", "-2,-2"])
+    def test_bad_shape_refused(self, tmp_path, shape):
+        # -1,-4 and -2,-2 hold the 4 values their product asks for
+        path = tmp_path / "bs.ckpt"
+        path.write_text(
+            "version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+            f"w shape {shape} values 1.0 2.0 3.0 4.0\n")
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(str(path))}: line 5: bad shape '{shape}'$")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text, expect", [
+        ("version=1\n", "truncated checkpoint"),
+        ("version=1\nstage=finetuned\nconfig_hash=x\nseed=1.5\n",
+         "checkpoint seed '1.5' is not an integer"),
+        ("version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+         "stats.metro.mean shape - values 1.0\n", "incomplete stats"),
+    ], ids=["truncated", "seed", "stats"])
+    def test_refusal_names_the_file(self, tmp_path, text, expect):
+        path = tmp_path / "p.ckpt"
+        path.write_text(text)
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: {expect}"):
             load_checkpoint(path)
 
     def test_value_count_mismatch(self, rng, tmp_path):
@@ -193,8 +219,8 @@ class TestErrors:
             f"{name} shape - values 3.0\n"
             "stats.tee.std shape - values 2.0\n")
         with pytest.raises(CheckpointError, match=(
-                f"^line 6: {re.escape(name)} is neither a stats.<domain>.mean "
-                "nor a .std record$")):
+                f"^{re.escape(str(path))}: line 6: {re.escape(name)} is neither "
+                "a stats.<domain>.mean nor a .std record$")):
             load_checkpoint(path)
 
 

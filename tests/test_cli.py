@@ -526,6 +526,7 @@ class TestErrors:
         assert main(["evaluate", *common]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path}: line " in err
         assert "stats.tee.std is 0.0; a std must be above 0" in err
         assert not [f for f in os.listdir(out) if f.startswith("report_")]
 
@@ -546,7 +547,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "forecaster.head.b holds a non-finite value" in err
-        assert "line " in err
+        assert f"{path}: line " in err
+
+    def test_evaluate_refuses_a_record_of_negative_dimensions(self, synthed,
+                                                               capsys):
+        # (-1) * (-8) = 8 values, as many as the record holds
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out,
+                  "--variant", "full"]
+        assert main(["pipeline", *common]) == 0
+        path = os.path.join(out, "finetuned.ckpt")
+        lines = open(path).read().splitlines(keepends=True)
+        name, _, shape, rest = lines[4].split(" ", 3)
+        assert shape == "8"
+        lines[4] = f"{name} shape -1,-8 {rest}"
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        before = _file_bytes(out, data)
+        capsys.readouterr()
+        assert main(["evaluate", *common]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 5: bad shape '-1,-8'\n"
+        assert _file_bytes(out, data) == before
 
     @pytest.mark.parametrize("trained, label, message", [
         ("full", "wo_pri", "is not part of a 'wo_pri' model"),

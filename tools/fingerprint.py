@@ -33,11 +33,13 @@ Each workload runs at seed 0 in a temporary directory:
   ``predict_windows``.
   Last come the commands users see refused: ``finetune`` on copies of the
   data directory whose target series holds a cell ``x``, a cell ``nan`` or
-  no row, ``evaluate`` with no finetuned checkpoint (exit 2), and a
-  ``pretrain`` whose gradients overflow. Each must exit with its code (1
-  unless said), print one stderr line, starting with ``error:``, and leave
-  every file and directory under the work directory as it was; the copies
-  are removed after.
+  no row, ``evaluate`` with no finetuned checkpoint (exit 2), ``evaluate``
+  on a copy of the ``full`` run directory whose checkpoint's first record
+  has the negative dimensions ``-1,-8``, and a ``pretrain`` whose
+  gradients overflow. Each must exit with its code (1 unless said), print
+  one stderr line, starting with ``error:``, and leave every file and
+  directory under the work directory as it was; the copies are removed
+  after.
 
 The tool prints one ``<sha256>  <workload>/<file>`` line per file the run
 leaves. Lines of a file that name the run's directory, such as the paths in
@@ -330,7 +332,8 @@ def run_fork_pair(cli, workdir, config, sources):
 def run_refusals(cli, workdir, config, data):
     """Commands users run that must be refused, each checked by ``_refused``:
     a target series with a bad cell or no row, `evaluate` with no
-    checkpoint, and a pre-training whose gradients overflow."""
+    checkpoint or with a record of negative dimensions in the `full` run's,
+    and a pre-training whose gradients overflow."""
     header, row, *rest = Path(data, "tee.csv").read_text().splitlines(keepends=True)
     kept, tail = row.rsplit(",", 1)[0], "".join(rest)
     for text in (f"{header}{kept},x\n{tail}", f"{header}{kept},nan\n{tail}", header):
@@ -342,6 +345,14 @@ def run_refusals(cli, workdir, config, data):
                      "--variant", "target_only")
     _refused(cli, 2, workdir, "evaluate", "--config", config, "--data", data,
              "--out", os.path.join(workdir, "refused"))
+    with tempfile.TemporaryDirectory(dir=workdir) as run:
+        shutil.copytree(os.path.join(workdir, "full"), run, dirs_exist_ok=True)
+        ckpt = Path(run, "finetuned.ckpt")
+        # (-1) * (-8) asks for the 8 values its first record holds
+        ckpt.write_text(ckpt.read_text().replace(" shape 8 values ",
+                                                 " shape -1,-8 values ", 1))
+        _refused(cli, 1, workdir, "evaluate", "--config", config,
+                 "--data", data, "--out", run, "--variant", "full")
     _refused(cli, 1, workdir, "pretrain", "--config", config, "--data", data,
              "--out", os.path.join(workdir, "refused"),
              "--set", "learning_rate=1e300", "--set", "grad_clip_norm=1e300")
