@@ -10,10 +10,12 @@ load. Every refusal names the file, and the line of a bad record.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import NormalizationStats
-from .textio import atomic_open, float_reprs
+from .textio import atomic_open, float_reprs, open_text
 
 FORMAT_VERSION = 1
 
@@ -62,7 +64,7 @@ def save_checkpoint(ckpt, path):
 
 
 def load_checkpoint(path, expect_config_hash=None):
-    with open(path) as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     try:
         return _parse(lines, expect_config_hash)
@@ -109,7 +111,7 @@ def _parse(lines, expect_config_hash):
             raise CheckpointError(f"line {ln}: {name}: {exc}") from None
         if not np.isfinite(vals).all():
             raise CheckpointError(f"line {ln}: {name} holds a non-finite value")
-        expected = int(np.prod(shape))
+        expected = math.prod(shape)
         if vals.size != expected:
             raise CheckpointError(
                 f"line {ln}: {name} expects {expected} values, found {vals.size}")

@@ -17,6 +17,7 @@ Data layout inside a directory, per city NAME:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -30,7 +31,7 @@ from . import node2vec as n2v
 from .config import VARIANTS, ExperimentConfig, check_pretrain, variant_stages
 from .graph import load_graph, save_graph
 from .parallel import for_each, shared_empty
-from .textio import AT_LEAST_0, atomic_open
+from .textio import AT_LEAST_0, atomic_open, open_text
 from .train import DomainData, ReplayLog, finetune, pretrain
 
 EXIT_BAD_ARGS = 2
@@ -56,11 +57,12 @@ def _load_config(args):
     if args.config:
         if not os.path.exists(args.config):
             raise CliError(f"config file not found: {args.config}", EXIT_BAD_ARGS)
-        with open(args.config) as fh:
-            try:
-                cfg = ExperimentConfig.from_json(fh.read())
-            except ValueError as exc:
-                raise CliError(f"{args.config}: {exc}") from None
+        with open_text(args.config) as fh:
+            text = fh.read()
+        try:
+            cfg = ExperimentConfig.from_json(text)
+        except ValueError as exc:
+            raise CliError(f"{args.config}: {exc}") from None
     else:
         cfg = ExperimentConfig()
     items = args.set or []
@@ -114,11 +116,18 @@ def _load_city(cfg, args, name, series):
     return DomainData(name, graph, features, traffic)
 
 
-def _load_checkpoint(cfg, args, stage):
-    """The run directory's `stage` checkpoint, written under this config."""
+@contextlib.contextmanager
+def _checkpoint(cfg, args, stage):
+    """The run directory's `stage` checkpoint, written under this config;
+    a CheckpointError raised in the block, by a check of the checkpoint
+    against the model or the city, names the checkpoint's file too."""
     path = _existing(os.path.join(args.out, f"{stage}.ckpt"),
                      f"{stage} checkpoint")
-    return ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
+    ckpt = ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
+    try:
+        yield ckpt
+    except ck.CheckpointError as exc:
+        raise ck.CheckpointError(f"{path}: {exc}") from None
 
 
 # -- commands without a config ----------------------------------------------
@@ -227,10 +236,11 @@ def _pretrain(cfg, args):
 
 def _finetune(cfg, args):
     target = _load_city(cfg, args, cfg.target_domain, series=True)
-    pre = (_load_checkpoint(cfg, args, "pretrained")
-           if "pretrain" in variant_stages(args.variant) else None)
-    _train(cfg, args, "finetune", lambda log: finetune(
-        pre, target, cfg, variant=args.variant, replay_log=log))
+    with (_checkpoint(cfg, args, "pretrained")
+          if "pretrain" in variant_stages(args.variant)
+          else contextlib.nullcontext()) as pre:
+        _train(cfg, args, "finetune", lambda log: finetune(
+            pre, target, cfg, variant=args.variant, replay_log=log))
 
 
 REPORT_HORIZONS = (3, 6, 12)
@@ -249,9 +259,9 @@ def _report_horizons(cfg):
 
 def _evaluate(cfg, args):
     horizons = _report_horizons(cfg)
-    fin = _load_checkpoint(cfg, args, "finetuned")
-    target = _load_city(cfg, args, cfg.target_domain, series=True)
-    reports = mx.evaluate(fin, cfg, target, horizons, variant=args.variant)
+    with _checkpoint(cfg, args, "finetuned") as fin:
+        target = _load_city(cfg, args, cfg.target_domain, series=True)
+        reports = mx.evaluate(fin, cfg, target, horizons, variant=args.variant)
     reports += mx.evaluate_ha(cfg, target, horizons)
     for rep in reports:
         rep.write(os.path.join(
@@ -261,11 +271,11 @@ def _evaluate(cfg, args):
 
 
 def _export_embeddings(cfg, args):
-    pre = _load_checkpoint(cfg, args, "pretrained")
-    cities = [_load_city(cfg, args, n, series=False)
-              for n in cfg.source_domains + [cfg.target_domain]]
-    out_csv = os.path.join(args.out, "embeddings.csv")
-    mx.export_embeddings(pre, cfg, cities, out_csv)
+    with _checkpoint(cfg, args, "pretrained") as pre:
+        cities = [_load_city(cfg, args, n, series=False)
+                  for n in cfg.source_domains + [cfg.target_domain]]
+        out_csv = os.path.join(args.out, "embeddings.csv")
+        mx.export_embeddings(pre, cfg, cities, out_csv)
     print(f"wrote {out_csv}")
 
 

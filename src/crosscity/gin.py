@@ -9,9 +9,8 @@ reference).
 
 The mean over neighbors is the graph's dense aggregation matrix times the
 layer input. The first layer's input, a city's raw features, does not
-change, so an encoder takes that product once per graph and keeps it while
-the features hold the same bits; it keeps the matrix itself only when a
-later layer needs it.
+change, so the city (``train.DomainData``) holds that product, and the
+matrix for any later layer; an encoder holds nothing but its layers.
 """
 
 from __future__ import annotations
@@ -85,36 +84,16 @@ class SpatialEncoder:
         for _ in range(n_layers):
             self.layers.append(GinLayer(d, out_dim, rng=rng))
             d = out_dim
-        self._matrices = {}  # graph -> its aggregation matrix as a Tensor, if kept
-        self._aggregates = {}  # graph -> (features, their bytes, matrix @ them)
 
-    def forward(self, features, graph):
-        """features: (N, D_e) array of a city's raw features, which are
-        data and get no gradient; returns the (N, D_f) embedding Tensor."""
-        x = Tensor(features)
-        if x.shape[0] != graph.n_nodes:
-            raise ad.ShapeError(
-                f"features have {x.shape[0]} rows for a {graph.n_nodes}-node graph")
+    def forward(self, city):
+        """The (N, D_f) embedding Tensor of city, a ``train.DomainData``;
+        its raw features are data and get no gradient."""
         first, *rest = self.layers
-        if rest and graph not in self._matrices:
-            self._matrices[graph] = Tensor(graph.mean_aggregation_matrix())
-        agg = self._matrices.get(graph)
-        x = first.forward(x, agg, self._first_aggregate(graph, x.data, agg))
+        agg = city.aggregation if rest else None
+        x = first.forward(Tensor(city.raw_features), agg, city.neighbor_mean)
         for layer in rest:
             x = layer.forward(x, agg)
         return x
-
-    def _first_aggregate(self, graph, xd, agg):
-        """graph.mean_aggregation_matrix() @ xd, read-only; agg is that
-        matrix as a Tensor, or None. It is taken again only when xd is not
-        the array of the last call with graph, or its bits changed since."""
-        hit, bits = self._aggregates.get(graph), xd.tobytes()
-        if hit is None or hit[0] is not xd or hit[1] != bits:
-            matrix = graph.mean_aggregation_matrix() if agg is None else agg.data
-            product = matrix @ xd
-            product.flags.writeable = False
-            hit = self._aggregates[graph] = (xd, bits, product)
-        return hit[2]
 
     def params(self, prefix):
         out = {}

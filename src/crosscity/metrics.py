@@ -18,7 +18,7 @@ from .checkpoint import CheckpointError
 from .config import VARIANTS, variant_uses
 from .data import chrono_split, denormalize_values, make_windows
 from .textio import (ABOVE_0, AT_LEAST_0, AT_LEAST_1, FINITE, DataError, atomic_open,
-                     check_fields, write_table)
+                     check_fields, open_text, write_table)
 from .train import FinetuneModel, PretrainModel, _load_params, predict_windows
 
 
@@ -96,7 +96,7 @@ class MetricReport:
         with no more samples in the MAPE than in the report."""
         known = {f.name for f in fields(cls)}
         kv, line_of = {}, {}
-        with open(path) as fh:
+        with open_text(path) as fh:
             for ln, line in enumerate(fh, start=1):
                 key, _, val = line.strip().partition("=")
                 if key in line_of:
@@ -186,7 +186,7 @@ def evaluate(checkpoint, config, target, horizons, variant):
     _load_params(params, checkpoint.tensors)
 
     test_set = make_windows(test, config.history, config.horizon)
-    emb = model.embeddings(target.raw_features, target.graph)
+    emb = model.embeddings(target)
     preds = predict_windows(model.forecaster, emb, test_set, st)
     denormalize_values(preds, st)
     return _reports(variant, test_set.targets, preds, horizons, config, target)
@@ -277,7 +277,7 @@ def stage1_embeddings(checkpoint, config, domains):
     out = []
     for i, dom in enumerate(domains):
         enc = model.encoders[dom.name] if i < len(names) else model.target_encoder
-        out.append(enc.forward(dom.raw_features, dom.graph).data)
+        out.append(enc.forward(dom).data)
     return out
 
 

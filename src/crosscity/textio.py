@@ -1,6 +1,7 @@
 """How crosscity reads and writes text: every file it writes goes through
-`atomic_open`. CSV tables, `#`-commented lines and typed fields are parsed
-here; checkpoints and metric reports in `checkpoint.py` and `metrics.py`."""
+`atomic_open`, and every input file it reads through `open_text`. CSV tables,
+`#`-commented lines and typed fields are parsed here; checkpoints and
+metric reports in `checkpoint.py` and `metrics.py`."""
 
 import contextlib
 import itertools
@@ -29,6 +30,19 @@ def atomic_open(path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """The file at path opened for reading in the locale's encoding, which
+    the writers use; a byte it cannot decode, met anywhere in the block, is
+    a DataError naming path."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: byte {exc.object[exc.start]:#04x} is not "
+                            f"{exc.encoding} text") from None
 
 
 def float_reprs(values):
@@ -98,7 +112,7 @@ def _write_blocks(fh, path, rows, workers):
 def content_lines(path):
     """(line number, text) of each line of the file at path, with its `#`
     comment and outer blanks cut; lines left empty are skipped."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -163,7 +177,7 @@ def read_table(path, parse_first, width=None):
     ``parse_floats``; a file it refuses is read again by the per-cell scan,
     whose DataError names the path, line and column of what it refuses."""
     firsts = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip().split(",")
 
         def rests():
@@ -182,7 +196,7 @@ def read_table(path, parse_first, width=None):
 def _scan_table(path, parse_first, width):
     """``read_table`` cell by cell: float() of each cell, and the first
     refused cell, row or header named."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip().split(",")
         if width is not None and len(header) != width:
             raise DataError(f"{path}: expected {width} columns, found {len(header)}")

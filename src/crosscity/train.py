@@ -12,6 +12,7 @@ it); only the target graph topology and raw node features participate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,11 +38,30 @@ class ProtocolError(RuntimeError):
 @dataclass
 class DomainData:
     """Everything known about one city: topology, raw node features, and
-    (optionally) its traffic series."""
+    (optionally) its traffic series; and the constants every encoder of the
+    city reads, each built on first use."""
     name: str
     graph: object
     raw_features: np.ndarray
     series: object = None
+
+    @functools.cached_property
+    def neighbor_mean(self):
+        """graph.mean_aggregation_matrix() @ raw_features, read-only. The
+        features must have a row per node, and are read-only from then on."""
+        feats, n = self.raw_features, self.graph.n_nodes
+        if feats.shape[0] != n:
+            raise ad.ShapeError(f"features have {feats.shape[0]} rows for a "
+                                f"{n}-node graph")
+        feats.flags.writeable = False
+        product = self.graph.mean_aggregation_matrix() @ feats
+        product.flags.writeable = False
+        return product
+
+    @functools.cached_property
+    def aggregation(self):
+        """The graph's mean aggregation matrix as a constant Tensor."""
+        return Tensor(self.graph.mean_aggregation_matrix())
 
 
 @dataclass
@@ -170,14 +190,13 @@ class FinetuneModel:
         self.forecaster = ForecasterParams(
             config.n_features, config.hidden_dim, d, config.horizon, rng)
 
-    def embeddings(self, raw, graph):
+    def embeddings(self, city):
         if self.encoder is None:
-            return Tensor(np.zeros((graph.n_nodes, self.forecaster.embed_dim)))
-        shared = self.encoder.forward(raw, graph)
+            return Tensor(np.zeros((city.graph.n_nodes, self.forecaster.embed_dim)))
+        shared = self.encoder.forward(city)
         if self.private is None:
             return shared
-        private = self.private.forward(raw, graph)
-        return self.combiner.combine(shared, private)
+        return self.combiner.combine(shared, self.private.forward(city))
 
     def params(self):
         out = {}
@@ -288,7 +307,7 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
     def step_losses(src, factor, where):
         """One optimizer step on a batch of src; its forecast and domain
         losses as floats, so that no step's tape outlives it."""
-        embeddings = model.encoders[src.name].forward(src.raw_features, src.graph)
+        embeddings = model.encoders[src.name].forward(src)
         dataset = train_sets[src.name]
         idx = batch_rng.choice(len(dataset), size=min(config.batch_size,
                                                       len(dataset)),
@@ -301,10 +320,9 @@ def pretrain(config, sources, target, variant="full", replay_log=None):
         groups = []
         for gj, other in enumerate(sources):
             emb = (embeddings if other.name == src.name
-                   else model.encoders[other.name].forward(
-                       other.raw_features, other.graph))
+                   else model.encoders[other.name].forward(other))
             groups.append((emb, gj))
-        target_emb = model.target_encoder.forward(target.raw_features, target.graph)
+        target_emb = model.target_encoder.forward(target)
         groups.append((target_emb, len(sources)))
         loss_adv = adversarial_loss(model.classifier, groups,
                                     reversal_factor=factor)
@@ -376,7 +394,7 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
     def step_loss(idx, where):
         """One optimizer step on the windows idx; its loss as a float, so
         that the step's tape is gone before validation."""
-        emb = model.embeddings(target.raw_features, target.graph)
+        emb = model.embeddings(target)
         loss = _batched_forecast_loss(model.forecaster, emb, train_set, idx, st)
         _update(params, loss, opt, config, where)
         return float(loss.data)
@@ -397,7 +415,7 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
                                   domain=target.name, factor=0.0,
                                   loss_src=loss, loss_adv=0.0,
                                   classifier_updated=0)
-        emb = model.embeddings(target.raw_features, target.graph)
+        emb = model.embeddings(target)
         val_mae = _epoch_val_mae(model, val_set, emb, st)
         if val_mae < best_val - 1e-12:
             best_val = val_mae

@@ -302,7 +302,8 @@ def gin_layer(layer, x, agg_matrix, x_agg=None):
 
 
 def spatial_encoder(encoder, features, graph):
-    """Same contract as ``gin.SpatialEncoder.forward``, layer by layer."""
+    """What ``gin.SpatialEncoder.forward`` gives for a city of these
+    features and graph, layer by layer."""
     x = features if isinstance(features, Tensor) else Tensor(features)
     agg = Tensor(mean_aggregation_matrix(graph))
     for layer in encoder.layers:

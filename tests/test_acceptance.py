@@ -47,12 +47,13 @@ def test_full_loss_gradient_matches_finite_differences(rng):
     inputs, targets = batch.inputs[idx], batch.targets[idx]
 
     def loss_fn():
-        embs = {k: model.encoders[k].forward(raw[k], graphs[k]) for k in ("s0", "s1")}
+        embs = {k: model.encoders[k].forward(DomainData(k, graphs[k], raw[k]))
+                for k in ("s0", "s1")}
         f_v = ad.gather_rows(embs["s0"], node_ids)
         preds = fc.forecast(model.forecaster, inputs, f_v)
         loss_src = fc.source_loss(preds, targets)
         groups = [(embs["s0"], 0), (embs["s1"], 1),
-                  (model.target_encoder.forward(raw["t"], graphs["t"]), 2)]
+                  (model.target_encoder.forward(DomainData("t", graphs["t"], raw["t"])), 2)]
         # joint loss with a constant coupling weight; the reversal wiring is
         # checked separately since finite differences cannot observe it
         loss_adv = adversarial_loss(model.classifier, groups)
@@ -84,7 +85,7 @@ def test_gradient_reversal_wiring(rng):
     def grads(factor):
         for p in {**enc.params("e"), **clf.params()}.values():
             p.grad = None
-        loss = adversarial_loss(clf, [(enc.forward(raw, graph), 0)],
+        loss = adversarial_loss(clf, [(enc.forward(DomainData("s", graph, raw)), 0)],
                                 reversal_factor=factor)
         loss.backward()
         e = {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
@@ -122,11 +123,11 @@ def test_encoder_permutation_equivariance(rng):
         graph = RoadGraph(n, edges)
         enc = SpatialEncoder(5, 5, 1, rng)
         x = rng.standard_normal((n, 5))
-        out = enc.forward(x, graph).data
+        out = enc.forward(DomainData("c", graph, x)).data
         perm = rng.permutation(n)
         x_p = np.empty_like(x)
         x_p[perm] = x  # node i relabeled as perm[i]
-        out_p = enc.forward(x_p, composed.permuted_graph(graph, perm)).data
+        out_p = enc.forward(DomainData("c", composed.permuted_graph(graph, perm), x_p)).data
         assert np.abs(out_p[perm] - out).max() < 1e-9
     print("\nPASS encoder equivariance on 20 random graphs")
 

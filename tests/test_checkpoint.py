@@ -105,6 +105,22 @@ class TestErrors:
                 f"^{re.escape(str(path))}: line 5: bad shape '{shape}'$")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape, values, expected", [
+        ("4294967296,4294967296", "", 2 ** 64),
+        ("4611686018427387905,4", " 1.0 2.0 3.0 4.0", 2 ** 64 + 4),
+    ])
+    def test_shape_whose_product_overflows_int64_refused(self, tmp_path, shape,
+                                                         values, expected):
+        # each product wraps in int64 to the count of values the record holds
+        path = tmp_path / "big.ckpt"
+        path.write_text("version=1\nstage=finetuned\nconfig_hash=x\nseed=0\n"
+                        f"w shape {shape} values{values}\n")
+        found = len(values.split())
+        with pytest.raises(CheckpointError, match=(
+                f"^{re.escape(str(path))}: line 5: w expects {expected} "
+                f"values, found {found}$")):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("text, expect", [
         ("version=1\n", "truncated checkpoint"),
         ("version=1\nstage=finetuned\nconfig_hash=x\nseed=1.5\n",

@@ -489,8 +489,8 @@ class TestErrors:
         capsys.readouterr()
         assert main(["evaluate", *common]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "missing parameter forecaster.head.b" in err
+        assert err == (f"error: {path}: checkpoint missing parameter "
+                       f"forecaster.head.b\n")
 
     def test_evaluate_rejects_checkpoint_without_the_target_stats(self, synthed,
                                                                   capsys):
@@ -506,8 +506,8 @@ class TestErrors:
         capsys.readouterr()
         assert main(["evaluate", *common]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: checkpoint holds no normalization stats for "
-                       "domain 'tee'\n")
+        assert err == (f"error: {path}: checkpoint holds no normalization "
+                       f"stats for domain 'tee'\n")
         assert not [f for f in os.listdir(out) if f.startswith("report_")]
 
     def test_evaluate_rejects_checkpoint_with_zero_std(self, synthed, capsys):
@@ -592,8 +592,8 @@ class TestErrors:
         capsys.readouterr()
         assert main(["evaluate", *common, "--variant", label]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        assert err.startswith(f"error: {os.path.join(out, 'finetuned.ckpt')}: ")
+        assert err.count("\n") == 1 and message in err
         # no report written, every existing one byte-unchanged
         assert files() == before
 
@@ -752,6 +752,57 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {path}: empty edge list\n"
 
+    @pytest.mark.parametrize("rel, argv", [
+        ("data/tee.csv", ["finetune", "--variant", "target_only"]),
+        ("data/alpha.edges", ["embed"]),
+        ("data/tee.features.csv", ["evaluate", "--variant", "target_only"]),
+        ("a.spec", ["synth", "--out", "{tmp}/data2", "{tmp}/a.spec",
+                    "{tmp}/b.spec", "{tmp}/t.spec"]),
+        ("o/finetuned.ckpt", ["evaluate", "--variant", "target_only"]),
+        ("o/report_ha_h3_s0.txt", ["compare", "{tmp}/o"]),
+        ("config.json", ["evaluate", "--variant", "target_only"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_input_that_is_not_text_is_refused_by_name(self, synthed, capsys,
+                                                       rel, argv):
+        data, cfg_path, _, tmp_path = synthed
+        common = ["--config", cfg_path, "--data", data, "--out",
+                  str(tmp_path / "o")]
+        assert main(["pipeline", *common, "--variant", "target_only"]) == 0
+        path = str(tmp_path / rel)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff")
+        before = _tree_bytes(tmp_path)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        capsys.readouterr()
+        # synth and compare take no config
+        assert main(argv if argv[0] in ("synth", "compare")
+                    else [*argv, *common]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: byte 0xff is not ")
+        assert err.count("\n") == 1
+        assert _tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["finetune", "export-embeddings"])
+    def test_pretrained_checkpoint_refused_after_loading_names_its_file(
+            self, synthed, capsys, command):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out]
+        for stage in ("embed", "pretrain"):
+            assert main([stage, *common]) == 0
+        path = os.path.join(out, "pretrained.ckpt")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as fh:
+            fh.writelines(ln for ln in lines
+                          if not ln.startswith("encoder.target.layer0.eps "))
+        before = _tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main([command, *common]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: checkpoint missing parameter "
+            f"encoder.target.layer0.eps\n")
+        assert _tree_bytes(tmp_path) == before
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -877,6 +928,17 @@ def _file_bytes(*dirs):
     """path -> bytes of every file in the directories dirs."""
     return {os.path.join(d, f): open(os.path.join(d, f), "rb").read()
             for d in dirs for f in sorted(os.listdir(d))}
+
+
+def _tree_bytes(root):
+    """path -> bytes of every file under root, and -> None of every
+    directory."""
+    out = {}
+    for d, dirs, files in os.walk(root):
+        out.update({os.path.join(d, x): None for x in dirs})
+        out.update({os.path.join(d, f): open(os.path.join(d, f), "rb").read()
+                    for f in files})
+    return out
 
 
 class TestFailedStage:

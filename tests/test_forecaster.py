@@ -132,6 +132,7 @@ def test_end_to_end_gradient_through_encoder(rng):
     # loss -> forecast -> SpatialEncoder.forward chain on a 4-node instance
     from crosscity.gin import SpatialEncoder
     from crosscity.graph import RoadGraph
+    from crosscity.train import DomainData
 
     g = RoadGraph(4, [(0, 1), (1, 2), (2, 3)])
     feats = rng.standard_normal((4, 4))
@@ -142,7 +143,7 @@ def test_end_to_end_gradient_through_encoder(rng):
     params = {**enc.params("encoder"), **p.params()}
 
     def loss():
-        emb = enc.forward(feats, g)
+        emb = enc.forward(DomainData("c", g, feats))
         preds = fc.forecast(p, inputs, emb)
         return fc.source_loss(preds, targets)
 

@@ -3,11 +3,19 @@ import pytest
 
 from crosscity import autodiff as ad
 from crosscity.autodiff import Tensor
+from crosscity.config import ExperimentConfig
+from crosscity.data import TrafficSeries
 from crosscity.gin import GinLayer, SpatialEncoder
 from crosscity.graph import RoadGraph
+from crosscity.metrics import evaluate
+from crosscity.train import DomainData, finetune, pretrain
 
 import composed
 from conftest import assert_grads_close
+
+
+def city(feats, graph):
+    return DomainData("c", graph, feats)
 
 
 def identity_encoder(dim, n_layers=1):
@@ -25,7 +33,7 @@ def identity_encoder(dim, n_layers=1):
 def test_isolated_node_identity_mlp_passes_through():
     g = RoadGraph(1, [])
     enc = identity_encoder(2)
-    out = enc.forward(np.array([[3.0, 4.0]]), g)
+    out = enc.forward(city(np.array([[3.0, 4.0]]), g))
     assert np.allclose(out.data, [[3.0, 4.0]], atol=1e-15)
 
 
@@ -33,14 +41,14 @@ def test_two_node_path_hand_value():
     # e_0=[1], e_1=[3]: each node becomes own + mean of the other -> 4
     g = RoadGraph(2, [(0, 1)])
     enc = identity_encoder(1)
-    out = enc.forward(np.array([[1.0], [3.0]]), g)
+    out = enc.forward(city(np.array([[1.0], [3.0]]), g))
     assert np.allclose(out.data, [[4.0], [4.0]], atol=1e-15)
 
 
 def test_output_dim_matches_embedding_dim(rng):
     g = RoadGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     enc = SpatialEncoder(64, 64, 1, rng)
-    out = enc.forward(rng.standard_normal((5, 64)), g)
+    out = enc.forward(city(rng.standard_normal((5, 64)), g))
     assert out.shape == (5, 64)
 
 
@@ -48,7 +56,7 @@ def test_row_count_mismatch_rejected(rng):
     g = RoadGraph(3, [(0, 1)])
     enc = SpatialEncoder(4, 4, 1, rng)
     with pytest.raises(ad.ShapeError):
-        enc.forward(rng.standard_normal((2, 4)), g)
+        enc.forward(city(rng.standard_normal((2, 4)), g))
 
 
 def test_param_names_and_determinism():
@@ -77,10 +85,11 @@ def test_permutation_equivariance(rng):
         feats = rng.standard_normal((n, 6))
         enc = SpatialEncoder(6, 6, 2, np.random.default_rng(trial))
         perm = rng.permutation(n)
-        base = enc.forward(feats, g).data
+        base = enc.forward(city(feats, g)).data
         permuted_feats = np.empty_like(feats)
         permuted_feats[perm] = feats
-        permuted = enc.forward(permuted_feats, composed.permuted_graph(g, perm)).data
+        permuted = enc.forward(
+            city(permuted_feats, composed.permuted_graph(g, perm))).data
         assert np.allclose(permuted[perm], base, atol=1e-9)
 
 
@@ -90,7 +99,7 @@ def test_regular_graph_constant_feature_doubles():
     g = RoadGraph(n, [(i, (i + 1) % n) for i in range(n)])
     enc = identity_encoder(3)
     c = np.array([0.5, 1.5, 2.5])
-    out = enc.forward(np.tile(c, (n, 1)), g)
+    out = enc.forward(city(np.tile(c, (n, 1)), g))
     assert np.allclose(out.data, 2 * np.tile(c, (n, 1)), atol=1e-12)
 
 
@@ -100,8 +109,8 @@ def test_epsilon_gradient_vs_finite_diff(rng):
     enc = SpatialEncoder(5, 5, 1, rng)
     enc.layers[0].eps.data = np.asarray(0.3)
     params = enc.params("encoder")
-    assert_grads_close(lambda: composed.tmean(composed.tanh(enc.forward(feats, g))),
-                       params)
+    assert_grads_close(
+        lambda: composed.tmean(composed.tanh(enc.forward(city(feats, g)))), params)
 
 
 def _weighted_grads(params, forward, weights, x=None):
@@ -169,7 +178,7 @@ def test_fused_encoder_equals_composed_exactly(n_layers, rng):
     feats = rng.standard_normal((7, 5))
     weights = rng.standard_normal((7, 6))
     params = enc.params("encoder")
-    got, got_g = _weighted_grads(params, lambda: enc.forward(feats, ISOLATED),
+    got, got_g = _weighted_grads(params, lambda: enc.forward(city(feats, ISOLATED)),
                                  weights)
     want, want_g = _weighted_grads(
         params, lambda: composed.spatial_encoder(enc, feats, ISOLATED), weights)
@@ -177,29 +186,6 @@ def test_fused_encoder_equals_composed_exactly(n_layers, rng):
     assert got_g.keys() == want_g.keys()
     for k in want_g:
         assert np.array_equal(got_g[k], want_g[k]), k
-
-
-@pytest.mark.parametrize("n_layers", [1, 2])
-def test_encoder_equals_composed_on_repeated_and_changed_features(n_layers,
-                                                                   rng):
-    # the first layer's aggregate is taken once per graph and kept; it must
-    # be taken again once the features change in place
-    graph = RoadGraph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
-    enc = SpatialEncoder(5, 6, n_layers, rng)
-    for layer in enc.layers:
-        layer.b1.data = rng.standard_normal(6) * 0.5
-    feats = rng.standard_normal((7, 5))
-    for step in range(6):
-        if step == 3:
-            feats[1, 2] += 1.0
-        elif step == 5:
-            feats[:] = rng.standard_normal((7, 5))
-        got = enc.forward(feats, graph).data
-        want = composed.spatial_encoder(enc, feats, graph).data
-        assert np.array_equal(got, want), step
-    # another array of equal values gives the same output
-    got = enc.forward(feats.copy(), graph).data
-    assert np.array_equal(got, want)
 
 
 def _counting_builds(monkeypatch):
@@ -215,28 +201,51 @@ def _counting_builds(monkeypatch):
     return counts
 
 
-def test_two_layer_encoder_builds_its_matrix_once_per_graph(monkeypatch, rng):
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_pipeline_builds_each_citys_matrix_once_per_use(n_layers, monkeypatch):
+    # a city holds its neighbour mean, so every encoder of it, across
+    # pretrain, finetune and evaluate, shares one build; a second layer
+    # builds the matrix once more, as a Tensor
+    cfg = ExperimentConfig(
+        source_domains=["a", "b"], target_domain="t", history=3, horizon=3,
+        embed_dim=4, hidden_dim=4, classifier_hidden=4, gin_layers=n_layers,
+        pretrain_epochs=1, pretrain_batches_per_epoch=2, finetune_max_epochs=2,
+        finetune_batches_per_epoch=1, batch_size=8)
+    rng = np.random.default_rng(0)
+    cities = []
+    for name, n in (("a", 5), ("b", 6), ("t", 4)):
+        graph = RoadGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        series = TrafficSeries(50 + rng.standard_normal((80, n)))
+        cities.append(DomainData(name, graph, rng.standard_normal((n, 4)), series))
     counts = _counting_builds(monkeypatch)
-    graphs = [RoadGraph(5, [(0, 1), (1, 2), (3, 4)]),
-              RoadGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])]
-    feats = [rng.standard_normal((g.n_nodes, 3)) for g in graphs]
-    enc = SpatialEncoder(3, 3, 2, rng)
-    for _ in range(4):
-        for g, f in zip(graphs, feats):
-            enc.forward(f, g)
-    assert counts == {id(g): 1 for g in graphs}
+    *sources, target = cities
+    pre = pretrain(cfg, sources, target)
+    fin = finetune(pre, target, cfg)
+    evaluate(fin, cfg, target, (3,), "full")
+    assert counts == {id(c.graph): n_layers for c in cities}
 
 
-def test_one_layer_encoder_takes_its_aggregate_once_per_features(
-        monkeypatch, rng):
-    counts = _counting_builds(monkeypatch)
-    g = RoadGraph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
-    feats = rng.standard_normal((6, 4))
-    enc = SpatialEncoder(4, 4, 1, rng)
-    for _ in range(3):
-        enc.forward(feats, g)
-    assert counts == {id(g): 1}
-    feats[0, 0] = 9.0
-    enc.forward(feats, g)
-    enc.forward(feats, g)
-    assert counts == {id(g): 2}
+def test_features_are_read_only_after_the_first_forward(rng):
+    g = RoadGraph(4, [(0, 1), (1, 2), (2, 3)])
+    feats = rng.standard_normal((4, 3))
+    c = city(feats, g)
+    feats[0, 0] = 1.0  # writable until an encoder reads the city
+    SpatialEncoder(3, 3, 1, rng).forward(c)
+    with pytest.raises(ValueError):
+        feats[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        c.neighbor_mean[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_new_city_with_changed_features_equals_composed(n_layers, rng):
+    enc = SpatialEncoder(5, 6, n_layers, rng)
+    for layer in enc.layers:
+        layer.b1.data = rng.standard_normal(6) * 0.5
+    feats = rng.standard_normal((7, 5))
+    for step in range(3):
+        got = enc.forward(city(feats, ISOLATED)).data
+        want = composed.spatial_encoder(enc, feats, ISOLATED).data
+        assert np.array_equal(got, want), step
+        feats = feats.copy()
+        feats[step, 1] += 1.0

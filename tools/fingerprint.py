@@ -32,11 +32,12 @@ Each workload runs at seed 0 in a temporary directory:
   the pinned one must fork in ``write_table``, ``embed`` and
   ``predict_windows``.
   Last come the commands users see refused: ``finetune`` on copies of the
-  data directory whose target series holds a cell ``x``, a cell ``nan`` or
-  no row, ``evaluate`` with no finetuned checkpoint (exit 2), ``evaluate``
-  on a copy of the ``full`` run directory whose checkpoint's first record
-  has the negative dimensions ``-1,-8``, and a ``pretrain`` whose
-  gradients overflow. Each must exit with its code (1 unless said), print
+  data directory whose target series holds a cell ``x``, a cell ``nan``,
+  no row or a byte ``0xff``, which is not UTF-8 text; ``evaluate`` with no
+  finetuned checkpoint (exit 2); ``evaluate`` on copies of the ``full`` run
+  directory whose checkpoint's first record has the negative dimensions
+  ``-1,-8``, or the shape ``4294967296,4294967296``, whose product wraps to
+  0 in int64, and no value; and a ``pretrain`` whose gradients overflow. Each must exit with its code (1 unless said), print
   one stderr line, starting with ``error:``, and leave every file and
   directory under the work directory as it was; the copies are removed
   after.
@@ -62,6 +63,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -331,28 +333,34 @@ def run_fork_pair(cli, workdir, config, sources):
 
 def run_refusals(cli, workdir, config, data):
     """Commands users run that must be refused, each checked by ``_refused``:
-    a target series with a bad cell or no row, `evaluate` with no
-    checkpoint or with a record of negative dimensions in the `full` run's,
-    and a pre-training whose gradients overflow."""
-    header, row, *rest = Path(data, "tee.csv").read_text().splitlines(keepends=True)
+    a target series with a bad cell, no row or a byte that is not text,
+    `evaluate` with no checkpoint or with a record of negative or
+    overflowing dimensions in the `full` run's, and a pre-training whose
+    gradients overflow."""
+    series = Path(data, "tee.csv").read_bytes()
+    header, row, *rest = series.decode().splitlines(keepends=True)
     kept, tail = row.rsplit(",", 1)[0], "".join(rest)
-    for text in (f"{header}{kept},x\n{tail}", f"{header}{kept},nan\n{tail}", header):
+    for text in (f"{header}{kept},x\n{tail}".encode(),
+                 f"{header}{kept},nan\n{tail}".encode(), header.encode(),
+                 series + b"\xff"):
         with tempfile.TemporaryDirectory(dir=workdir) as bad:
             shutil.copytree(data, bad, dirs_exist_ok=True)
-            Path(bad, "tee.csv").write_text(text)
+            Path(bad, "tee.csv").write_bytes(text)
             _refused(cli, 1, workdir, "finetune", "--config", config,
                      "--data", bad, "--out", os.path.join(workdir, "refused"),
                      "--variant", "target_only")
     _refused(cli, 2, workdir, "evaluate", "--config", config, "--data", data,
              "--out", os.path.join(workdir, "refused"))
-    with tempfile.TemporaryDirectory(dir=workdir) as run:
-        shutil.copytree(os.path.join(workdir, "full"), run, dirs_exist_ok=True)
-        ckpt = Path(run, "finetuned.ckpt")
-        # (-1) * (-8) asks for the 8 values its first record holds
-        ckpt.write_text(ckpt.read_text().replace(" shape 8 values ",
-                                                 " shape -1,-8 values ", 1))
-        _refused(cli, 1, workdir, "evaluate", "--config", config,
-                 "--data", data, "--out", run, "--variant", "full")
+    # (-1) * (-8) asks for the 8 values the first record holds, and
+    # 2**32 * 2**32, which wraps to 0 in int64, for none
+    for record in (r" shape -1,-8 values \1", " shape 4294967296,4294967296 values"):
+        with tempfile.TemporaryDirectory(dir=workdir) as run:
+            shutil.copytree(os.path.join(workdir, "full"), run, dirs_exist_ok=True)
+            ckpt = Path(run, "finetuned.ckpt")
+            ckpt.write_text(re.sub(r" shape 8 values (.*)", record,
+                                   ckpt.read_text(), count=1))
+            _refused(cli, 1, workdir, "evaluate", "--config", config,
+                     "--data", data, "--out", run, "--variant", "full")
     _refused(cli, 1, workdir, "pretrain", "--config", config, "--data", data,
              "--out", os.path.join(workdir, "refused"),
              "--set", "learning_rate=1e300", "--set", "grad_clip_norm=1e300")
