@@ -44,6 +44,12 @@ class Checkpoint:
                     for k in self.tensors)
         )
 
+    def check_stage(self, stage):
+        """CheckpointError unless the checkpoint was written by `stage`."""
+        if self.stage != stage:
+            raise CheckpointError(f"expected a {stage!r} checkpoint, got "
+                                  f"{self.stage!r}")
+
 
 def _shape_token(shape):
     return ",".join(str(d) for d in shape) if shape else "-"

@@ -119,12 +119,14 @@ def _load_city(cfg, args, name, series):
 @contextlib.contextmanager
 def _checkpoint(cfg, args, stage):
     """The run directory's `stage` checkpoint, written under this config;
-    a CheckpointError raised in the block, by a check of the checkpoint
-    against the model or the city, names the checkpoint's file too."""
+    a CheckpointError raised by its stage check or in the block, by a check
+    of the checkpoint against the model or the city, names the checkpoint's
+    file too."""
     path = _existing(os.path.join(args.out, f"{stage}.ckpt"),
                      f"{stage} checkpoint")
     ckpt = ck.load_checkpoint(path, expect_config_hash=cfg.config_hash())
     try:
+        ckpt.check_stage(stage)
         yield ckpt
     except ck.CheckpointError as exc:
         raise ck.CheckpointError(f"{path}: {exc}") from None

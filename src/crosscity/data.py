@@ -303,30 +303,34 @@ def _random_geometric_edges(n, rng):
 def synth_generate(spec):
     """Deterministic city: diurnal gaussian-bump profile per node with
     per-node amplitude jitter, one-hop spatial smoothing, additive noise,
-    and a nonnegative clamp. Smoothing, noise and clamp work in place, so
-    the peak holds two T x N arrays and, for the smoothing product alone,
-    the graph's N x N aggregation matrix."""
+    and a nonnegative clamp. The noiseless traffic repeats every day, so
+    one day is built and smoothed, then written into each day's rows plus
+    that day's noise, drawn day by day as one T x N draw would be. The peak
+    holds the larger of two one-day blocks beside the graph's N x N
+    aggregation matrix, for the smoothing product alone, and the T x N
+    series beside two one-day blocks."""
     rng = np.random.default_rng([spec.seed, 0xC17F])
     graph = _make_topology(spec, rng)
     steps_per_day = 24 * 60 // spec.interval_minutes
-    t_len = spec.days * steps_per_day
-    hours = (np.arange(t_len) % steps_per_day) * spec.interval_minutes / 60.0
+    hours = np.arange(steps_per_day) * spec.interval_minutes / 60.0
 
-    profile = np.full(t_len, spec.base_flow)
+    profile = np.full(steps_per_day, spec.base_flow)
     for amp, peak in zip(spec.peak_amplitudes, spec.peak_hours, strict=True):
         centered = hours - peak - spec.phase_shift_hours
         centered = (centered + 12.0) % 24.0 - 12.0  # wrap to [-12, 12)
         profile = profile + amp * np.exp(-0.5 * (centered / spec.peak_width_hours) ** 2)
 
     node_scale = 1.0 + spec.node_scale_spread * (rng.random(spec.n_nodes) - 0.5) * 2
-    x = profile[:, None] * node_scale[None, :]
-    # one T x N buffer beside x: the neighbor means, then the noise
-    buf = x @ graph.mean_aggregation_matrix().T
-    x *= 1.0 - spec.smoothing
+    day = profile[:, None] * node_scale[None, :]
+    # one day-sized buffer beside day: the neighbor means, then each noise
+    buf = day @ graph.mean_aggregation_matrix().T
+    day *= 1.0 - spec.smoothing
     buf *= spec.smoothing
-    x += buf
-    rng.standard_normal(out=buf)
-    buf *= spec.noise_level
-    x += buf
+    day += buf
+    x = np.empty((spec.days * steps_per_day, spec.n_nodes))
+    for rows in x.reshape(spec.days, steps_per_day, spec.n_nodes):
+        rng.standard_normal(out=buf)
+        buf *= spec.noise_level
+        np.add(day, buf, out=rows)
     np.maximum(x, 0.0, out=x)
     return graph, TrafficSeries(x, spec.interval_minutes)

@@ -161,17 +161,15 @@ def _raw_test(config, target, horizons):
 def evaluate(checkpoint, config, target, horizons, variant):
     """Metric reports of `variant` on the target test split, one per horizon.
 
-    The model is the ``FinetuneModel`` of `variant`, and the finetuned
-    checkpoint must hold exactly its parameters and the target's stats,
-    else ``CheckpointError``. Predictions are cut to each horizon's first
-    steps, denormalized with the stored target stats, and scored against
-    the raw test windows, as ``evaluate_ha`` is. A checkpoint records no
+    The model is the ``FinetuneModel`` of `variant`, and the checkpoint
+    must be a finetuned one holding exactly its parameters and the target's
+    stats, else ``CheckpointError``. Predictions are cut to each horizon's
+    first steps, denormalized with the stored target stats, and scored
+    against the raw test windows, as ``evaluate_ha`` is. A checkpoint records no
     variant, so ``full``, ``wo_da`` and ``target_only``, which share their
     parameter names, pass for one another.
     """
-    if checkpoint.stage != "finetuned":
-        raise ValueError(f"evaluate expects a finetuned checkpoint, got "
-                         f"{checkpoint.stage!r}")
+    checkpoint.check_stage("finetuned")
     st = checkpoint.stats.get(target.name)
     if st is None:
         raise CheckpointError(f"checkpoint holds no normalization stats for "
@@ -271,6 +269,7 @@ def export_embeddings(checkpoint, config, domains, path):
 def stage1_embeddings(checkpoint, config, domains):
     """Shared embeddings per domain from a pretrained checkpoint; the last
     domain is the target."""
+    checkpoint.check_stage("pretrained")
     names = [d.name for d in domains[:-1]]
     model = PretrainModel(config, names, np.random.default_rng(0))
     _load_params(model.params(), checkpoint.tensors)

@@ -47,14 +47,19 @@ class DomainData:
 
     @functools.cached_property
     def neighbor_mean(self):
-        """graph.mean_aggregation_matrix() @ raw_features, read-only. The
-        features must have a row per node, and are read-only from then on."""
+        """graph.mean_aggregation_matrix() @ raw_features, read-only, through
+        the city's `aggregation` when a layer has built it and otherwise a
+        matrix dropped after the product. The features must have a row per
+        node, and are read-only from then on."""
         feats, n = self.raw_features, self.graph.n_nodes
         if feats.shape[0] != n:
             raise ad.ShapeError(f"features have {feats.shape[0]} rows for a "
                                 f"{n}-node graph")
         feats.flags.writeable = False
-        product = self.graph.mean_aggregation_matrix() @ feats
+        cached = self.__dict__.get("aggregation")
+        matrix = (cached.data if cached is not None
+                  else self.graph.mean_aggregation_matrix())
+        product = matrix @ feats
         product.flags.writeable = False
         return product
 
@@ -371,9 +376,7 @@ def finetune(checkpoint, target, config, variant="full", replay_log=None):
     if uses.pretrain:
         if checkpoint is None:
             raise ValueError(f"variant {variant!r} requires a pretrained checkpoint")
-        if checkpoint.stage != "pretrained":
-            raise ValueError(
-                f"expected a 'pretrained' checkpoint, got {checkpoint.stage!r}")
+        checkpoint.check_stage("pretrained")
 
     init_rng = np.random.default_rng([config.seed, 0xF17E])
     model = FinetuneModel(config, uses, init_rng)

@@ -488,23 +488,24 @@ def permuted_graph(graph, perm):
 
 def synth_generate(spec):
     """Same contract as ``data.synth_generate``, each step a new array and
-    the graph's matrix from ``mean_aggregation_matrix``; returns the graph
-    and the T x N values."""
+    the graph's matrix from ``mean_aggregation_matrix``: one smoothed day,
+    tiled over the days, plus one T x N noise draw; returns the graph and
+    the T x N values."""
     rng = np.random.default_rng([spec.seed, 0xC17F])
     graph = _make_topology(spec, rng)
     steps_per_day = 24 * 60 // spec.interval_minutes
-    t_len = spec.days * steps_per_day
-    hours = (np.arange(t_len) % steps_per_day) * spec.interval_minutes / 60.0
-    profile = np.full(t_len, spec.base_flow)
+    hours = np.arange(steps_per_day) * spec.interval_minutes / 60.0
+    profile = np.full(steps_per_day, spec.base_flow)
     for amp, peak in zip(spec.peak_amplitudes, spec.peak_hours, strict=True):
         centered = hours - peak - spec.phase_shift_hours
         centered = (centered + 12.0) % 24.0 - 12.0
         profile = profile + amp * np.exp(
             -0.5 * (centered / spec.peak_width_hours) ** 2)
     node_scale = 1.0 + spec.node_scale_spread * (rng.random(spec.n_nodes) - 0.5) * 2
-    x = profile[:, None] * node_scale[None, :]
+    day = profile[:, None] * node_scale[None, :]
     agg = mean_aggregation_matrix(graph)
-    x = (1.0 - spec.smoothing) * x + spec.smoothing * (x @ agg.T)
+    day = (1.0 - spec.smoothing) * day + spec.smoothing * (day @ agg.T)
+    x = np.tile(day, (spec.days, 1))
     x = x + spec.noise_level * rng.standard_normal(x.shape)
     return graph, np.maximum(x, 0.0)
 

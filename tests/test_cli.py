@@ -803,6 +803,27 @@ class TestErrors:
             f"encoder.target.layer0.eps\n")
         assert _tree_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize("command, stage, other", [
+        ("finetune", "pretrained", "finetuned"),
+        ("export-embeddings", "pretrained", "finetuned"),
+        ("evaluate", "finetuned", "pretrained")])
+    def test_checkpoint_of_the_other_stage_refused_by_name(
+            self, synthed, capsys, command, stage, other):
+        data, cfg_path, _, tmp_path = synthed
+        out = str(tmp_path / "o")
+        common = ["--config", cfg_path, "--data", data, "--out", out]
+        assert main(["pipeline", *common]) == 0
+        path = os.path.join(out, f"{stage}.ckpt")
+        with open(os.path.join(out, f"{other}.ckpt"), "rb") as src:
+            with open(path, "wb") as dst:
+                dst.write(src.read())
+        before = _tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main([command, *common]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected a {stage!r} checkpoint, got {other!r}\n")
+        assert _tree_bytes(tmp_path) == before
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -561,12 +561,30 @@ def test_synth_generate_equals_the_reference(topology, n_nodes, seed):
     assert (want == 0.0).any()
 
 
-def test_synth_generate_peak_holds_two_series_and_one_matrix():
-    # 1,000 nodes over a day: T x N = 2.3 MB beside an 8 MB N x N matrix;
-    # one more T x N or N x N temporary breaks the bound
-    spec = SyntheticCitySpec(n_nodes=1000, topology="ring", days=1, seed=1)
-    t_len = 24 * 60 // spec.interval_minutes
-    series_bytes = t_len * spec.n_nodes * 8
+@pytest.mark.parametrize("interval", [d for d in range(1, 24 * 60 + 1)
+                                      if 24 * 60 % d == 0])
+def test_synth_generate_equals_the_reference_at_every_interval(interval):
+    # the smoothing product takes one day's rows; at some shapes a product
+    # over all the days' rows would round otherwise
+    for topology in ("ring", "grid", "random-geometric"):
+        for n_nodes in (5, 33, 200):
+            for days in (1, 2, 3):
+                spec = SyntheticCitySpec(
+                    n_nodes=n_nodes, topology=topology, days=days,
+                    interval_minutes=interval, seed=n_nodes + days,
+                    smoothing=0.45, noise_level=30.0)
+                _, series = synth_generate(spec)
+                _, want = composed.synth_generate(spec)
+                assert np.array_equal(series.signal(), want), spec
+
+
+def test_synth_generate_peak_holds_one_series_and_one_matrix():
+    # 1,000 nodes over 3 days: a day of 2.3 MB and a T x N series of 6.9 MB
+    # beside an 8 MB N x N matrix; one more day-sized temporary, or a
+    # second series, breaks the bound
+    spec = SyntheticCitySpec(n_nodes=1000, topology="ring", days=3, seed=1)
+    day_bytes = 24 * 60 // spec.interval_minutes * spec.n_nodes * 8
+    series_bytes = spec.days * day_bytes
     # a small city first, so that no first-use allocation is counted
     synth_generate(SyntheticCitySpec(n_nodes=5, topology="ring", days=1))
     tracemalloc.start()
@@ -575,7 +593,8 @@ def test_synth_generate_peak_holds_two_series_and_one_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * series_bytes + spec.n_nodes ** 2 * 8 + series_bytes // 2
+    assert peak < max(2 * day_bytes + spec.n_nodes ** 2 * 8,
+                      series_bytes + 2 * day_bytes) + day_bytes // 2
 
 
 def _series_with_stamps(path, stamps):

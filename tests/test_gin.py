@@ -205,7 +205,7 @@ def _counting_builds(monkeypatch):
 def test_pipeline_builds_each_citys_matrix_once_per_use(n_layers, monkeypatch):
     # a city holds its neighbour mean, so every encoder of it, across
     # pretrain, finetune and evaluate, shares one build; a second layer
-    # builds the matrix once more, as a Tensor
+    # keeps the matrix as a Tensor, and the neighbour mean reads it
     cfg = ExperimentConfig(
         source_domains=["a", "b"], target_domain="t", history=3, horizon=3,
         embed_dim=4, hidden_dim=4, classifier_hidden=4, gin_layers=n_layers,
@@ -222,7 +222,9 @@ def test_pipeline_builds_each_citys_matrix_once_per_use(n_layers, monkeypatch):
     pre = pretrain(cfg, sources, target)
     fin = finetune(pre, target, cfg)
     evaluate(fin, cfg, target, (3,), "full")
-    assert counts == {id(c.graph): n_layers for c in cities}
+    assert counts == {id(c.graph): 1 for c in cities}
+    # with one layer no city keeps an N x N matrix
+    assert all(("aggregation" in vars(c)) == (n_layers == 2) for c in cities)
 
 
 def test_features_are_read_only_after_the_first_forward(rng):

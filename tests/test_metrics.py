@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosscity import metrics
-from crosscity.checkpoint import Checkpoint
+from crosscity.checkpoint import Checkpoint, CheckpointError
 from crosscity.config import ExperimentConfig, variant_uses
 from crosscity.data import NormalizationStats, TrafficSeries
 from crosscity.graph import RoadGraph
 from crosscity.metrics import (MetricError, MetricReport, compare_variants,
                                domain_confusion_probe, evaluate, evaluate_ha,
                                mae, mape, rmse, write_comparison_csv)
-from crosscity.train import DomainData, FinetuneModel
+from crosscity.train import DomainData, FinetuneModel, finetune
 
 import composed
 
@@ -352,3 +352,15 @@ def test_no_horizon_gives_no_report():
     target = DomainData("t", RoadGraph(1, []), None,
                         TrafficSeries(np.ones((100, 1))))
     assert evaluate_ha(config, target, ()) == []
+
+
+@pytest.mark.parametrize("run, stage", [
+    (lambda ckpt, cfg: metrics.stage1_embeddings(ckpt, cfg, []), "pretrained"),
+    (lambda ckpt, cfg: evaluate(ckpt, cfg, None, (3,), "full"), "finetuned"),
+    (lambda ckpt, cfg: finetune(ckpt, None, cfg), "pretrained")],
+    ids=["stage1_embeddings", "evaluate", "finetune"])
+def test_library_refuses_a_checkpoint_of_the_other_stage(run, stage):
+    other = {"pretrained": "finetuned", "finetuned": "pretrained"}[stage]
+    with pytest.raises(CheckpointError, match=(
+            f"^expected a '{stage}' checkpoint, got '{other}'$")):
+        run(Checkpoint(other, "h", 0, {}), ExperimentConfig())

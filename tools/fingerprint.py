@@ -422,16 +422,24 @@ def _git(*argv):
     return proc.stdout.strip()
 
 
-def against(rev, workloads, toy):
-    """Print the files whose hashes differ between REV and this checkout."""
+@contextlib.contextmanager
+def checkout(rev):
+    """(directory, full commit id) of git revision REV, checked out in a
+    temporary `git worktree` that is removed on leaving."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
     with tempfile.TemporaryDirectory(prefix="fingerprint-rev-") as tmp:
         tree = Path(tmp) / "tree"
         _git("worktree", "add", "--detach", str(tree), commit)
         try:
-            theirs = fingerprints_of(tree, workloads, toy)
+            yield tree, commit
         finally:
             _git("worktree", "remove", "--force", str(tree))
+
+
+def against(rev, workloads, toy):
+    """Print the files whose hashes differ between REV and this checkout."""
+    with checkout(rev) as (tree, commit):
+        theirs = fingerprints_of(tree, workloads, toy)
     ours = fingerprints_of(ROOT, workloads, toy)
     diff = differences(ours, theirs)
     for kind, name in diff:
